@@ -10,7 +10,7 @@ unitary the three-factor walk/phase/unwalk circuit implements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,28 +122,66 @@ def _xy_index_pairs(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     return i01, i01 + place_a - place_b
 
 
+def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, isin2: np.ndarray, steps: int) -> None:
+    """Apply `steps` rounds of XY rotations in place to every column of amps.
+
+    amps is (rows, batch); plan holds (i01, i10, gate) row pairs; cos2 and
+    isin2 are (gates, batch), so column k rotates by its own angles.
+    """
+    for _ in range(steps):
+        for i01, i10, idx in plan:
+            x01 = amps[i01]
+            x10 = amps[i10]
+            amps[i01] = cos2[idx] * x01 + isin2[idx] * x10
+            amps[i10] = cos2[idx] * x10 + isin2[idx] * x01
+
+
 def apply_xy_gate(state: np.ndarray, a: int, b: int, phi: float) -> np.ndarray:
     """Apply e^{i phi (X_a X_b + Y_a Y_b)}: a rotation inside the |01>,|10> sector."""
     n = num_qubits(state)
     if not (1 <= a <= n and 1 <= b <= n) or a == b:
         raise ValueError(f"qubit pair ({a}, {b}) invalid for n={n}")
     i01, i10 = _xy_index_pairs(n, min(a, b), max(a, b))
-    out = state.copy()
+    out = state.reshape(-1, 1).copy()
     c, s = np.cos(2 * phi), np.sin(2 * phi)
-    out[i01] = c * state[i01] + 1j * s * state[i10]
-    out[i10] = c * state[i10] + 1j * s * state[i01]
-    return out
+    _xy_sweep(out, ((i01, i10, 0),), np.array([[c]]), np.array([[1j * s]]), 1)
+    return out.reshape(-1)
 
 
 @lru_cache(maxsize=8)
-def _trotter_plan(family: PermutationFamily) -> tuple:
-    """Precomputed (i01, i10, gain_index) per transposition, in family order."""
+def _trotter_plan(family: PermutationFamily, sector: bool) -> tuple[np.ndarray, tuple]:
+    """Rows the walk acts on, and the (i01, i10, gain index) row pairs per transposition.
+
+    With sector=False the rows are all 2^n basis indices. With sector=True they
+    are only the strings of the seed's Hamming weight, which every XY gate
+    preserves; each gate then touches C(n-2, w-1) pairs instead of 2^(n-2).
+    """
+    n = family.n
+    rows = np.arange(1 << n, dtype=np.int64)
+    if sector:
+        rows = rows[np.bitwise_count(rows) == sum(family.seed)]
+    position = np.full(1 << n, -1, dtype=np.int64)
+    position[rows] = np.arange(rows.size)
     plan = []
     for idx, tau in enumerate(family.permutations):
         a, b = sorted(tau.indices)
-        i01, i10 = _xy_index_pairs(family.n, a, b)
-        plan.append((i01, i10, idx))
-    return tuple(plan)
+        i01, i10 = _xy_index_pairs(n, a, b)
+        keep = position[i01] >= 0
+        plan.append((position[i01[keep]], position[i10[keep]], idx))
+    return rows, tuple(plan)
+
+
+def _xy_rotations(family: PermutationFamily, sharpness: float, time: float, steps: int):
+    """Per-gate cos(2 theta) and i sin(2 theta) for one product-formula step."""
+    angles = family.weights(sharpness) * (time / (2.0 * steps))
+    return np.cos(2 * angles), 1j * np.sin(2 * angles)
+
+
+def _check_xy(family: PermutationFamily, steps: int) -> None:
+    if family.kind != "transposition":
+        raise ValueError("trotterized XY walk requires a transposition family")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
 
 
 def ctqw_trotter_xy(
@@ -159,26 +197,37 @@ def ctqw_trotter_xy(
     family's round order, repeated N times. Hamming weight sectors are
     preserved exactly; the deviation from the exact walk scales as t^2/N.
     """
-    if family.kind != "transposition":
-        raise ValueError("trotterized XY walk requires a transposition family")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    n = num_qubits(state)
-    if n != family.n:
+    _check_xy(family, steps)
+    if num_qubits(state) != family.n:
         raise ValueError("state size does not match family")
-    weights = family.weights(sharpness)
-    out = state.copy()
-    plan = _trotter_plan(family)
-    angles = weights * (time / (2.0 * steps))
-    cos2 = np.cos(2 * angles)
-    isin2 = 1j * np.sin(2 * angles)
-    for _ in range(steps):
-        for i01, i10, idx in plan:
-            x01 = out[i01]
-            x10 = out[i10]
-            out[i01] = cos2[idx] * x01 + isin2[idx] * x10
-            out[i10] = cos2[idx] * x10 + isin2[idx] * x01
-    return out
+    _, plan = _trotter_plan(family, False)
+    cos2, isin2 = _xy_rotations(family, sharpness, time, steps)
+    out = state.reshape(-1, 1).copy()
+    _xy_sweep(out, plan, cos2[:, None], isin2[:, None], steps)
+    return out.reshape(-1)
+
+
+def trotter_xy_sector_batch(
+    family: PermutationFamily, times, sharpnesses, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product-formula walks from the family's seed, one column per (time, sharpness).
+
+    Returns the seed's Hamming-weight sector as basis indices, and the walk
+    amplitudes on it as a (sector, batch) array. Every amplitude outside the
+    sector is exactly zero, and each column equals ctqw_trotter_xy from the
+    seed's basis state restricted to the sector.
+    """
+    _check_xy(family, steps)
+    rows, plan = _trotter_plan(family, True)
+    batch = len(times)
+    cos2 = np.empty((family.size, batch))
+    isin2 = np.empty((family.size, batch), dtype=np.complex128)
+    for k in range(batch):
+        cos2[:, k], isin2[:, k] = _xy_rotations(family, sharpnesses[k], times[k], steps)
+    amps = np.zeros((rows.size, batch), dtype=np.complex128)
+    amps[np.searchsorted(rows, bits_to_index(family.seed))] = 1.0
+    _xy_sweep(amps, plan, cos2, isin2, steps)
+    return rows, amps
 
 
 def apply_rank1_mixer(state: np.ndarray, psi: np.ndarray, beta: float) -> np.ndarray:
@@ -190,6 +239,21 @@ def apply_rank1_mixer(state: np.ndarray, psi: np.ndarray, beta: float) -> np.nda
         raise ValueError(f"psi must be normalized, got norm {norm}")
     overlap = np.vdot(psi, state)
     return state + (np.exp(-1j * beta) - 1.0) * overlap * psi
+
+
+def hypercube_walk_state(bits: np.ndarray, weights: np.ndarray, time: float) -> np.ndarray:
+    """Exact hypercube walk e^{iAt}|z>: a product state, built one qubit at a time.
+
+    bits must already be a validated 0/1 vector; qubit j contributes
+    (cos(w_j t), i sin(w_j t)), with the entries swapped where z_j = 1.
+    """
+    state = None
+    for j, b in enumerate(bits):
+        angle = weights[j] * time
+        amp0, amp1 = np.cos(angle), 1j * np.sin(angle)
+        factor = np.array([amp0, amp1] if b == 0 else [amp1, amp0], dtype=np.complex128)
+        state = factor if state is None else np.multiply.outer(state, factor).ravel()
+    return state
 
 
 def cbqoa_initial_state(
@@ -205,17 +269,8 @@ def cbqoa_initial_state(
         raise ValueError("walk seed must be feasible")
     if family is None:
         family = build_family(instance, bits)
-    weights = family.weights(walk.sharpness)
     if family.kind == "bit_flip":
-        # e^{iAt}|z> is a product state for the hypercube walk.
-        factors = []
-        for j, b in enumerate(bits):
-            angle = weights[j] * walk.time
-            amp0, amp1 = np.cos(angle), 1j * np.sin(angle)
-            factors.append(
-                np.array([amp0, amp1] if b == 0 else [amp1, amp0], dtype=np.complex128)
-            )
-        return reduce(np.kron, factors)
+        return hypercube_walk_state(bits, family.weights(walk.sharpness), walk.time)
     return ctqw_trotter_xy(
         basis_state(instance.n, bits), family, walk.sharpness, walk.time, config.trotter_steps
     )

@@ -28,7 +28,7 @@ from cbqoa import (
 from cbqoa.bench import estimate_seed_pogs
 from cbqoa.problems import bits_to_str, cost_summary, index_to_bits
 
-from conftest import small_bisection
+from conftest import oracle_tune_walk_params, small_3sat, small_bisection
 
 FAST_PIPELINE = PipelineConfig(
     rounding_trials=400,
@@ -180,6 +180,16 @@ class TestRunPipeline:
             for key, value in per.items():
                 boosted = record.pogs_boosted[algorithm][key]
                 assert boosted == pytest.approx(pogs_repeated(value, record.repetitions))
+
+    @pytest.mark.parametrize("make, n", [(small_bisection, 8), (small_3sat, 6)])
+    def test_record_matches_sequential_walk_oracle(self, rng, monkeypatch, make, n):
+        inst = make(rng, n=n)
+        lockstep = run_pipeline(inst, 1, FAST_PIPELINE).to_dict()
+        monkeypatch.setattr("cbqoa.bench.tune_walk_params", oracle_tune_walk_params)
+        sequential = run_pipeline(inst, 1, FAST_PIPELINE).to_dict()
+        lockstep.pop("wall_time_s")
+        sequential.pop("wall_time_s")
+        assert lockstep == sequential
 
     def test_error_carries_instance_id(self):
         inst = Max3SatInstance(num_vars=3, clauses=())  # degenerate: no cost spread

@@ -18,11 +18,17 @@ from cbqoa import (
     tune_walk_params,
     uniform_feasible_state,
 )
-from cbqoa.cvar import _cvar_sorted, write_trace_csv
-from cbqoa.problems import cost_summary, feasible_indices
+from cbqoa.cvar import _adam_lockstep, _cvar_sorted, _rowwise, write_trace_csv
+from cbqoa.problems import cost_summary, feasible_indices, index_to_bits
 from cbqoa.simulate import _apply_layers, AnsatzParams
 
-from conftest import small_bisection
+from conftest import (
+    oracle_adam_minimize,
+    oracle_run_restarts,
+    oracle_tune_walk_params,
+    small_3sat,
+    small_bisection,
+)
 
 
 FAST_ADAM = AdamConfig(iterations=60, restarts=2, rng_seed=7)
@@ -83,6 +89,18 @@ class TestCvarDiscrete:
             slow = cvar_discrete(list(zip(values, probs)), alpha)
             assert _cvar_sorted(values, probs, alpha) == pytest.approx(slow, abs=1e-12)
 
+    def test_strided_row_equals_contiguous_copy(self, rng):
+        """A strided view gives exactly the value of its contiguous copy."""
+        values = np.sort(rng.standard_normal(4096))
+        columns = rng.random((4096, 20))
+        columns /= columns.sum(axis=0)
+        for k in range(20):
+            strided = columns[:, k]
+            for alpha in (0.3, 0.5, 1.0):
+                assert _cvar_sorted(values, strided, alpha) == _cvar_sorted(
+                    values, strided.copy(), alpha
+                )
+
 
 class TestAdamMinimize:
     def test_converges_on_quadratic(self):
@@ -120,7 +138,81 @@ class TestAdamMinimize:
         assert len(rows) == 7
 
 
+def _bumpy(x: np.ndarray) -> float:
+    return float(np.sum(np.sin(3 * x) + 0.1 * (x - 0.5) ** 2) + 0.2 * x[0] * x[-1])
+
+
+class TestLockstepAdam:
+    """Lockstep restarts reproduce sequential ADAM runs exactly."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AdamConfig(iterations=40),
+            AdamConfig(iterations=0),
+            AdamConfig(iterations=30, learning_rate=0.3),
+        ],
+    )
+    def test_matches_sequential_restarts(self, rng, cfg):
+        inits = [np.zeros(3)] + [rng.uniform(-2, 2, size=3) for _ in range(3)]
+        params, value, trace = _adam_lockstep(_rowwise(_bumpy), np.array(inits), cfg)
+        want_params, want_value, want_trace = oracle_run_restarts(_bumpy, inits, cfg)
+        assert np.array_equal(params, want_params)
+        assert value == want_value
+        assert trace == want_trace
+
+    def test_adam_minimize_matches_oracle(self):
+        cfg = AdamConfig(iterations=50)
+        result = adam_minimize(_bumpy, [0.7, -0.2], cfg)
+        want = oracle_adam_minimize(_bumpy, [0.7, -0.2], cfg)
+        assert np.array_equal(result.best_params, want.best_params)
+        assert result.best_value == want.best_value
+        assert result.trace == want.trace
+
+    def test_one_call_per_step(self):
+        rows = []
+
+        def objective(points):
+            rows.append(len(points))
+            return np.array([_bumpy(x) for x in points])
+
+        _adam_lockstep(objective, np.zeros((4, 2)), AdamConfig(iterations=7))
+        assert rows == [4 * 5] * 7 + [4]
+
+    def test_non_finite_row_raises(self):
+        """One restart walking into a NaN region aborts the whole batch."""
+
+        def objective(points):
+            return np.where(points[:, 0] > 1.0, np.nan, -points[:, 0])
+
+        with pytest.raises(RuntimeError):
+            _adam_lockstep(objective, np.array([[0.0], [0.9]]), AdamConfig(learning_rate=0.2))
+
+
 class TestTuneWalkParams:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AdamConfig(iterations=30, restarts=4, rng_seed=3),
+            AdamConfig(iterations=12, restarts=1, rng_seed=5),
+            AdamConfig(iterations=0, restarts=3, rng_seed=2),
+        ],
+    )
+    @pytest.mark.parametrize("make, n", [(small_bisection, 8), (small_3sat, 6)])
+    def test_matches_sequential_oracle(self, rng, make, n, cfg):
+        inst = make(rng, n=n)
+        feas = feasible_indices(inst)
+        seed = index_to_bits(int(feas[feas.size // 3]), n)
+        family = build_family(inst, seed)
+        args = (inst, seed, family, CvarConfig(alpha=0.4), cfg)
+        assert tune_walk_params(*args) == oracle_tune_walk_params(*args)
+
+    def test_rejects_seed_other_than_family_seed(self, rng):
+        inst = small_bisection(rng, n=6)
+        family = build_family(inst, "010101")
+        with pytest.raises(ValueError):
+            tune_walk_params(inst, "101010", family)
+
     def test_never_worse_than_zero_point(self, rng):
         """(0, 0) is the first restart, so the tuned tail cost can't exceed it."""
         inst = small_bisection(rng, n=6)

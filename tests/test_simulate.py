@@ -22,9 +22,17 @@ from cbqoa import (
     measurement_distribution,
 )
 from cbqoa.mixer import PermutationFamily
-from cbqoa.problems import cost_summary, ising_diagonal
+from cbqoa.problems import cost_summary, index_to_bits, ising_diagonal
+from cbqoa.simulate import trotter_xy_sector_batch
 
-from conftest import dense_unitary, random_feasible_state, random_state, small_3sat, small_bisection
+from conftest import (
+    dense_unitary,
+    oracle_walk_state,
+    random_feasible_state,
+    random_state,
+    small_3sat,
+    small_bisection,
+)
 
 
 def logit(w):
@@ -187,6 +195,41 @@ class TestTrotterWalk:
         family = build_family(inst, "0000")
         with pytest.raises(ValueError):
             ctqw_trotter_xy(basis_state(4, "0000"), family, 0.5, 0.3, 2)
+
+
+class TestWalkKernelIdentity:
+    """The shared walk kernels reproduce the one-vector walks bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, n", [(small_bisection, 8), (small_bisection, 12), (small_3sat, 6)]
+    )
+    def test_initial_state_matches_oracle(self, rng, make, n):
+        inst = make(rng, n=n)
+        feas = feasible_indices(inst)
+        seed = index_to_bits(int(feas[rng.integers(feas.size)]), n)
+        family = build_family(inst, seed)
+        for _ in range(10):
+            walk = WalkParams(time=rng.uniform(-3, 3), sharpness=rng.uniform(-4, 4))
+            state = cbqoa_initial_state(inst, seed, walk, family=family)
+            assert np.array_equal(state, oracle_walk_state(seed, family, walk, 3))
+
+    def test_sector_batch_matches_full_walk(self, rng):
+        """Each column of the sector sweep is ctqw_trotter_xy from the seed, restricted."""
+        inst = small_bisection(rng, n=8)
+        seed = "01100101"
+        family = build_family(inst, seed)
+        times, sharpnesses = rng.uniform(-3, 3, 9), rng.uniform(-4, 4, 9)
+        rows, amps = trotter_xy_sector_batch(family, times, sharpnesses, 3)
+        np.testing.assert_array_equal(rows, feasible_indices(inst))
+        for k in range(times.size):
+            full = ctqw_trotter_xy(basis_state(8, seed), family, sharpnesses[k], times[k], 3)
+            assert np.array_equal(amps[:, k], full[rows])
+            assert not np.delete(full, rows).any()
+
+    def test_sector_batch_requires_transposition_family(self, rng):
+        family = build_family(small_3sat(rng, n=4), "0000")
+        with pytest.raises(ValueError):
+            trotter_xy_sector_batch(family, [0.1], [0.2], 3)
 
 
 class TestRank1Mixer:
