@@ -14,7 +14,6 @@ from .bench import (
     gen_hard_instances,
     import_results,
     pogs_exact,
-    pogs_monte_carlo,
     pogs_repeated,
     random_max3sat,
     random_max_bisection,
@@ -45,7 +44,6 @@ from .mixer import (
     LocalPermutation,
     PermutationFamily,
     WalkParams,
-    adjacency_dense,
     apply_permutation,
     bit_flip,
     build_family,
@@ -74,10 +72,7 @@ from .problems import (
 from .seeds import (
     SdpConfig,
     UnitVectorSet,
-    fl_rpr2_round,
-    kz_hyperplane_round,
     s_linear,
-    seed_best_of,
     solve_fl_sdp,
     solve_kz_sdp,
 )

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .cvar import AdamConfig, CvarConfig, tune_ansatz_params, tune_walk_params
+from .errors import DegenerateInstanceError
 from .mixer import WalkParams, build_family
 from .problems import (
     CostSummary,
@@ -95,6 +96,11 @@ def random_max_bisection(
 # POGS metrics
 
 
+def _good(ratios: np.ndarray, threshold: float) -> np.ndarray:
+    """Which approximation ratios clear the threshold (up to rounding in the ratio)."""
+    return ratios >= threshold - _BETA_TOL
+
+
 def pogs_exact(
     distribution: Mapping[str, float],
     instance: ProblemInstance,
@@ -104,40 +110,17 @@ def pogs_exact(
     """Probability mass on solutions with approximation ratio >= threshold."""
     summary = summary or cost_summary(instance)
     betas = beta_values(instance, summary)
-    feasible_mask = np.zeros(summary.diagonal.size, dtype=bool)
-    feasible_mask[summary.feasible] = True
-    total = 0.0
-    for key, prob in distribution.items():
-        index = bits_to_index(as_bits(key, instance.n))
-        if prob > 1e-12 and not feasible_mask[index]:
-            raise ValueError(f"distribution puts mass {prob} on infeasible string {key}")
-        if betas[index] >= threshold - _BETA_TOL:
-            total += prob
-    return float(total)
-
-
-def _pogs_from_probs(probs: np.ndarray, good_mask: np.ndarray) -> float:
-    return float(probs[good_mask].sum())
-
-
-def pogs_monte_carlo(
-    sampler: Callable[[], np.ndarray],
-    instance: ProblemInstance,
-    threshold: float,
-    trials: int,
-    summary: CostSummary | None = None,
-) -> float:
-    """Fraction of sampled solutions with approximation ratio >= threshold."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    summary = summary or cost_summary(instance)
-    betas = beta_values(instance, summary)
-    hits = 0
-    for _ in range(trials):
-        index = bits_to_index(as_bits(sampler(), instance.n))
-        if betas[index] >= threshold - _BETA_TOL:
-            hits += 1
-    return hits / trials
+    indices = np.array(
+        [bits_to_index(as_bits(key, instance.n)) for key in distribution], dtype=np.int64
+    )
+    probs = np.array(list(distribution.values()), dtype=np.float64)
+    feasible = np.zeros(summary.diagonal.size, dtype=bool)
+    feasible[summary.feasible] = True
+    leaks = np.flatnonzero((probs > 1e-12) & ~feasible[indices])
+    if leaks.size:
+        key = list(distribution)[leaks[0]]
+        raise ValueError(f"distribution puts mass {probs[leaks[0]]} on infeasible string {key}")
+    return float(probs[_good(betas[indices], threshold)].sum())
 
 
 def pogs_repeated(pogs: float, k: int) -> float:
@@ -187,21 +170,6 @@ class BenchmarkSpec:
     def for_max_bisection(cls, **overrides) -> "BenchmarkSpec":
         return cls(problem="max_bisection", ratio_threshold=0.99, **overrides)
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "count": self.count,
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "num_vertices": self.num_vertices,
-            "edge_prob": self.edge_prob,
-            "ratio_threshold": self.ratio_threshold,
-            "pogs_cutoff": self.pogs_cutoff,
-            "rounding_trials": self.rounding_trials,
-            "rng_seed": self.rng_seed,
-            "max_attempts_factor": self.max_attempts_factor,
-        }
-
 
 @dataclass
 class GenerationStats:
@@ -215,6 +183,30 @@ class GenerationStats:
         return 1.0 - self.accepted / self.attempts if self.attempts else 0.0
 
 
+def classical_batch(
+    instance: ProblemInstance,
+    sdp_cfg: SdpConfig,
+    rng: np.random.Generator,
+    trials: int,
+    summary: CostSummary | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classical algorithm: solve the relaxation once, round `trials` times.
+
+    Returns the roundings (one assignment per row), their costs and their
+    approximation ratios.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    summary = summary or cost_summary(instance)
+    if summary.degenerate:
+        raise DegenerateInstanceError("all feasible costs are equal; ratio undefined")
+    vectors = solve_relaxation(instance, sdp_cfg)
+    assignments = round_batch(instance, vectors, rng, trials)
+    costs = rounding_costs(instance, assignments)
+    ratios = (summary.mean_value - costs) / (summary.mean_value - summary.optimum_value)
+    return assignments, costs, ratios
+
+
 def estimate_seed_pogs(
     instance: ProblemInstance,
     threshold: float,
@@ -223,13 +215,9 @@ def estimate_seed_pogs(
     sdp_cfg: SdpConfig = SdpConfig(),
     summary: CostSummary | None = None,
 ) -> float:
-    """Empirical POGS of the classical rounding: solve once, round many times."""
-    summary = summary or cost_summary(instance)
-    vectors = solve_relaxation(instance, sdp_cfg)
-    assignments = round_batch(instance, vectors, rng, trials)
-    costs = rounding_costs(instance, assignments)
-    ratios = (summary.mean_value - costs) / (summary.mean_value - summary.optimum_value)
-    return float((ratios >= threshold - _BETA_TOL).mean())
+    """Empirical POGS of the classical algorithm over `trials` roundings."""
+    _, _, ratios = classical_batch(instance, sdp_cfg, rng, trials, summary)
+    return float(_good(ratios, threshold).mean())
 
 
 def gen_hard_instances(spec: BenchmarkSpec) -> tuple[list[ProblemInstance], GenerationStats]:
@@ -319,18 +307,6 @@ class PipelineConfig:
         if self.seed_trials is not None and not 1 <= self.seed_trials <= self.rounding_trials:
             raise ValueError("seed_trials must be in [1, rounding_trials]")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "trotter_steps": self.trotter_steps,
-            "num_bins": self.num_bins,
-            "rounding_trials": self.rounding_trials,
-            "seed_trials": self.seed_trials,
-            "thresholds": list(self.thresholds) if self.thresholds else None,
-            "repetitions": self.repetitions,
-            "rng_seed": self.rng_seed,
-        }
-
 
 @dataclass
 class RunRecord:
@@ -355,47 +331,13 @@ class RunRecord:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "problem": self.problem,
-            "n": self.n,
-            "depth": self.depth,
-            "seed_bits": self.seed_bits,
-            "seed_cost": self.seed_cost,
-            "seed_beta": self.seed_beta,
-            "walk_time": self.walk_time,
-            "walk_sharpness": self.walk_sharpness,
-            "betas": list(self.betas),
-            "gammas": list(self.gammas),
-            "gm_betas": list(self.gm_betas),
-            "gm_gammas": list(self.gm_gammas),
-            "pogs": self.pogs,
-            "pogs_boosted": self.pogs_boosted,
-            "repetitions": self.repetitions,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        return cls(
-            instance_id=data["instance_id"],
-            problem=data["problem"],
-            n=int(data["n"]),
-            depth=int(data["depth"]),
-            seed_bits=data["seed_bits"],
-            seed_cost=float(data["seed_cost"]),
-            seed_beta=float(data["seed_beta"]),
-            walk_time=float(data["walk_time"]),
-            walk_sharpness=float(data["walk_sharpness"]),
-            betas=tuple(data["betas"]),
-            gammas=tuple(data["gammas"]),
-            gm_betas=tuple(data["gm_betas"]),
-            gm_gammas=tuple(data["gm_gammas"]),
-            pogs={a: dict(t) for a, t in data["pogs"].items()},
-            pogs_boosted={a: dict(t) for a, t in data["pogs_boosted"].items()},
-            repetitions=int(data["repetitions"]),
-            wall_time_s=float(data["wall_time_s"]),
-        )
+        """Inverse of to_dict, also after a JSON round trip: lists become tuples."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -416,11 +358,15 @@ def run_pipeline(
 
     Records POGS for the classical seed algorithm (empirical over the rounding
     batch), the bare walk state, the depth-p ansatz, and the uniform-start
-    baseline at the same depth, at every configured threshold.
+    baseline at the same depth, at every configured threshold. A ValueError
+    (invalid settings, degenerate or oversized instance) is re-raised as its
+    own class, any other failure as RuntimeError; both name the instance.
     """
     iid = instance_id(instance)
     try:
         return _run_pipeline_inner(instance, depth, config, iid)
+    except ValueError as exc:
+        raise type(exc)(f"pipeline failed for instance {iid}: {exc}") from exc
     except Exception as exc:
         raise RuntimeError(f"pipeline failed for instance {iid}: {exc}") from exc
 
@@ -435,22 +381,23 @@ def _run_pipeline_inner(
     reps = config.repetitions or default_repetitions(instance.kind)
     summary = cost_summary(instance)
     betas_table = beta_values(instance, summary)
-    good_masks = {x: betas_table >= x - _BETA_TOL for x in thresholds}
     circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)
     cvar_cfg = CvarConfig(alpha=config.alpha)
+
+    def score(state: np.ndarray) -> dict[str, float]:
+        probs = np.abs(state) ** 2
+        return {_threshold_key(x): float(probs[_good(betas_table, x)].sum()) for x in thresholds}
 
     root = np.random.SeedSequence(config.rng_seed)
     sdp_seq, round_seq, walk_seq, ansatz_seq, gm_seq = root.spawn(5)
 
-    # Classical seed: one relaxation solve, many roundings.
-    vectors = solve_relaxation(
-        instance, replace(config.sdp, rng_seed=int(sdp_seq.generate_state(1)[0]))
+    assignments, costs, ratios = classical_batch(
+        instance,
+        replace(config.sdp, rng_seed=int(sdp_seq.generate_state(1)[0])),
+        np.random.default_rng(round_seq),
+        config.rounding_trials,
+        summary,
     )
-    assignments = round_batch(
-        instance, vectors, np.random.default_rng(round_seq), config.rounding_trials
-    )
-    costs = rounding_costs(instance, assignments)
-    ratios = (summary.mean_value - costs) / (summary.mean_value - summary.optimum_value)
     seed_trials = config.seed_trials or default_seed_trials(
         instance.kind, config.rounding_trials
     )
@@ -459,9 +406,7 @@ def _run_pipeline_inner(
     seed_algorithm = "kz" if instance.kind == "max3sat" else "fl"
 
     pogs: dict[str, dict[str, float]] = {
-        seed_algorithm: {
-            _threshold_key(x): float((ratios >= x - _BETA_TOL).mean()) for x in thresholds
-        }
+        seed_algorithm: {_threshold_key(x): float(_good(ratios, x).mean()) for x in thresholds}
     }
 
     # Walk tuning and the bare walk state.
@@ -476,53 +421,30 @@ def _run_pipeline_inner(
     )
     walk = WalkParams(time=walk_time, sharpness=walk_sharpness)
     psi = cbqoa_initial_state(instance, seed_bits, walk, family=family, config=circuit_cfg)
-    psi_probs = np.abs(psi) ** 2
-    pogs["cbqoa_0"] = {
-        _threshold_key(x): _pogs_from_probs(psi_probs, good_masks[x]) for x in thresholds
-    }
+    pogs["cbqoa_0"] = score(psi)
 
-    betas: tuple[float, ...] = ()
-    gammas: tuple[float, ...] = ()
-    gm_betas: tuple[float, ...] = ()
-    gm_gammas: tuple[float, ...] = ()
-    if depth >= 1:
-        betas, gammas, _ = tune_ansatz_params(
-            instance,
-            psi,
-            depth,
-            cvar_cfg,
-            replace(config.adam, rng_seed=int(ansatz_seq.generate_state(1)[0])),
-            backend="fast_binned",
-            num_bins=config.num_bins,
-        )
-        final = _apply_layers(
-            psi.copy(), psi, summary.diagonal, AnsatzParams(betas=betas, gammas=gammas)
-        )
-        final_probs = np.abs(final) ** 2
-        pogs[f"cbqoa_{depth}"] = {
-            _threshold_key(x): _pogs_from_probs(final_probs, good_masks[x]) for x in thresholds
-        }
-
-    gm_psi = uniform_feasible_state(instance)
-    if depth >= 1:
-        gm_betas, gm_gammas, _ = tune_ansatz_params(
-            instance,
-            gm_psi,
-            depth,
-            cvar_cfg,
-            replace(config.adam, rng_seed=int(gm_seq.generate_state(1)[0])),
-            backend="fast_binned",
-            num_bins=config.num_bins,
-        )
-        gm_final = _apply_layers(
-            gm_psi.copy(), gm_psi, summary.diagonal, AnsatzParams(betas=gm_betas, gammas=gm_gammas)
-        )
-    else:
-        gm_final = gm_psi
-    gm_probs = np.abs(gm_final) ** 2
-    pogs[f"gm_qaoa_{depth}"] = {
-        _threshold_key(x): _pogs_from_probs(gm_probs, good_masks[x]) for x in thresholds
-    }
+    # The walk state and the uniform state, each under p tuned layers. At
+    # depth 0 the first pass rewrites cbqoa_0 with the same value.
+    layers = {}
+    for label, initial, seq in (
+        ("cbqoa", psi, ansatz_seq),
+        ("gm_qaoa", uniform_feasible_state(instance), gm_seq),
+    ):
+        params = AnsatzParams(betas=(), gammas=())
+        final = initial
+        if depth >= 1:
+            betas, gammas, _ = tune_ansatz_params(
+                instance,
+                initial,
+                depth,
+                cvar_cfg,
+                replace(config.adam, rng_seed=int(seq.generate_state(1)[0])),
+                num_bins=config.num_bins,
+            )
+            params = AnsatzParams(betas=betas, gammas=gammas)
+            final = _apply_layers(initial.copy(), initial, summary.diagonal, params)
+        layers[label] = params
+        pogs[f"{label}_{depth}"] = score(final)
 
     pogs_boosted = {
         algorithm: {key: pogs_repeated(value, reps) for key, value in per.items()}
@@ -539,10 +461,10 @@ def _run_pipeline_inner(
         seed_beta=float(ratios[best_trial]),
         walk_time=walk_time,
         walk_sharpness=walk_sharpness,
-        betas=betas,
-        gammas=gammas,
-        gm_betas=gm_betas,
-        gm_gammas=gm_gammas,
+        betas=layers["cbqoa"].betas,
+        gammas=layers["cbqoa"].gammas,
+        gm_betas=layers["gm_qaoa"].betas,
+        gm_gammas=layers["gm_qaoa"].gammas,
         pogs=pogs,
         pogs_boosted=pogs_boosted,
         repetitions=reps,

@@ -14,21 +14,15 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bench
 from .bench import BenchmarkSpec, PipelineConfig, RunRecord
-from .problems import (
-    bits_to_str,
-    instance_id,
-    load_instance,
-    save_instance,
-)
-from .seeds import SdpConfig, rounding_costs, seed_best_of
-from .problems import approx_ratio_beta
+from .problems import bits_to_str, instance_id, load_instance, save_instance
+from .seeds import SdpConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,7 +77,7 @@ def cmd_gen(args) -> int:
         save_instance(instance, out / f"{iid}.json")
         ids.append(iid)
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "instances": ids,
         "pogs_estimates": stats.pogs_estimates,
         "attempts": stats.attempts,
@@ -104,13 +98,13 @@ def cmd_seed(args) -> int:
     instance = load_instance(args.instance)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     cfg = SdpConfig(rng_seed=_derive_seed(args.seed, 0))
-    best = seed_best_of(instance, args.trials, rng, cfg=cfg)
-    cost = float(rounding_costs(instance, best[None, :])[0])
+    assignments, costs, ratios = bench.classical_batch(instance, cfg, rng, args.trials)
+    best = int(np.argmin(costs))
     payload = {
         "instance_id": instance_id(instance),
-        "seed": bits_to_str(best),
-        "cost": cost,
-        "beta": approx_ratio_beta(instance, best),
+        "seed": bits_to_str(assignments[best]),
+        "cost": float(costs[best]),
+        "beta": float(ratios[best]),
     }
     text = json.dumps(payload, sort_keys=True)
     if args.out:
@@ -129,19 +123,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(payload: tuple) -> dict:
-    path, depth, config_dict, seed = payload
-    instance = load_instance(path)
-    config = PipelineConfig(
-        alpha=config_dict["alpha"],
-        trotter_steps=config_dict["trotter_steps"],
-        num_bins=config_dict["num_bins"],
-        rounding_trials=config_dict["rounding_trials"],
-        seed_trials=config_dict["seed_trials"],
-        repetitions=config_dict["repetitions"],
-        rng_seed=seed,
-    )
-    return bench.run_pipeline(instance, depth, config).to_dict()
+def _bench_one(job: tuple[str, int, PipelineConfig]) -> RunRecord:
+    path, depth, config = job
+    return bench.run_pipeline(load_instance(path), depth, config)
 
 
 def cmd_bench(args) -> int:
@@ -165,7 +149,7 @@ def cmd_bench(args) -> int:
 
     if pending:
         jobs = [
-            (str(path), args.depth, config.to_dict(), _derive_seed(args.seed, index))
+            (str(path), args.depth, replace(config, rng_seed=_derive_seed(args.seed, index)))
             for index, path, _ in pending
         ]
         if args.workers > 1:
@@ -173,13 +157,12 @@ def cmd_bench(args) -> int:
                 results = list(pool.map(_bench_one, jobs))
         else:
             results = [_bench_one(job) for job in jobs]
-        for (_, _, record_path), data in zip(pending, results):
-            record = RunRecord.from_dict(data)
+        for (_, _, record_path), record in zip(pending, results):
             record_path.write_text(record.to_json() + "\n", encoding="utf-8")
             records.append(record)
 
     paths_out = bench.export_results(
-        records, out, manifest_extra={"pipeline": config.to_dict(), "base_seed": args.seed}
+        records, out, manifest_extra={"pipeline": asdict(config), "base_seed": args.seed}
     )
     print(f"wrote {paths_out['csv']} and {paths_out['manifest']} ({len(records)} records)")
     return EXIT_OK

@@ -30,7 +30,6 @@ from .problems import ProblemInstance, as_bits, cost_summary, feasible_indices, 
 from .simulate import (
     AnsatzParams,
     CircuitConfig,
-    _apply_layers,
     cbqoa_initial_state,  # noqa: F401 -- the traced benchmark run wraps it by this name
     hypercube_walk_state,
     trotter_xy_sector_batch,
@@ -277,43 +276,25 @@ def tune_ansatz_params(
     depth: int,
     cvar_cfg: CvarConfig = CvarConfig(),
     adam_cfg: AdamConfig = AdamConfig(),
-    backend: str = "fast_binned",
     num_bins: int = 1000,
 ) -> tuple[tuple[float, ...], tuple[float, ...], list[tuple[int, int, float]]]:
     """Tune p layers of (beta, gamma) on top of a fixed initial state psi.
 
     The all-zero layer parameters are the first restart, so the tuned tail cost
-    never exceeds that of psi itself. The fast_binned backend runs the whole
-    objective on bin coefficients; statevector simulates the layers densely.
+    never exceeds that of psi itself. The objective runs on the binned
+    simulator's bin coefficients.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if backend not in ("statevector", "fast_binned"):
-        raise ValueError(f"unknown backend {backend!r}")
     summary = cost_summary(instance)
-    feas = feasible_indices(instance)
+    binning = bin_costs(summary.diagonal, feasible_indices(instance), num_bins)
+    base = eta_from_state(psi, binning)
 
-    if backend == "fast_binned":
-        binning = bin_costs(summary.diagonal, feas, num_bins)
-        base = eta_from_state(psi, binning)
-
-        def objective(x: np.ndarray) -> float:
-            params = AnsatzParams(betas=tuple(x[:depth]), gammas=tuple(x[depth:]))
-            evolved = evolve_binned(base, binning, params)
-            probs = np.abs(evolved.coeffs) ** 2
-            return _cvar_sorted(binning.bin_costs, probs, cvar_cfg.alpha)
-
-    else:
-        support_costs = summary.diagonal[feas]
-        order = np.argsort(support_costs, kind="stable")
-        sorted_costs = support_costs[order]
-        sorted_feas = feas[order]
-
-        def objective(x: np.ndarray) -> float:
-            params = AnsatzParams(betas=tuple(x[:depth]), gammas=tuple(x[depth:]))
-            state = _apply_layers(psi.copy(), psi, summary.diagonal, params)
-            probs = np.abs(state[sorted_feas]) ** 2
-            return _cvar_sorted(sorted_costs, probs, cvar_cfg.alpha)
+    def objective(x: np.ndarray) -> float:
+        params = AnsatzParams(betas=tuple(x[:depth]), gammas=tuple(x[depth:]))
+        evolved = evolve_binned(base, binning, params)
+        probs = np.abs(evolved.coeffs) ** 2
+        return _cvar_sorted(binning.bin_costs, probs, cvar_cfg.alpha)
 
     rng = np.random.default_rng(adam_cfg.rng_seed)
     inits = [np.zeros(2 * depth)]

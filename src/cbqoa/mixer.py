@@ -18,13 +18,10 @@ from .problems import (
     ProblemInstance,
     as_bits,
     evaluate_cost,
-    feasibility_structure,
     feasible_indices,
     is_feasible,
 )
 
-# Dense 2^n x 2^n adjacency matrices are a test oracle only.
-MAX_DENSE_ADJACENCY_VARS = 12
 MAX_VERIFY_VARS = 14
 
 
@@ -167,62 +164,27 @@ def build_family(instance: ProblemInstance, z) -> PermutationFamily:
     )
 
 
-def adjacency_dense(
-    family: PermutationFamily, sharpness: float, n: int | None = None
-) -> np.ndarray:
-    """Dense adjacency matrix of the weighted feasibility graph (test oracle)."""
-    n = family.n if n is None else n
-    if n > MAX_DENSE_ADJACENCY_VARS:
-        raise CapacityError(
-            f"dense adjacency supports n <= {MAX_DENSE_ADJACENCY_VARS}, got {n}"
-        )
-    size = 1 << n
-    indices = np.arange(size, dtype=np.int64)
-    weights = family.weights(sharpness)
-    adj = np.zeros((size, size), dtype=np.float64)
-    for tau, w in zip(family.permutations, weights):
-        images = permute_indices(tau, indices, n)
-        moved = images != indices
-        adj[images[moved], indices[moved]] += w
-    return adj
-
-
 @dataclass
 class AssumptionReport:
     """Outcome of checking the structural conditions on a permutation family."""
 
     order_two: bool
     closure: bool
-    parts_connected: tuple[bool, ...]
-    feasible_sealed: bool
+    connected: bool
     failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.order_two
-            and self.closure
-            and all(self.parts_connected)
-            and self.feasible_sealed
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "order_two": self.order_two,
-            "closure": self.closure,
-            "parts_connected": list(self.parts_connected),
-            "feasible_sealed": self.feasible_sealed,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return self.order_two and self.closure and self.connected
 
 
 def verify_assumption(instance: ProblemInstance, family: PermutationFamily) -> AssumptionReport:
     """Check order-2, closure of F under each permutation, and connectivity of F.
 
     Connectivity is established by breadth-first search over the feasible set
-    using the permutations as edge generators; the same sweep confirms no edge
-    leaves the feasible set.
+    using the permutations as edge generators. A walk from F can leave F only
+    through a permutation that maps a feasible string outside F, which the
+    closure check reports.
     """
     n = instance.n
     if n > MAX_VERIFY_VARS:
@@ -245,16 +207,13 @@ def verify_assumption(instance: ProblemInstance, family: PermutationFamily) -> A
     feas_mask[feas] = True
 
     closure = True
-    feasible_sealed = True
     for tau in family.permutations:
         images = permute_indices(tau, feas, n)
         if not feas_mask[images].all():
             closure = False
-            feasible_sealed = False
             failures.append(f"{tau} maps a feasible string outside F")
 
     # BFS over F with the family as the edge generator.
-    structure = feasibility_structure(instance)
     reached = np.zeros(1 << n, dtype=bool)
     frontier = np.array([feas[0]], dtype=np.int64)
     reached[frontier] = True
@@ -270,14 +229,7 @@ def verify_assumption(instance: ProblemInstance, family: PermutationFamily) -> A
     connected = bool(reached[feas].all())
     if not connected:
         failures.append("feasible set is not connected under the family")
-    if reached[~feas_mask].any():
-        feasible_sealed = False
-        failures.append("walk reached an infeasible string from the feasible set")
 
     return AssumptionReport(
-        order_two=order_two,
-        closure=closure,
-        parts_connected=tuple([connected] * structure.num_parts),
-        feasible_sealed=feasible_sealed,
-        failures=failures,
+        order_two=order_two, closure=closure, connected=connected, failures=failures
     )

@@ -79,12 +79,6 @@ def bits_to_str(bits) -> str:
     return "".join(str(int(b)) for b in as_bits(bits))
 
 
-def support(bits) -> tuple[int, ...]:
-    """1-based positions of the set bits."""
-    arr = as_bits(bits)
-    return tuple(int(j) + 1 for j in np.flatnonzero(arr))
-
-
 def _bit_column(indices: np.ndarray, var: int, n: int) -> np.ndarray:
     """Value of 1-based variable ``var`` across an array of basis indices."""
     return ((indices >> (n - var)) & 1).astype(np.float64)
@@ -220,19 +214,15 @@ def instance_id(instance: ProblemInstance) -> str:
 
 @dataclass(frozen=True)
 class FeasibilityStructure:
-    """Describes the feasible set F and its single part.
+    """Describes the feasible set F.
 
-    Both supported problems have a one-part feasible set: all strings for
-    Max 3SAT, the balanced (Hamming weight n/2) strings for Max Bisection.
+    F is all strings for Max 3SAT, the balanced (Hamming weight n/2) strings
+    for Max Bisection.
     """
 
     kind: str  # "all_strings" | "fixed_hamming_weight"
     n: int
     target_weight: int | None = None
-
-    @property
-    def num_parts(self) -> int:
-        return 1
 
     def contains(self, bits) -> bool:
         arr = as_bits(bits, self.n)

@@ -11,7 +11,6 @@ procedure and its greedy rebalancing step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,32 +55,6 @@ class UnitVectorSet:
     objective: float
     converged: bool
     balance_residual: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vectors": self.vectors.tolist(),
-            "objective": self.objective,
-            "converged": self.converged,
-            "balance_residual": self.balance_residual,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UnitVectorSet":
-        return cls(
-            kind=data["kind"],
-            vectors=np.asarray(data["vectors"], dtype=np.float64),
-            objective=float(data["objective"]),
-            converged=bool(data["converged"]),
-            balance_residual=data.get("balance_residual"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "UnitVectorSet":
-        return cls.from_dict(json.loads(text))
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -209,11 +182,6 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
     )
 
 
-def kz_hyperplane_round(vectors: UnitVectorSet, rng: np.random.Generator) -> np.ndarray:
-    """One random-hyperplane rounding: bit i is 1 iff v_i sides with v_0."""
-    return kz_round_batch(vectors, rng, 1)[0]
-
-
 def kz_round_batch(vectors: UnitVectorSet, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Vectorized hyperplane roundings, one assignment per row."""
     if vectors.kind != "karloff_zwick":
@@ -326,16 +294,6 @@ def _rebalance(included: np.ndarray, W: np.ndarray) -> np.ndarray:
     return bits
 
 
-def fl_rpr2_round(
-    instance: MaxBisectionInstance,
-    vectors: UnitVectorSet,
-    rng: np.random.Generator,
-    s: float = S_LINEAR_DEFAULT,
-) -> np.ndarray:
-    """One random-projection rounding followed by the greedy rebalancing step."""
-    return fl_round_batch(instance, vectors, rng, 1, s=s)[0]
-
-
 def fl_round_batch(
     instance: MaxBisectionInstance,
     vectors: UnitVectorSet,
@@ -362,7 +320,7 @@ def fl_round_batch(
 
 
 # ---------------------------------------------------------------------------
-# Seed selection
+# Dispatch by problem kind
 
 
 def solve_relaxation(instance: ProblemInstance, cfg: SdpConfig = SdpConfig()) -> UnitVectorSet:
@@ -389,19 +347,3 @@ def rounding_costs(instance: ProblemInstance, assignments: np.ndarray) -> np.nda
     indices = assignments.astype(np.int64) @ places
     return _cost_block(instance, indices)
 
-
-def seed_best_of(
-    instance: ProblemInstance,
-    trials: int,
-    rng: np.random.Generator,
-    vectors: UnitVectorSet | None = None,
-    cfg: SdpConfig = SdpConfig(),
-) -> np.ndarray:
-    """Best (lowest-cost) of `trials` roundings from one solved relaxation."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if vectors is None:
-        vectors = solve_relaxation(instance, cfg)
-    assignments = round_batch(instance, vectors, rng, trials)
-    costs = rounding_costs(instance, assignments)
-    return assignments[int(np.argmin(costs))]

@@ -17,14 +17,38 @@ from cbqoa import (
     cbqoa_initial_state,
 )
 from cbqoa.cvar import OptResult, _cvar_sorted
+from cbqoa.errors import CapacityError
+from cbqoa.mixer import permute_indices
 from cbqoa.problems import ProblemInstance, as_bits, cost_summary
 from cbqoa.simulate import _xy_index_pairs
+
+MAX_DENSE_ADJACENCY_VARS = 12
 
 
 def dense_unitary(hermitian: np.ndarray, t: float) -> np.ndarray:
     """e^{iHt} for a real symmetric matrix, via eigendecomposition."""
     evals, evecs = np.linalg.eigh(hermitian)
     return (evecs * np.exp(1j * evals * t)) @ evecs.conj().T
+
+
+def adjacency_dense(
+    family: PermutationFamily, sharpness: float, n: int | None = None
+) -> np.ndarray:
+    """Dense adjacency matrix of the weighted feasibility graph."""
+    n = family.n if n is None else n
+    if n > MAX_DENSE_ADJACENCY_VARS:
+        raise CapacityError(
+            f"dense adjacency supports n <= {MAX_DENSE_ADJACENCY_VARS}, got {n}"
+        )
+    size = 1 << n
+    indices = np.arange(size, dtype=np.int64)
+    weights = family.weights(sharpness)
+    adj = np.zeros((size, size), dtype=np.float64)
+    for tau, w in zip(family.permutations, weights):
+        images = permute_indices(tau, indices, n)
+        moved = images != indices
+        adj[images[moved], indices[moved]] += w
+    return adj
 
 
 def random_state(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from cbqoa import (
     PipelineConfig,
     SdpConfig,
     WalkParams,
-    adjacency_dense,
     apply_phase_separator,
     apply_rank1_mixer,
     bin_costs,
@@ -42,7 +41,7 @@ from cbqoa.problems import cost_summary
 from cbqoa.seeds import kz_round_batch, rounding_costs, solve_kz_sdp
 from cbqoa.simulate import _apply_layers
 
-from conftest import dense_unitary, random_feasible_state, random_state
+from conftest import adjacency_dense, dense_unitary, random_feasible_state, random_state
 
 
 def report(number: int, ok: bool, detail: str) -> None:

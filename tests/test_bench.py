@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbqoa import (
     AdamConfig,
@@ -21,12 +23,12 @@ from cbqoa import (
     import_results,
     measurement_distribution,
     pogs_exact,
-    pogs_monte_carlo,
     pogs_repeated,
     run_pipeline,
 )
 from cbqoa.bench import estimate_seed_pogs
-from cbqoa.problems import bits_to_str, cost_summary, index_to_bits
+from cbqoa.errors import DegenerateInstanceError
+from cbqoa.problems import beta_values, bits_to_str, cost_summary, index_to_bits
 
 from conftest import oracle_tune_walk_params, small_3sat, small_bisection
 
@@ -56,6 +58,27 @@ class TestPogsExact:
         with pytest.raises(ValueError):
             pogs_exact({"000111": 0.5, "011111": 0.5}, inst, 0.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+        threshold=st.floats(-1.0, 1.5),
+        leak=st.floats(2e-12, 1.0),
+    )
+    def test_matches_array_rule(self, seed, weights, threshold, leak):
+        """Any feasible distribution scores as probs[beta >= x - tol].sum();
+        any mass above 1e-12 on an infeasible string raises."""
+        inst = small_bisection(np.random.default_rng(seed), n=6)
+        feas = cost_summary(inst).feasible[: len(weights)]
+        probs = np.array(weights) / max(sum(weights), 1.0)
+        distribution = {format(int(i), "06b"): float(p) for i, p in zip(feas, probs)}
+        expected = float(probs[beta_values(inst)[feas] >= threshold - 1e-12].sum())
+        assert abs(pogs_exact(distribution, inst, threshold) - expected) <= 1e-12
+        infeasible = np.flatnonzero(np.bitwise_count(np.arange(64)) != 3)
+        key = format(int(infeasible[seed % infeasible.size]), "06b")
+        with pytest.raises(ValueError, match="infeasible"):
+            pogs_exact(distribution | {key: leak}, inst, threshold)
+
     def test_matches_monte_carlo(self, rng):
         """Sampling estimate agrees within three binomial standard errors."""
         inst = small_bisection(rng, n=8)
@@ -70,24 +93,9 @@ class TestPogsExact:
         exact = pogs_exact(distribution, inst, threshold)
         trials = 100000
         draws = rng.choice(feas, size=trials, p=weights)
-        sampler_iter = iter(draws)
-        sampler = lambda: index_to_bits(int(next(sampler_iter)), 8)
-        estimate = pogs_monte_carlo(sampler, inst, threshold, trials)
+        estimate = float((beta_values(inst)[draws] >= threshold - 1e-12).mean())
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
         assert abs(estimate - exact) <= 3 * sigma + 1e-9
-
-
-class TestPogsMonteCarlo:
-    def test_deterministic_good_sampler(self, rng):
-        inst = small_bisection(rng, n=6)
-        best, _ = brute_force_optimum(inst)
-        assert pogs_monte_carlo(lambda: best, inst, 0.9, 50) == 1.0
-
-    def test_deterministic_bad_sampler(self, rng):
-        inst = small_bisection(rng, n=6)
-        summary = cost_summary(inst)
-        worst = index_to_bits(int(summary.feasible[np.argmax(summary.diagonal[summary.feasible])]), 6)
-        assert pogs_monte_carlo(lambda: worst, inst, 0.99, 50) == 0.0
 
 
 class TestPogsRepeated:
@@ -164,6 +172,8 @@ class TestRunPipeline:
         record = run_pipeline(inst, 1, FAST_PIPELINE)
         restored = RunRecord.from_json(record.to_json())
         assert restored == record
+        assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+        assert restored.to_dict() == record.to_dict()
 
     def test_deterministic(self, rng):
         inst = small_bisection(rng, n=6)
@@ -193,7 +203,7 @@ class TestRunPipeline:
 
     def test_error_carries_instance_id(self):
         inst = Max3SatInstance(num_vars=3, clauses=())  # degenerate: no cost spread
-        with pytest.raises(RuntimeError, match="pipeline failed for instance"):
+        with pytest.raises(DegenerateInstanceError, match="pipeline failed for instance"):
             run_pipeline(inst, 1, FAST_PIPELINE)
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cbqoa import RunRecord, save_instance
+from cbqoa import Max3SatInstance, RunRecord, save_instance
 from cbqoa.bench import GenerationStats
 from cbqoa.cli import EXIT_GUARDED, EXIT_OK, EXIT_USAGE, main
 
@@ -97,6 +97,23 @@ class TestSolve:
 
     def test_missing_file_exits_2(self):
         assert main(["solve", "/nonexistent/instance.json"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--depth", "-1"], ["--bins", "0"], ["--alpha", "0"], ["--trotter-steps", "0"],
+         ["--trials", "0"], []],
+        ids=["depth", "bins", "alpha", "trotter-steps", "trials", "degenerate-instance"],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, flags):
+        """A bad setting, or an instance whose feasible costs are all equal."""
+        if flags:
+            inst = small_bisection(np.random.default_rng(19), n=6)
+        else:
+            inst = Max3SatInstance(num_vars=3, clauses=())
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        args = ["solve", str(path), "--depth", "1", "--trials", "300", "--bins", "60"]
+        assert main(args + flags) == EXIT_USAGE
 
 
 class TestBench:

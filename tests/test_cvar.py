@@ -276,15 +276,14 @@ class TestTuneAnsatzParams:
         values = summary.diagonal[feas]
         order = np.argsort(values)
         base = _cvar_sorted(values[order], (np.abs(psi[feas]) ** 2)[order], 0.5)
-        for backend in ("statevector", "fast_binned"):
-            betas, gammas, _ = tune_ansatz_params(
-                inst, psi, 2, CvarConfig(alpha=0.5), FAST_ADAM, backend=backend, num_bins=200
-            )
-            final = _apply_layers(
-                psi.copy(), psi, summary.diagonal, AnsatzParams(betas=betas, gammas=gammas)
-            )
-            tuned = _cvar_sorted(values[order], (np.abs(final[feas]) ** 2)[order], 0.5)
-            assert tuned <= base + 1e-6
+        betas, gammas, _ = tune_ansatz_params(
+            inst, psi, 2, CvarConfig(alpha=0.5), FAST_ADAM, num_bins=200
+        )
+        final = _apply_layers(
+            psi.copy(), psi, summary.diagonal, AnsatzParams(betas=betas, gammas=gammas)
+        )
+        tuned = _cvar_sorted(values[order], (np.abs(final[feas]) ** 2)[order], 0.5)
+        assert tuned <= base + 1e-6
 
     def test_backends_agree_at_random_points(self, rng):
         """Binned and dense objectives differ by at most the binning bound."""
@@ -313,11 +312,6 @@ class TestTuneAnsatzParams:
             dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
             cvar_dense = _cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)
             assert abs(cvar_fast - cvar_dense) <= bound
-
-    def test_invalid_backend(self, rng):
-        inst = small_bisection(rng, n=6)
-        with pytest.raises(ValueError):
-            tune_ansatz_params(inst, uniform_feasible_state(inst), 1, backend="gpu")
 
     def test_depth_validation(self, rng):
         inst = small_bisection(rng, n=6)

@@ -9,15 +9,25 @@ from cbqoa import (
     SdpConfig,
     UnitVectorSet,
     brute_force_optimum,
-    fl_rpr2_round,
-    kz_hyperplane_round,
     s_linear,
-    seed_best_of,
     solve_fl_sdp,
     solve_kz_sdp,
 )
-from cbqoa.bench import random_max3sat, random_max_bisection, random_satisfiable_max3sat
-from cbqoa.seeds import fl_round_batch, kz_round_batch, rounding_costs
+from cbqoa.bench import (
+    classical_batch,
+    random_max3sat,
+    random_max_bisection,
+    random_satisfiable_max3sat,
+)
+from cbqoa.errors import DegenerateInstanceError
+from cbqoa.problems import approx_ratio_beta
+from cbqoa.seeds import (
+    fl_round_batch,
+    kz_round_batch,
+    round_batch,
+    rounding_costs,
+    solve_relaxation,
+)
 
 QUICK = SdpConfig(iterations=800, rng_seed=0)
 
@@ -77,7 +87,7 @@ class TestKzRounding:
             converged=True,
         )
         for _ in range(20):
-            bits = kz_hyperplane_round(vectors, rng)
+            bits = kz_round_batch(vectors, rng, 1)[0]
             assert bits.sum() == 4
 
     def test_antipodal_vectors_give_all_zeros(self, rng):
@@ -90,7 +100,7 @@ class TestKzRounding:
             converged=True,
         )
         for _ in range(20):
-            bits = kz_hyperplane_round(vectors, rng)
+            bits = kz_round_batch(vectors, rng, 1)[0]
             assert bits.sum() == 0
 
     def test_seven_eighths_on_satisfiable_instances(self):
@@ -169,56 +179,65 @@ class TestFlRounding:
         result = solve_fl_sdp(inst, SdpConfig(rng_seed=0))
         rng = np.random.default_rng(2)
         for _ in range(20):
-            bits = fl_rpr2_round(inst, result, rng)
+            bits = fl_round_batch(inst, result, rng, 1)[0]
             assert bits.sum() == 1
 
     def test_single_trial_matches_batch_prefix(self):
         rng = np.random.default_rng(8)
         inst = random_max_bisection(rng, 8, 0.6)
         result = solve_fl_sdp(inst, QUICK)
-        one = fl_rpr2_round(inst, result, np.random.default_rng(42))
+        one = fl_round_batch(inst, result, np.random.default_rng(42), 1)[0]
         many = fl_round_batch(inst, result, np.random.default_rng(42), 10)
         assert np.array_equal(one, many[0])
 
 
 class TestSeedBestOf:
+    """The walk seed is the argmin over classical_batch's costs."""
+
     def test_single_trial(self):
         rng = np.random.default_rng(9)
         inst = random_max_bisection(rng, 8, 0.6)
-        vectors = solve_fl_sdp(inst, QUICK)
-        seed = seed_best_of(inst, 1, np.random.default_rng(3), vectors=vectors)
-        assert seed.sum() == 4
+        assignments, _, _ = classical_batch(inst, QUICK, np.random.default_rng(3), 1)
+        assert assignments.shape == (1, 8)
+        assert assignments[0].sum() == 4
 
     def test_cost_non_increasing_in_trials(self):
         """More trials from the same stream can only improve the best cost."""
         rng = np.random.default_rng(10)
         inst = random_max_bisection(rng, 10, 0.5)
-        vectors = solve_fl_sdp(inst, QUICK)
-        costs = []
-        for trials in (1, 10, 100, 1000):
-            seed = seed_best_of(inst, trials, np.random.default_rng(5), vectors=vectors)
-            costs.append(float(rounding_costs(inst, seed[None, :])[0]))
-        assert all(a >= b for a, b in zip(costs, costs[1:]))
+        best = [
+            classical_batch(inst, QUICK, np.random.default_rng(5), trials)[1].min()
+            for trials in (1, 10, 100, 1000)
+        ]
+        assert all(a >= b for a, b in zip(best, best[1:]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         inst = random_max3sat(rng, num_vars=8, num_clauses=30)
-        a = seed_best_of(inst, 50, np.random.default_rng(6), cfg=QUICK)
-        b = seed_best_of(inst, 50, np.random.default_rng(6), cfg=QUICK)
-        assert np.array_equal(a, b)
+        a = classical_batch(inst, QUICK, np.random.default_rng(6), 50)
+        b = classical_batch(inst, QUICK, np.random.default_rng(6), 50)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_trials_validation(self):
         inst = MaxBisectionInstance(num_vertices=2, edges=((1, 2, 1.0),))
         with pytest.raises(ValueError):
-            seed_best_of(inst, 0, np.random.default_rng(0))
+            classical_batch(inst, QUICK, np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize("make", [random_max3sat, random_max_bisection])
+    def test_argmin_matches_explicit_rounding(self, make):
+        """Same relaxation, same stream: the batch equals round_batch + rounding_costs."""
+        inst = make(np.random.default_rng(12), 8)
+        assignments, costs, ratios = classical_batch(inst, QUICK, np.random.default_rng(7), 200)
+        vectors = solve_relaxation(inst, QUICK)
+        expected = round_batch(inst, vectors, np.random.default_rng(7), 200)
+        expected_costs = rounding_costs(inst, expected)
+        best = int(np.argmin(expected_costs))
+        assert int(np.argmin(costs)) == best
+        assert np.array_equal(assignments[best], expected[best])
+        assert costs[best] == expected_costs[best]
+        assert ratios[best] == approx_ratio_beta(inst, expected[best])
 
-class TestVectorSetSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(12)
-        inst = random_max_bisection(rng, 8, 0.6)
-        result = solve_fl_sdp(inst, QUICK)
-        restored = UnitVectorSet.from_json(result.to_json())
-        assert restored.kind == result.kind
-        assert restored.objective == result.objective
-        np.testing.assert_allclose(restored.vectors, result.vectors)
+    def test_degenerate_instance_rejected(self):
+        inst = Max3SatInstance(num_vars=3, clauses=())
+        with pytest.raises(DegenerateInstanceError):
+            classical_batch(inst, QUICK, np.random.default_rng(0), 10)

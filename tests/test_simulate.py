@@ -6,7 +6,6 @@ import pytest
 from cbqoa import (
     AnsatzParams,
     WalkParams,
-    adjacency_dense,
     apply_phase_separator,
     apply_rank1_mixer,
     apply_xy_gate,
@@ -26,6 +25,7 @@ from cbqoa.problems import cost_summary, index_to_bits, ising_diagonal
 from cbqoa.simulate import trotter_xy_sector_batch
 
 from conftest import (
+    adjacency_dense,
     dense_unitary,
     oracle_walk_state,
     random_feasible_state,
