@@ -21,13 +21,13 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .cvar import AdamConfig, CvarConfig, tune_ansatz_params, tune_walk_params
-from .errors import DegenerateInstanceError
 from .mixer import WalkParams, build_family
 from .problems import (
     CostSummary,
     Max3SatInstance,
     MaxBisectionInstance,
     ProblemInstance,
+    _quality_ratio,
     as_bits,
     beta_values,
     bits_to_index,
@@ -198,13 +198,10 @@ def classical_batch(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     summary = summary or cost_summary(instance)
-    if summary.degenerate:
-        raise DegenerateInstanceError("all feasible costs are equal; ratio undefined")
     vectors = solve_relaxation(instance, sdp_cfg)
     assignments = round_batch(instance, vectors, rng, trials)
     costs = rounding_costs(instance, assignments)
-    ratios = (summary.mean_value - costs) / (summary.mean_value - summary.optimum_value)
-    return assignments, costs, ratios
+    return assignments, costs, _quality_ratio(summary, costs)
 
 
 def estimate_seed_pogs(
@@ -297,7 +294,6 @@ class PipelineConfig:
     num_bins: int = 1000
     rounding_trials: int = 10000
     seed_trials: Optional[int] = None
-    thresholds: Optional[tuple[float, ...]] = None  # None: problem defaults
     repetitions: Optional[int] = None  # None: problem defaults
     adam: AdamConfig = AdamConfig()
     sdp: SdpConfig = SdpConfig()
@@ -306,6 +302,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.seed_trials is not None and not 1 <= self.seed_trials <= self.rounding_trials:
             raise ValueError("seed_trials must be in [1, rounding_trials]")
+
+
+def _algorithm_order(problem: str, depth: int) -> list[str]:
+    """Record order: the classical seed algorithm, the bare walk, the two depth-p ansatzes."""
+    return ["kz" if problem == "max3sat" else "fl", "cbqoa_0", f"cbqoa_{depth}", f"gm_qaoa_{depth}"]
 
 
 @dataclass
@@ -335,8 +336,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        """Inverse of to_dict, also after a JSON round trip: lists become tuples."""
+        """Inverse of to_dict, also after a JSON round trip: lists become tuples, and
+        the algorithms, which JSON files store sorted, return to record order."""
         values = {f.name: data[f.name] for f in fields(cls)}
+        order = _algorithm_order(values["problem"], values["depth"])
+        for key in ("pogs", "pogs_boosted"):
+            values[key] = dict(sorted(values[key].items(), key=lambda item: order.index(item[0])))
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
     def to_json(self) -> str:
@@ -377,7 +382,7 @@ def _run_pipeline_inner(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     start = time.perf_counter()
-    thresholds = config.thresholds or default_thresholds(instance.kind)
+    thresholds = default_thresholds(instance.kind)
     reps = config.repetitions or default_repetitions(instance.kind)
     summary = cost_summary(instance)
     betas_table = beta_values(instance, summary)
@@ -403,7 +408,7 @@ def _run_pipeline_inner(
     )
     best_trial = int(np.argmin(costs[:seed_trials]))
     seed_bits = assignments[best_trial]
-    seed_algorithm = "kz" if instance.kind == "max3sat" else "fl"
+    seed_algorithm = _algorithm_order(instance.kind, depth)[0]
 
     pogs: dict[str, dict[str, float]] = {
         seed_algorithm: {_threshold_key(x): float(_good(ratios, x).mean()) for x in thresholds}

@@ -128,6 +128,21 @@ def _bench_one(job: tuple[str, int, PipelineConfig]) -> RunRecord:
     return bench.run_pipeline(load_instance(path), depth, config)
 
 
+def _read_record(path: Path) -> RunRecord | None:
+    """The finished record at path; None when it is missing or does not parse."""
+    try:
+        return RunRecord.from_json(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _write_record(path: Path, record: RunRecord) -> None:
+    """Write through a temporary file, so a record file is either whole or absent."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(record.to_json() + "\n", encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def cmd_bench(args) -> int:
     paths = sorted(Path(args.instances).glob("*.json"))
     paths = [p for p in paths if not p.name.endswith("manifest.json")]
@@ -138,28 +153,27 @@ def cmd_bench(args) -> int:
     records_dir.mkdir(parents=True, exist_ok=True)
     config = _pipeline_config(args)
 
-    pending = []
-    records: list[RunRecord] = []
-    for index, path in enumerate(paths):
-        record_path = records_dir / f"{path.stem}_p{args.depth}.json"
-        if record_path.exists():
-            records.append(RunRecord.from_json(record_path.read_text(encoding="utf-8")))
-            continue
-        pending.append((index, path, record_path))
+    record_paths = [records_dir / f"{path.stem}_p{args.depth}.json" for path in paths]
+    done = {p: r for p in record_paths if (r := _read_record(p)) is not None}
+    jobs = {
+        record_path: (str(path), args.depth, replace(config, rng_seed=_derive_seed(args.seed, i)))
+        for i, (path, record_path) in enumerate(zip(paths, record_paths))
+        if record_path not in done
+    }
 
-    if pending:
-        jobs = [
-            (str(path), args.depth, replace(config, rng_seed=_derive_seed(args.seed, index)))
-            for index, path, _ in pending
-        ]
-        if args.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_bench_one, jobs))
-        else:
-            results = [_bench_one(job) for job in jobs]
-        for (_, _, record_path), record in zip(pending, results):
-            record_path.write_text(record.to_json() + "\n", encoding="utf-8")
-            records.append(record)
+    def finish(record_path: Path, record: RunRecord) -> None:
+        _write_record(record_path, record)
+        done[record_path] = record
+
+    if args.workers > 1 and jobs:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+            futures = {pool.submit(_bench_one, job): p for p, job in jobs.items()}
+            for future in concurrent.futures.as_completed(futures):
+                finish(futures[future], future.result())
+    else:
+        for record_path, job in jobs.items():
+            finish(record_path, _bench_one(job))
+    records = [done[p] for p in record_paths]
 
     paths_out = bench.export_results(
         records, out, manifest_extra={"pipeline": asdict(config), "base_seed": args.seed}
@@ -213,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classically-boosted quantum optimization: generate, seed, solve, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_workers = int(os.environ.get("CBQOA_WORKERS", "1"))
 
     gen = sub.add_parser("gen", help="generate hard benchmark instances")
     gen.add_argument("--kind", choices=["max3sat", "max_bisection"], required=True)
@@ -255,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     benchp = sub.add_parser("bench", help="run the pipeline over a directory of instances")
     benchp.add_argument("instances")
     benchp.add_argument("--out", required=True)
-    benchp.add_argument("--workers", type=int, default=default_workers)
+    # argparse converts a string default with `type`, so a bad CBQOA_WORKERS is a usage error.
+    benchp.add_argument("--workers", type=int, default=os.environ.get("CBQOA_WORKERS", "1"))
     add_pipeline_flags(benchp)
     benchp.set_defaults(func=cmd_bench)
 

@@ -19,7 +19,7 @@ the tuned parameters and traces do not depend on the batching.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,14 +47,17 @@ class CvarConfig:
             raise ValueError("alpha must be in (0, 1]")
 
 
+# ADAM moment decay rates, denominator guard, and central-difference step.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_STABILITY = 1e-8
+FD_STEP = 1e-4
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 0.05
     iterations: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_stability: float = 1e-8
-    fd_step: float = 1e-4
     restarts: int = 4
     rng_seed: int = 0
 
@@ -65,15 +68,6 @@ class AdamConfig:
             raise ValueError("iterations must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-
-@dataclass
-class OptResult:
-    """Best point seen during one optimization run, with its evaluation trace."""
-
-    best_params: np.ndarray
-    best_value: float
-    trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 def write_trace_csv(trace: Iterable[tuple], path) -> None:
@@ -104,6 +98,8 @@ def cvar_discrete(pairs: Sequence[tuple[float, float]], alpha: float) -> float:
         raise ValueError("distribution must be non-empty")
     values = np.array([v for v, _ in pairs], dtype=np.float64)
     probs = np.array([p for _, p in pairs], dtype=np.float64)
+    if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+        raise ValueError("values and probabilities must be finite")
     if (probs < -1e-12).any():
         raise ValueError("probabilities must be nonnegative")
     total = float(probs.sum())
@@ -159,7 +155,7 @@ def _adam_lockstep(
     """
     params = np.array(inits, dtype=np.float64)
     restarts, dim = params.shape
-    h = cfg.fd_step
+    h = FD_STEP
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     values = np.empty((cfg.iterations + 1, restarts))
@@ -189,26 +185,17 @@ def _adam_lockstep(
         grad = (up - down) / (2 * h)
         if not np.isfinite(grad).all():
             raise RuntimeError(f"non-finite gradient at iteration {t + 1}, params {params}")
-        m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
-        m_hat = m / (1 - cfg.beta1 ** (t + 1))
-        v_hat = v / (1 - cfg.beta2 ** (t + 1))
-        params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_stability)
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + (1 - BETA2) * grad * grad
+        m_hat = m / (1 - BETA1 ** (t + 1))
+        v_hat = v / (1 - BETA2 ** (t + 1))
+        params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILITY)
     winner = 0
     for r in range(1, restarts):
         if _improves(best_values[r], best_values[winner]):
             winner = r
     trace = [(r, it, val) for r, row in enumerate(values.T.tolist()) for it, val in enumerate(row)]
     return best_params[winner], float(best_values[winner]), trace
-
-
-def adam_minimize(objective: Callable[[np.ndarray], float], init, cfg: AdamConfig) -> OptResult:
-    """Minimize a deterministic black-box objective; returns the best point seen."""
-    init = np.asarray(init, dtype=np.float64)
-    params, value, trace = _adam_lockstep(_rowwise(objective), init[None, :], cfg)
-    return OptResult(
-        best_params=params, best_value=value, trace=[(it, val) for _, it, val in trace]
-    )
 
 
 # ---------------------------------------------------------------------------

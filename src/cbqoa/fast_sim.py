@@ -11,13 +11,10 @@ correction through a single shared inner product, costing O(M) per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
 from .simulate import AnsatzParams
-
-MAX_NUM_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -116,18 +113,3 @@ def binned_distribution(binned: BinnedState, binning: CostBinning) -> list[tuple
     probs = np.abs(binned.coeffs) ** 2
     return [(float(c), float(p)) for c, p in zip(binning.bin_costs, probs)]
 
-
-def choose_num_bins(depth: int, lower: float, upper: float, alpha: float, epsilon: float) -> int:
-    """Bin count that keeps the tail-mean error of the binned run below epsilon.
-
-    Uses M = ceil(p * (b - a)^2 / (alpha * epsilon)), clamped to [1, 10^6].
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    span = float(upper) - float(lower)
-    raw = ceil(depth * span * span / (alpha * epsilon))
-    return int(min(max(raw, 1), MAX_NUM_BINS))

@@ -16,8 +16,9 @@ import numpy as np
 from .errors import CapacityError
 from .problems import (
     ProblemInstance,
+    _cost_block,
     as_bits,
-    evaluate_cost,
+    bits_to_index,
     feasible_indices,
     is_feasible,
 )
@@ -51,21 +52,6 @@ def bit_flip(i: int) -> LocalPermutation:
 
 def transposition(a: int, b: int) -> LocalPermutation:
     return LocalPermutation(kind="transposition", indices=(a, b))
-
-
-def apply_permutation(tau: LocalPermutation, x) -> np.ndarray:
-    """Apply a local permutation to a bit string."""
-    bits = as_bits(x).copy()
-    n = bits.size
-    if any(i > n for i in tau.indices):
-        raise ValueError(f"permutation indices {tau.indices} out of range for n={n}")
-    if tau.kind == "bit_flip":
-        (i,) = tau.indices
-        bits[i - 1] ^= 1
-    else:
-        a, b = tau.indices
-        bits[a - 1], bits[b - 1] = bits[b - 1], bits[a - 1]
-    return bits
 
 
 def permute_indices(tau: LocalPermutation, indices: np.ndarray, n: int) -> np.ndarray:
@@ -157,8 +143,10 @@ def build_family(instance: ProblemInstance, z) -> PermutationFamily:
             for k in range(half)
             for i in range(half)
         ]
-    fz = evaluate_cost(instance, bits)
-    gains = tuple(fz - evaluate_cost(instance, apply_permutation(tau, bits)) for tau in perms)
+    seed = np.array([bits_to_index(bits)], dtype=np.int64)
+    images = [permute_indices(tau, seed, n) for tau in perms]
+    cost = _cost_block(instance, np.concatenate([seed, *images]))
+    gains = tuple(float(cost[0] - cost[k]) for k in range(1, cost.size))
     return PermutationFamily(
         n=n, permutations=tuple(perms), cost_gains=gains, seed=tuple(int(b) for b in bits)
     )

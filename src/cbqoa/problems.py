@@ -1,4 +1,4 @@
-"""Problem instances, cost functions, feasibility structure, and solution metrics.
+"""Problem instances, cost functions, the feasibility rule, and solution metrics.
 
 Two problem kinds are supported:
 
@@ -175,18 +175,26 @@ class MaxBisectionInstance:
 ProblemInstance = Union[Max3SatInstance, MaxBisectionInstance]
 
 
-def instance_from_dict(data: dict) -> ProblemInstance:
+def instance_from_dict(data) -> ProblemInstance:
+    """Instance from its JSON form; a malformed form raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
-    if kind == "max3sat":
-        return Max3SatInstance(
-            num_vars=int(data["num_vars"]),
-            clauses=tuple(tuple(c) for c in data["clauses"]),
-        )
-    if kind == "max_bisection":
-        return MaxBisectionInstance(
-            num_vertices=int(data["num_vertices"]),
-            edges=tuple(tuple(e) for e in data["edges"]),
-        )
+    try:
+        if kind == "max3sat":
+            return Max3SatInstance(
+                num_vars=int(data["num_vars"]),
+                clauses=tuple(tuple(c) for c in data["clauses"]),
+            )
+        if kind == "max_bisection":
+            return MaxBisectionInstance(
+                num_vertices=int(data["num_vertices"]),
+                edges=tuple(tuple(e) for e in data["edges"]),
+            )
+    except KeyError as exc:
+        raise ValueError(f"{kind} instance lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} instance: {exc}") from exc
     raise ValueError(f"unknown instance type {kind!r}")
 
 
@@ -209,38 +217,12 @@ def instance_id(instance: ProblemInstance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility structure
-
-
-@dataclass(frozen=True)
-class FeasibilityStructure:
-    """Describes the feasible set F.
-
-    F is all strings for Max 3SAT, the balanced (Hamming weight n/2) strings
-    for Max Bisection.
-    """
-
-    kind: str  # "all_strings" | "fixed_hamming_weight"
-    n: int
-    target_weight: int | None = None
-
-    def contains(self, bits) -> bool:
-        arr = as_bits(bits, self.n)
-        if self.kind == "all_strings":
-            return True
-        return int(arr.sum()) == self.target_weight
-
-
-def feasibility_structure(instance: ProblemInstance) -> FeasibilityStructure:
-    if instance.kind == "max3sat":
-        return FeasibilityStructure(kind="all_strings", n=instance.n)
-    return FeasibilityStructure(
-        kind="fixed_hamming_weight", n=instance.n, target_weight=instance.n // 2
-    )
+# Feasibility: every string for Max 3SAT, Hamming weight n/2 for Max Bisection
 
 
 def is_feasible(instance: ProblemInstance, x) -> bool:
-    return feasibility_structure(instance).contains(as_bits(x, instance.n))
+    bits = as_bits(x, instance.n)
+    return instance.kind == "max3sat" or int(bits.sum()) == instance.n // 2
 
 
 def _check_capacity(n: int) -> None:
@@ -256,13 +238,6 @@ def feasible_indices(instance: ProblemInstance) -> np.ndarray:
         return indices
     counts = np.bitwise_count(indices)
     return indices[counts == instance.n // 2]
-
-
-def enumerate_feasible(instance: ProblemInstance) -> np.ndarray:
-    """All feasible strings in lexicographic order, one row per string."""
-    indices = feasible_indices(instance)
-    n = instance.n
-    return ((indices[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +333,13 @@ def mean_feasible_cost(instance: ProblemInstance) -> float:
     return cost_summary(instance).mean_value
 
 
+def _quality_ratio(summary: CostSummary, costs):
+    """(E[f] - f) / (E[f] - f*) for one cost or an array of costs."""
+    if summary.degenerate:
+        raise DegenerateInstanceError("all feasible costs are equal; ratio undefined")
+    return (summary.mean_value - costs) / (summary.mean_value - summary.optimum_value)
+
+
 def approx_ratio_beta(instance: ProblemInstance, z, summary: CostSummary | None = None) -> float:
     """Quality of z relative to a uniform random feasible guess.
 
@@ -368,17 +350,10 @@ def approx_ratio_beta(instance: ProblemInstance, z, summary: CostSummary | None 
     if not is_feasible(instance, bits):
         raise ValueError("approx_ratio_beta requires a feasible solution")
     summary = summary or cost_summary(instance)
-    if summary.degenerate:
-        raise DegenerateInstanceError("all feasible costs are equal; ratio undefined")
-    fz = float(summary.diagonal[bits_to_index(bits)])
-    return (summary.mean_value - fz) / (summary.mean_value - summary.optimum_value)
+    return _quality_ratio(summary, float(summary.diagonal[bits_to_index(bits)]))
 
 
 def beta_values(instance: ProblemInstance, summary: CostSummary | None = None) -> np.ndarray:
     """Approximation ratio of every basis state (table indexed like the diagonal)."""
     summary = summary or cost_summary(instance)
-    if summary.degenerate:
-        raise DegenerateInstanceError("all feasible costs are equal; ratio undefined")
-    return (summary.mean_value - summary.diagonal) / (
-        summary.mean_value - summary.optimum_value
-    )
+    return _quality_ratio(summary, summary.diagonal)

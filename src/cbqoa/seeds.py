@@ -25,18 +25,18 @@ from .problems import (
 
 S_LINEAR_DEFAULT = 0.605
 BALANCE_TOLERANCE = 0.05  # final |sum v_i| <= 0.05 * sqrt(n)
+STEP_SIZE = 0.1  # ascent learning rate
+BALANCE_PENALTY = 10.0  # initial coefficient of the |sum v_i|^2 penalty
 
 
 @dataclass(frozen=True)
 class SdpConfig:
     iterations: int = 2000
-    step_size: float = 0.1
-    balance_penalty: float = 10.0
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1 or self.step_size <= 0 or self.balance_penalty <= 0:
-            raise ValueError("iterations, step_size and balance_penalty must be positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be positive")
 
 
 @dataclass
@@ -138,7 +138,7 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
     rows, signs, weights = _clause_arrays(instance)
     total_weight = float(weights.sum())
     pairings = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    optimizer = _AdamAscent(V.shape, cfg.step_size, cfg.iterations)
+    optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
 
     best_obj = -np.inf
     best_V = V.copy()
@@ -212,10 +212,10 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
     weights = np.array([w for _, _, w in instance.edges], dtype=np.float64)
 
     target = BALANCE_TOLERANCE * np.sqrt(n)
-    penalty = cfg.balance_penalty
+    penalty = BALANCE_PENALTY
     rounds = 5
     per_round = max(1, cfg.iterations // rounds)
-    optimizer = _AdamAscent(V.shape, cfg.step_size, cfg.iterations)
+    optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
 
     def cut_objective(M: np.ndarray) -> float:
         if weights.size == 0:

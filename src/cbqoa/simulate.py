@@ -14,22 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError
 from .mixer import PermutationFamily, WalkParams, build_family
 from .problems import (
-    MAX_DENSE_VARS,
     ProblemInstance,
     as_bits,
     bits_to_index,
     cost_summary,
     feasible_indices,
-    index_to_bits,
-    bits_to_str,
     is_feasible,
 )
-
-NORM_ATOL = 1e-10
-
 
 @dataclass(frozen=True)
 class AnsatzParams:
@@ -64,13 +57,6 @@ class CircuitConfig:
             raise ValueError("trotter_steps must be >= 1")
 
 
-def num_qubits(state: np.ndarray) -> int:
-    n = int(np.log2(state.size))
-    if 1 << n != state.size:
-        raise ValueError("state length must be a power of two")
-    return n
-
-
 def basis_state(n: int, z) -> np.ndarray:
     """One-hot state |z> on n qubits."""
     bits = as_bits(z, n)
@@ -81,8 +67,6 @@ def basis_state(n: int, z) -> np.ndarray:
 
 def uniform_feasible_state(instance: ProblemInstance) -> np.ndarray:
     """Uniform superposition over the feasible strings."""
-    if instance.n > MAX_DENSE_VARS:
-        raise CapacityError(f"statevector simulation supports n <= {MAX_DENSE_VARS}")
     feas = feasible_indices(instance)
     state = np.zeros(1 << instance.n, dtype=np.complex128)
     state[feas] = 1.0 / np.sqrt(feas.size)
@@ -94,23 +78,6 @@ def apply_phase_separator(state: np.ndarray, cost_diagonal: np.ndarray, gamma: f
     if cost_diagonal.shape != state.shape:
         raise ValueError("cost diagonal and state must have the same length")
     return state * np.exp(-1j * gamma * cost_diagonal)
-
-
-def ctqw_hypercube(state: np.ndarray, weights, time: float) -> np.ndarray:
-    """Exact walk on the weighted hypercube: independent X rotations per qubit.
-
-    Qubit j evolves under e^{i w_j t X}, i.e. |0> -> cos(w_j t)|0> + i sin(w_j t)|1>
-    and symmetrically.
-    """
-    n = num_qubits(state)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size != n:
-        raise ValueError(f"expected {n} weights, got {w.size}")
-    out = state.reshape([2] * n)
-    for axis in range(n):
-        angle = w[axis] * time
-        out = np.cos(angle) * out + 1j * np.sin(angle) * np.flip(out, axis=axis)
-    return out.reshape(-1)
 
 
 def _xy_index_pairs(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,18 +101,6 @@ def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, isin2: np.ndarray, steps
             x10 = amps[i10]
             amps[i01] = cos2[idx] * x01 + isin2[idx] * x10
             amps[i10] = cos2[idx] * x10 + isin2[idx] * x01
-
-
-def apply_xy_gate(state: np.ndarray, a: int, b: int, phi: float) -> np.ndarray:
-    """Apply e^{i phi (X_a X_b + Y_a Y_b)}: a rotation inside the |01>,|10> sector."""
-    n = num_qubits(state)
-    if not (1 <= a <= n and 1 <= b <= n) or a == b:
-        raise ValueError(f"qubit pair ({a}, {b}) invalid for n={n}")
-    i01, i10 = _xy_index_pairs(n, min(a, b), max(a, b))
-    out = state.reshape(-1, 1).copy()
-    c, s = np.cos(2 * phi), np.sin(2 * phi)
-    _xy_sweep(out, ((i01, i10, 0),), np.array([[c]]), np.array([[1j * s]]), 1)
-    return out.reshape(-1)
 
 
 @lru_cache(maxsize=8)
@@ -198,7 +153,7 @@ def ctqw_trotter_xy(
     preserved exactly; the deviation from the exact walk scales as t^2/N.
     """
     _check_xy(family, steps)
-    if num_qubits(state) != family.n:
+    if state.size != 1 << family.n:
         raise ValueError("state size does not match family")
     _, plan = _trotter_plan(family, False)
     cos2, isin2 = _xy_rotations(family, sharpness, time, steps)
@@ -302,10 +257,3 @@ def gm_qaoa_ansatz(instance: ProblemInstance, params: AnsatzParams) -> np.ndarra
     psi = uniform_feasible_state(instance)
     return _apply_layers(psi.copy(), psi, cost_summary(instance).diagonal, params)
 
-
-def measurement_distribution(state: np.ndarray, drop_below: float = 1e-15) -> dict[str, float]:
-    """Computational-basis outcome probabilities, keyed by bit string."""
-    n = num_qubits(state)
-    probs = np.abs(state) ** 2
-    keep = np.flatnonzero(probs >= drop_below)
-    return {bits_to_str(index_to_bits(int(i), n)): float(probs[i]) for i in keep}

@@ -16,10 +16,10 @@ from cbqoa import (
     WalkParams,
     cbqoa_initial_state,
 )
-from cbqoa.cvar import OptResult, _cvar_sorted
+from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP, _cvar_sorted
 from cbqoa.errors import CapacityError
 from cbqoa.mixer import permute_indices
-from cbqoa.problems import ProblemInstance, as_bits, cost_summary
+from cbqoa.problems import ProblemInstance, as_bits, bits_to_str, cost_summary, index_to_bits
 from cbqoa.simulate import _xy_index_pairs
 
 MAX_DENSE_ADJACENCY_VARS = 12
@@ -49,6 +49,14 @@ def adjacency_dense(
         moved = images != indices
         adj[images[moved], indices[moved]] += w
     return adj
+
+
+def measurement_distribution(state: np.ndarray, drop_below: float = 1e-15) -> dict[str, float]:
+    """Computational-basis outcome probabilities, keyed by bit string (bit 1 = MSB)."""
+    n = int(np.log2(state.size))
+    probs = np.abs(state) ** 2
+    keep = np.flatnonzero(probs >= drop_below)
+    return {bits_to_str(index_to_bits(int(i), n)): float(probs[i]) for i in keep}
 
 
 def random_state(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -138,16 +146,19 @@ def _improves(candidate: float, incumbent: float) -> bool:
 
 def oracle_adam_minimize(
     objective: Callable[[np.ndarray], float], init, cfg: AdamConfig
-) -> OptResult:
-    """Minimize a deterministic black-box objective; returns the best point seen."""
+) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
+    """Minimize a deterministic black-box objective.
+
+    Returns the best point seen, its value, and the (iteration, value) trace.
+    """
     params = np.asarray(init, dtype=np.float64).copy()
     value = float(objective(params))
     if not np.isfinite(value):
         raise RuntimeError(f"objective is not finite at init {params}")
-    best = OptResult(best_params=params.copy(), best_value=value, trace=[(0, value)])
+    best_params, best_value, trace = params.copy(), value, [(0, value)]
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    h = cfg.fd_step
+    h = FD_STEP
     for t in range(1, cfg.iterations + 1):
         grad = np.empty_like(params)
         for i in range(params.size):
@@ -159,19 +170,19 @@ def oracle_adam_minimize(
             grad[i] = (up - down) / (2 * h)
         if not np.isfinite(grad).all():
             raise RuntimeError(f"non-finite gradient at iteration {t}, params {params}")
-        m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
-        m_hat = m / (1 - cfg.beta1**t)
-        v_hat = v / (1 - cfg.beta2**t)
-        params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_stability)
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + (1 - BETA2) * grad * grad
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILITY)
         value = float(objective(params))
         if not np.isfinite(value):
             raise RuntimeError(f"objective not finite at iteration {t}, params {params}")
-        best.trace.append((t, value))
-        if _improves(value, best.best_value):
-            best.best_value = value
-            best.best_params = params.copy()
-    return best
+        trace.append((t, value))
+        if _improves(value, best_value):
+            best_value = value
+            best_params = params.copy()
+    return best_params, best_value, trace
 
 
 def oracle_run_restarts(
@@ -183,11 +194,11 @@ def oracle_run_restarts(
     best_params, best_value = None, np.inf
     trace: list[tuple[int, int, float]] = []
     for r, init in enumerate(inits):
-        result = oracle_adam_minimize(objective, init, cfg)
-        trace.extend((r, it, val) for it, val in result.trace)
-        if best_params is None or _improves(result.best_value, best_value):
-            best_value = result.best_value
-            best_params = result.best_params
+        params, value, run_trace = oracle_adam_minimize(objective, init, cfg)
+        trace.extend((r, it, val) for it, val in run_trace)
+        if best_params is None or _improves(value, best_value):
+            best_value = value
+            best_params = params
     return best_params, best_value, trace
 
 

@@ -14,6 +14,7 @@ import pytest
 from cbqoa import (
     AnsatzParams,
     BenchmarkSpec,
+    Max3SatInstance,
     PipelineConfig,
     SdpConfig,
     WalkParams,
@@ -24,7 +25,6 @@ from cbqoa import (
     brute_force_optimum,
     build_family,
     cbqoa_initial_state,
-    ctqw_hypercube,
     ctqw_trotter_xy,
     cvar_discrete,
     eta_from_state,
@@ -37,7 +37,7 @@ from cbqoa import (
 from cbqoa.bench import estimate_seed_pogs, random_max3sat, random_max_bisection, random_satisfiable_max3sat
 from cbqoa.cvar import _cvar_sorted
 from cbqoa.mixer import PermutationFamily
-from cbqoa.problems import cost_summary
+from cbqoa.problems import cost_summary, index_to_bits
 from cbqoa.seeds import kz_round_batch, rounding_costs, solve_kz_sdp
 from cbqoa.simulate import _apply_layers
 
@@ -111,9 +111,12 @@ def test_criterion_1_exact_hypercube_walk():
         t = float(rng.uniform(0.05, 2.5))
         family = hypercube_family(weights)
         U = dense_unitary(adjacency_dense(family, 1.0), t)
-        state = random_state(rng, 1 << n)
-        deviation = np.abs(ctqw_hypercube(state, weights, t) - U @ state).max()
-        worst = max(worst, deviation)
+        # The walk from every basis seed z is column z of U.
+        inst = Max3SatInstance(num_vars=n, clauses=())
+        walk = WalkParams(time=t, sharpness=1.0)
+        for z in range(1 << n):
+            state = cbqoa_initial_state(inst, index_to_bits(z, n), walk, family=family)
+            worst = max(worst, np.abs(state - U[:, z]).max())
     elapsed = time.perf_counter() - start
     report(
         1,

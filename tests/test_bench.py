@@ -21,7 +21,6 @@ from cbqoa import (
     export_results,
     gen_hard_instances,
     import_results,
-    measurement_distribution,
     pogs_exact,
     pogs_repeated,
     run_pipeline,
@@ -30,7 +29,7 @@ from cbqoa.bench import estimate_seed_pogs
 from cbqoa.errors import DegenerateInstanceError
 from cbqoa.problems import beta_values, bits_to_str, cost_summary, index_to_bits
 
-from conftest import oracle_tune_walk_params, small_3sat, small_bisection
+from conftest import measurement_distribution, oracle_tune_walk_params, small_3sat, small_bisection
 
 FAST_PIPELINE = PipelineConfig(
     rounding_trials=400,

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, determinism, resumability, workers."""
 
 import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,22 @@ class TestSeed:
     def test_missing_file_exits_2(self):
         assert main(["seed", "/nonexistent/instance.json"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "max_bisection", "num_vertices": 4}',
+            "[1, 2]",
+            '{"type": "max3sat", "num_vars": 3, "clauses": [1]}',
+            '{"type": "max3sat", "num_vars": null, "clauses": []}',
+        ],
+        ids=["missing-key", "not-an-object", "clause-not-a-list", "null-num-vars"],
+    )
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert main(["seed", str(path), "--trials", "10"]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSolve:
     def test_record_written_and_valid(self, tmp_path):
@@ -138,6 +156,53 @@ class TestBench:
         assert main(args) == EXIT_OK
         assert record_files[0].read_bytes() == before
         assert record_files[0].stat().st_mtime_ns == mtime
+
+    def test_truncated_record_is_rerun(self, tmp_path):
+        instances = make_instances(tmp_path)
+        out = tmp_path / "truncated"
+        args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
+        assert main(args) == EXIT_OK
+        first = (out / "results.csv").read_bytes()
+        record_path = sorted((out / "records").glob("*.json"))[0]
+        whole = record_path.read_bytes()
+        record_path.write_bytes(whole[:40])
+        assert main(args) == EXIT_OK
+        assert (out / "results.csv").read_bytes() == first
+        rerun, before = RunRecord.from_json(record_path.read_text()), RunRecord.from_json(whole)
+        assert replace(rerun, wall_time_s=0.0) == replace(before, wall_time_s=0.0)
+        assert sorted(p.name for p in (out / "records").iterdir()) == sorted(
+            p.name for p in (out / "records").glob("*.json")
+        )
+
+    def test_records_written_as_jobs_finish(self, tmp_path, monkeypatch):
+        """A job that fails keeps the records finished before it; a rerun completes them."""
+        import cbqoa.bench as bench_mod
+
+        instances = make_instances(tmp_path)
+        args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
+        assert main(args + ["--out", str(tmp_path / "whole")]) == EXIT_OK
+        out = tmp_path / "interrupted"
+        original, calls = bench_mod.run_pipeline, []
+
+        def fail_second(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return original(*a, **kw)
+
+        monkeypatch.setattr(bench_mod, "run_pipeline", fail_second)
+        assert main(args + ["--out", str(out)]) != EXIT_OK
+        assert len(list((out / "records").glob("*.json"))) == 1
+        monkeypatch.setattr(bench_mod, "run_pipeline", original)
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_bad_workers_variable_exits_2(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("CBQOA_WORKERS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert excinfo.value.code == EXIT_USAGE
 
     def test_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "none"

@@ -10,7 +10,6 @@ from cbqoa import (
     CvarConfig,
     Max3SatInstance,
     WalkParams,
-    adam_minimize,
     build_family,
     cbqoa_initial_state,
     cvar_discrete,
@@ -81,6 +80,16 @@ class TestCvarDiscrete:
         with pytest.raises(ValueError):
             cvar_discrete([], 0.5)
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1.0, np.nan), (2.0, 1.0)], [(np.nan, 0.5), (2.0, 0.5)], [(np.inf, 0.5), (2.0, 0.5)],
+         [(1.0, np.inf), (2.0, 0.5)]],
+        ids=["nan-prob", "nan-value", "inf-value", "inf-prob"],
+    )
+    def test_non_finite_rejected(self, pairs):
+        with pytest.raises(ValueError):
+            cvar_discrete(pairs, 0.5)
+
     def test_sorted_fast_path_matches(self, rng):
         values = np.sort(rng.standard_normal(50))
         probs = rng.random(50)
@@ -102,36 +111,41 @@ class TestCvarDiscrete:
                 )
 
 
+def one_restart(objective, init, cfg):
+    """One ADAM run: the lockstep driver on a single restart."""
+    return _adam_lockstep(_rowwise(objective), np.asarray(init, dtype=float)[None], cfg)
+
+
 class TestAdamMinimize:
     def test_converges_on_quadratic(self):
-        result = adam_minimize(lambda x: float((x[0] - 2.0) ** 2), [0.0], AdamConfig())
-        assert abs(result.best_params[0] - 2.0) < 0.01
+        params, _, _ = one_restart(lambda x: float((x[0] - 2.0) ** 2), [0.0], AdamConfig())
+        assert abs(params[0] - 2.0) < 0.01
 
     def test_zero_iterations_returns_init(self):
         cfg = AdamConfig(iterations=0)
-        result = adam_minimize(lambda x: float(x[0] ** 2), [1.5], cfg)
-        assert result.best_params[0] == 1.5
-        assert result.trace == [(0, 2.25)]
+        params, _, trace = one_restart(lambda x: float(x[0] ** 2), [1.5], cfg)
+        assert params[0] == 1.5
+        assert trace == [(0, 0, 2.25)]
 
     def test_deterministic(self):
         cfg = AdamConfig(iterations=50)
-        runs = [adam_minimize(lambda x: float(np.sin(x[0]) + x[0] ** 2), [0.7], cfg) for _ in range(2)]
-        assert runs[0].trace == runs[1].trace
+        runs = [one_restart(lambda x: float(np.sin(x[0]) + x[0] ** 2), [0.7], cfg) for _ in range(2)]
+        assert runs[0][2] == runs[1][2]
 
     def test_returns_best_seen_not_last(self):
         # oscillation-prone step keeps the minimum seen along the way
         cfg = AdamConfig(iterations=80, learning_rate=0.9)
-        result = adam_minimize(lambda x: float(abs(x[0])), [3.0], cfg)
-        assert result.best_value == min(v for _, v in result.trace)
+        _, value, trace = one_restart(lambda x: float(abs(x[0])), [3.0], cfg)
+        assert value == min(v for *_, v in trace)
 
     def test_non_finite_abort(self):
         with pytest.raises(RuntimeError):
-            adam_minimize(lambda x: float("nan"), [0.0], AdamConfig())
+            one_restart(lambda x: float("nan"), [0.0], AdamConfig())
 
     def test_trace_csv(self, tmp_path):
-        result = adam_minimize(lambda x: float(x[0] ** 2), [1.0], AdamConfig(iterations=5))
+        _, _, trace = one_restart(lambda x: float(x[0] ** 2), [1.0], AdamConfig(iterations=5))
         path = tmp_path / "trace.csv"
-        write_trace_csv(result.trace, path)
+        write_trace_csv([(it, val) for _, it, val in trace], path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "cvar"]
@@ -162,12 +176,13 @@ class TestLockstepAdam:
         assert trace == want_trace
 
     def test_adam_minimize_matches_oracle(self):
+        """A one-restart lockstep run equals the sequential ADAM loop."""
         cfg = AdamConfig(iterations=50)
-        result = adam_minimize(_bumpy, [0.7, -0.2], cfg)
-        want = oracle_adam_minimize(_bumpy, [0.7, -0.2], cfg)
-        assert np.array_equal(result.best_params, want.best_params)
-        assert result.best_value == want.best_value
-        assert result.trace == want.trace
+        params, value, trace = one_restart(_bumpy, [0.7, -0.2], cfg)
+        want_params, want_value, want_trace = oracle_adam_minimize(_bumpy, [0.7, -0.2], cfg)
+        assert np.array_equal(params, want_params)
+        assert value == want_value
+        assert trace == [(0, it, val) for it, val in want_trace]
 
     def test_one_call_per_step(self):
         rows = []

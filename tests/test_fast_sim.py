@@ -1,5 +1,7 @@
 """Binned fast simulation against the dense statevector simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from cbqoa import (
     bin_costs,
     binned_distribution,
     cbqoa_initial_state,
-    choose_num_bins,
     eta_from_state,
     evolve_binned,
     feasible_indices,
@@ -191,22 +192,13 @@ class TestEvolveBinned:
 
 
 class TestChooseNumBins:
-    def test_arithmetic_example(self):
-        assert choose_num_bins(3, 0.0, 10.0, 0.5, 0.1) == 6000
-
-    def test_epsilon_halved_doubles(self):
-        base = choose_num_bins(2, -1.0, 5.0, 0.5, 0.08)
-        assert choose_num_bins(2, -1.0, 5.0, 0.5, 0.04) == 2 * base
-
-    def test_clamped(self):
-        assert choose_num_bins(100, 0.0, 1000.0, 0.01, 1e-9) == 10**6
-        assert choose_num_bins(0, 0.0, 1.0, 1.0, 1.0) == 1
+    """How many bins keep the binned simulation accurate."""
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            choose_num_bins(3, 0.0, 1.0, 0.0, 0.1)
+            bin_costs(np.arange(4.0), np.arange(4), 0)
         with pytest.raises(ValueError):
-            choose_num_bins(3, 0.0, 1.0, 0.5, 0.0)
+            bin_costs(np.arange(4.0), np.arange(4), -3)
 
     def test_cvar_error_within_epsilon(self, rng):
         """CVaR from the binned run lands within epsilon of the dense run."""
@@ -219,7 +211,7 @@ class TestChooseNumBins:
             params = random_params(rng)
             span = summary.diagonal[feas].max() - summary.diagonal[feas].min()
             epsilon = 0.02 * span
-            M = choose_num_bins(3, 0.0, span, alpha, epsilon)
+            M = math.ceil(3 * span * span / (alpha * epsilon))  # p (b - a)^2 / (alpha eps)
             binning = bin_costs(summary.diagonal, feas, M)
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
             cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast.coeffs) ** 2, alpha)

@@ -6,38 +6,46 @@ import pytest
 from cbqoa import (
     MaxBisectionInstance,
     PermutationFamily,
-    apply_permutation,
     bit_flip,
     build_family,
     feasible_indices,
-    sigmoid_weight,
     transposition,
     verify_assumption,
 )
-from cbqoa.problems import bits_to_str, index_to_bits
-from cbqoa.mixer import permute_indices
+from cbqoa.problems import index_to_bits
+from cbqoa.mixer import permute_indices, sigmoid_weight
 
 from conftest import adjacency_dense, small_3sat, small_bisection
 
 
+def permute_bits(tau, bits):
+    """Bit-vector oracle: flip one bit, or swap two, at 1-based positions."""
+    out = np.array(bits, dtype=np.uint8)
+    positions = [i - 1 for i in tau.indices]
+    out[positions] = 1 - out[positions] if tau.kind == "bit_flip" else out[positions[::-1]]
+    return out
+
+
 class TestApplyPermutation:
+    """permute_indices, the one permutation action, on basis indices."""
+
     def test_bit_flip(self):
-        assert bits_to_str(apply_permutation(bit_flip(2), "000")) == "010"
+        assert permute_indices(bit_flip(2), np.array([0b000]), 3).tolist() == [0b010]
 
     def test_transposition(self):
-        assert bits_to_str(apply_permutation(transposition(1, 3), "100")) == "001"
+        assert permute_indices(transposition(1, 3), np.array([0b100]), 3).tolist() == [0b001]
 
     def test_order_two(self, rng):
         for _ in range(1000):
             n = int(rng.integers(2, 10))
-            bits = rng.integers(0, 2, size=n).astype(np.uint8)
+            indices = rng.integers(0, 1 << n, size=4)
             if rng.random() < 0.5:
                 tau = bit_flip(int(rng.integers(1, n + 1)))
             else:
                 a, b = rng.choice(n, size=2, replace=False) + 1
                 tau = transposition(int(a), int(b))
-            twice = apply_permutation(tau, apply_permutation(tau, bits))
-            assert np.array_equal(twice, bits)
+            twice = permute_indices(tau, permute_indices(tau, indices, n), n)
+            assert np.array_equal(twice, indices)
 
     def test_index_map_matches_bit_map(self, rng):
         n = 6
@@ -45,12 +53,12 @@ class TestApplyPermutation:
         for tau in (bit_flip(3), transposition(2, 5)):
             mapped = permute_indices(tau, indices, n)
             for i in range(1 << n):
-                expected = apply_permutation(tau, index_to_bits(i, n))
+                expected = permute_bits(tau, index_to_bits(i, n))
                 assert np.array_equal(index_to_bits(int(mapped[i]), n), expected)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_permutation(bit_flip(4), "000")
+            permute_indices(bit_flip(4), np.array([0]), 3)
 
 
 class TestBuildFamily:
@@ -91,7 +99,7 @@ class TestBuildFamily:
         family = build_family(inst, seed)
         fz = evaluate_cost(inst, seed)
         for tau, gain in zip(family.permutations, family.cost_gains):
-            assert gain == fz - evaluate_cost(inst, apply_permutation(tau, seed))
+            assert gain == fz - evaluate_cost(inst, permute_bits(tau, seed))
 
 
 class TestSigmoidWeight:

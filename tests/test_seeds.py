@@ -7,11 +7,7 @@ from cbqoa import (
     Max3SatInstance,
     MaxBisectionInstance,
     SdpConfig,
-    UnitVectorSet,
     brute_force_optimum,
-    s_linear,
-    solve_fl_sdp,
-    solve_kz_sdp,
 )
 from cbqoa.bench import (
     classical_batch,
@@ -22,10 +18,14 @@ from cbqoa.bench import (
 from cbqoa.errors import DegenerateInstanceError
 from cbqoa.problems import approx_ratio_beta
 from cbqoa.seeds import (
+    UnitVectorSet,
     fl_round_batch,
     kz_round_batch,
     round_batch,
     rounding_costs,
+    s_linear,
+    solve_fl_sdp,
+    solve_kz_sdp,
     solve_relaxation,
 )
 

@@ -5,20 +5,19 @@ import pytest
 
 from cbqoa import (
     AnsatzParams,
+    Max3SatInstance,
     WalkParams,
     apply_phase_separator,
     apply_rank1_mixer,
-    apply_xy_gate,
     basis_state,
     bit_flip,
     build_family,
     cbqoa_ansatz,
     cbqoa_initial_state,
-    ctqw_hypercube,
     ctqw_trotter_xy,
     feasible_indices,
     gm_qaoa_ansatz,
-    measurement_distribution,
+    transposition,
 )
 from cbqoa.mixer import PermutationFamily
 from cbqoa.problems import cost_summary, index_to_bits, ising_diagonal
@@ -27,6 +26,7 @@ from cbqoa.simulate import trotter_xy_sector_batch
 from conftest import (
     adjacency_dense,
     dense_unitary,
+    measurement_distribution,
     oracle_walk_state,
     random_feasible_state,
     random_state,
@@ -48,6 +48,26 @@ def hypercube_family(weights):
         cost_gains=tuple(float(logit(w)) for w in weights),
         seed=(0,) * n,
     )
+
+
+def hypercube_walk(weights, z: int, t: float) -> np.ndarray:
+    """e^{iAt}|z> on the weighted hypercube, through cbqoa_initial_state."""
+    n = len(weights)
+    inst = Max3SatInstance(num_vars=n, clauses=())
+    walk = WalkParams(time=t, sharpness=1.0)
+    return cbqoa_initial_state(inst, index_to_bits(z, n), walk, family=hypercube_family(weights))
+
+
+def xy_gate(state: np.ndarray, a: int, b: int, phi: float) -> np.ndarray:
+    """e^{i phi (X_a X_b + Y_a Y_b)}: one product-formula step of a one-transposition walk.
+
+    At sharpness 0 the edge weight is 0.5, so time 4 phi gives the angle phi exactly.
+    """
+    n = int(np.log2(state.size))
+    family = PermutationFamily(
+        n=n, permutations=(transposition(a, b),), cost_gains=(0.0,), seed=(0,) * n
+    )
+    return ctqw_trotter_xy(state, family, 0.0, 4 * phi, 1)
 
 
 class TestBasisAndMeasurement:
@@ -99,41 +119,32 @@ class TestPhaseSeparator:
 
 class TestHypercubeWalk:
     def test_single_qubit_flip(self):
-        out = ctqw_hypercube(basis_state(1, "0"), [0.5], np.pi)
+        out = hypercube_walk([0.5], 0, np.pi)
         np.testing.assert_allclose(out, [0.0, 1j], atol=1e-12)
 
-    def test_zero_time_identity(self, rng):
-        state = random_state(rng, 8)
-        np.testing.assert_allclose(ctqw_hypercube(state, [0.3, 0.6, 0.9], 0.0), state)
+    def test_zero_time_identity(self):
+        for z in range(8):
+            out = hypercube_walk([0.3, 0.6, 0.9], z, 0.0)
+            np.testing.assert_allclose(out, basis_state(3, index_to_bits(z, 3)))
 
     def test_matches_dense_exponential(self, rng):
-        """Product of X rotations equals e^{iAt} of the weighted hypercube."""
+        """Product of X rotations equals e^{iAt} of the weighted hypercube, column by column."""
         for _ in range(5):
             n = int(rng.integers(2, 7))
             weights = rng.uniform(0.05, 0.95, size=n)
             t = float(rng.uniform(0.1, 2.0))
-            family = hypercube_family(weights)
-            U = dense_unitary(adjacency_dense(family, 1.0), t)
-            state = random_state(rng, 1 << n)
-            np.testing.assert_allclose(
-                ctqw_hypercube(state, weights, t), U @ state, atol=1e-10
-            )
-
-    def test_semigroup(self, rng):
-        weights = rng.uniform(0.1, 0.9, size=5)
-        state = random_state(rng, 32)
-        t1, t2 = 0.4, 0.9
-        once = ctqw_hypercube(ctqw_hypercube(state, weights, t1), weights, t2)
-        np.testing.assert_allclose(once, ctqw_hypercube(state, weights, t1 + t2), atol=1e-10)
+            U = dense_unitary(adjacency_dense(hypercube_family(weights), 1.0), t)
+            for z in range(1 << n):
+                np.testing.assert_allclose(hypercube_walk(weights, z, t), U[:, z], atol=1e-10)
 
 
 class TestXYGate:
     def test_zero_angle_identity(self, rng):
         state = random_state(rng, 8)
-        np.testing.assert_allclose(apply_xy_gate(state, 1, 3, 0.0), state)
+        np.testing.assert_allclose(xy_gate(state, 1, 3, 0.0), state)
 
     def test_quarter_swap(self):
-        out = apply_xy_gate(basis_state(2, "01"), 1, 2, np.pi / 4)
+        out = xy_gate(basis_state(2, "01"), 1, 2, np.pi / 4)
         np.testing.assert_allclose(out, [0, 0, 1j, 0], atol=1e-12)
 
     def test_matches_dense_two_qubit_exponential(self, rng):
@@ -143,11 +154,11 @@ class TestXYGate:
             phi = float(rng.uniform(-2, 2))
             U = dense_unitary(np.real(np.kron(X, X) + np.kron(Y, Y)), phi)
             state = random_state(rng, 4)
-            np.testing.assert_allclose(apply_xy_gate(state, 1, 2, phi), U @ state, atol=1e-10)
+            np.testing.assert_allclose(xy_gate(state, 1, 2, phi), U @ state, atol=1e-10)
 
     def test_sector_preservation(self, rng):
         state = random_state(rng, 16)
-        out = apply_xy_gate(state, 2, 4, 0.8)
+        out = xy_gate(state, 2, 4, 0.8)
         counts = np.bitwise_count(np.arange(16))
         for k in range(5):
             sector = counts == k
@@ -294,7 +305,7 @@ class TestAnsatz:
         family = build_family(inst, "01010")
         walk = WalkParams(time=0.9, sharpness=-0.7)
         fast = cbqoa_initial_state(inst, "01010", walk, family=family)
-        slow = ctqw_hypercube(basis_state(5, "01010"), family.weights(-0.7), 0.9)
+        slow = dense_unitary(adjacency_dense(family, -0.7), 0.9)[:, 0b01010]
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_feasible_support_random_params(self, rng):
