@@ -136,11 +136,28 @@ def _read_record(path: Path) -> RunRecord | None:
         return None
 
 
-def _write_record(path: Path, record: RunRecord) -> None:
-    """Write through a temporary file, so a record file is either whole or absent."""
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file, so the file is either whole or absent."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(record.to_json() + "\n", encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _claim_records(records_dir: Path, settings: dict) -> None:
+    """Tie records_dir to the settings its records are made with.
+
+    The first run writes them to config.json; a run with other settings would
+    reuse records that those settings did not make, so it is refused.
+    """
+    path = records_dir / "config.json"
+    text = json.dumps(settings, sort_keys=True, indent=1) + "\n"
+    if not path.exists():
+        _write_atomic(path, text)
+    elif path.read_text(encoding="utf-8") != text:
+        raise ValueError(
+            f"{records_dir} holds records made with other settings ({path.name}); "
+            "use another --out"
+        )
 
 
 def cmd_bench(args) -> int:
@@ -152,6 +169,8 @@ def cmd_bench(args) -> int:
     records_dir = out / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
     config = _pipeline_config(args)
+    settings = {"depth": args.depth, "base_seed": args.seed, "pipeline": asdict(config)}
+    _claim_records(records_dir, settings)
 
     record_paths = [records_dir / f"{path.stem}_p{args.depth}.json" for path in paths]
     done = {p: r for p in record_paths if (r := _read_record(p)) is not None}
@@ -162,14 +181,21 @@ def cmd_bench(args) -> int:
     }
 
     def finish(record_path: Path, record: RunRecord) -> None:
-        _write_record(record_path, record)
+        _write_atomic(record_path, record.to_json() + "\n")
         done[record_path] = record
 
     if args.workers > 1 and jobs:
+        failures = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = {pool.submit(_bench_one, job): p for p, job in jobs.items()}
             for future in concurrent.futures.as_completed(futures):
-                finish(futures[future], future.result())
+                error = future.exception()
+                if error is None:
+                    finish(futures[future], future.result())
+                else:
+                    failures.append(error)
+        if failures:
+            raise failures[0]
     else:
         for record_path, job in jobs.items():
             finish(record_path, _bench_one(job))

@@ -11,9 +11,11 @@ The restarts run in lockstep over a (restarts, params) array. Each step makes
 one batched objective call on every restart's current point plus its
 central-difference probes. The walk objective evaluates a batch of
 transposition-family walks as one product-formula sweep restricted to the
-seed's Hamming-weight sector, and hypercube walks one product state at a
-time. Every point's arithmetic is that of a one-point, one-restart run, so
-the tuned parameters and traces do not depend on the batching.
+seed's Hamming-weight sector. Hypercube walks are evaluated point by point as
+the squared real product of their per-qubit factors, in two buffers reused
+for the whole tuning. The CVaR reads the sorted probabilities only up to the
+alpha boundary. Every point's arithmetic is that of a one-point, one-restart
+run, so the tuned parameters and traces do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .problems import ProblemInstance, as_bits, cost_summary, feasible_indices, 
 from .simulate import (
     AnsatzParams,
     CircuitConfig,
+    _hypercube_product,
     cbqoa_initial_state,  # noqa: F401 -- the traced benchmark run wraps it by this name
-    hypercube_walk_state,
     trotter_xy_sector_batch,
 )
 
@@ -109,18 +111,47 @@ def cvar_discrete(pairs: Sequence[tuple[float, float]], alpha: float) -> float:
     return _cvar_sorted(values[order], probs[order], alpha)
 
 
-def _cvar_sorted(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
+# Sorted probabilities are read this many at a time, up to the alpha boundary.
+_CVAR_CHUNK = 4096
+
+
+def _cvar_sorted(
+    values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
+) -> float:
     """CVaR for values already sorted ascending (fast path for simulators).
 
-    probs is made contiguous first: np.dot on a strided view takes another
-    BLAS path whose sum can differ in the last bits.
+    probs is in the order of values, or, if order is given, probs[order] is.
+    The running mass is a sequential cumsum, taken one chunk at a time and
+    stopped at the alpha boundary, so only the tail in use is gathered; the
+    entries read are summed exactly as a full-length cumsum and one np.dot on
+    a contiguous copy would sum them. (np.dot on a strided view takes another
+    BLAS path whose sum can differ in the last bits.)
     """
-    probs = np.ascontiguousarray(probs)
-    cum = np.cumsum(probs)
-    j = int(np.searchsorted(cum, alpha - 1e-12))
-    j = min(j, values.size - 1)
-    below = float(np.dot(probs[:j], values[:j]))
-    boundary = alpha - (float(cum[j - 1]) if j > 0 else 0.0)
+    target = alpha - 1e-12
+    if order is None and probs.size <= _CVAR_CHUNK:
+        head = np.ascontiguousarray(probs)
+        cum = np.cumsum(head)
+        j = min(int(np.searchsorted(cum, target)), values.size - 1)
+        before = float(cum[j - 1]) if j > 0 else 0.0
+    else:
+        chunks, before = [], 0.0  # before: the mass of every chunk already read
+        for start in range(0, values.size, _CVAR_CHUNK):
+            stop = min(start + _CVAR_CHUNK, values.size)
+            chunk = probs[start:stop] if order is None else probs[order[start:stop]]
+            chunks.append(np.ascontiguousarray(chunk))
+            cum = chunks[-1].copy()
+            cum[0] += before  # the carry joins the sequential sum in its place
+            np.cumsum(cum, out=cum)
+            k = int(np.searchsorted(cum, target))
+            if k < cum.size or stop == values.size:
+                j = min(start + k, values.size - 1)
+                k = j - start
+                before = float(cum[k - 1]) if k > 0 else before
+                break
+            before = float(cum[-1])
+        head = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    below = float(np.dot(head[:j], values[:j]))
+    boundary = alpha - before
     return (below + boundary * float(values[j])) / alpha
 
 
@@ -215,7 +246,9 @@ def tune_walk_params(
     The first restart starts at (0, 0) -- the point mass at the seed -- so the
     tuned objective never exceeds the seed's own tail cost. A transposition
     family's batch is one product-formula sweep over the seed's Hamming-weight
-    sector; a hypercube walk is built one product state per point.
+    sector. A hypercube walk's probabilities are, point by point, the squared
+    real product of its qubit factors, which equals |amplitude|^2 bit for bit;
+    the CVaR gathers them in cost order only up to the alpha boundary.
     """
     bits = as_bits(z, instance.n)
     if not is_feasible(instance, bits):
@@ -241,12 +274,14 @@ def tune_walk_params(
             return np.array([_cvar_sorted(sorted_costs, row, alpha) for row in probs])
 
     else:
+        buffers = np.empty(order.size), np.empty(order.size)
 
         def objective(points: np.ndarray) -> np.ndarray:
             values = np.empty(len(points))
             for k, (time, sharpness) in enumerate(points):
-                state = hypercube_walk_state(bits, family.weights(sharpness), time)
-                values[k] = _cvar_sorted(sorted_costs, (np.abs(state) ** 2)[order], alpha)
+                probs = _hypercube_product(bits, family.weights(sharpness), time, *buffers)
+                np.square(probs, out=probs)
+                values[k] = _cvar_sorted(sorted_costs, probs, alpha, order)
             return values
 
     rng = np.random.default_rng(adam_cfg.rng_seed)

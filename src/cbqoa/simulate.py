@@ -196,19 +196,47 @@ def apply_rank1_mixer(state: np.ndarray, psi: np.ndarray, beta: float) -> np.nda
     return state + (np.exp(-1j * beta) - 1.0) * overlap * psi
 
 
+def _hypercube_product(
+    bits: np.ndarray, weights: np.ndarray, time: float, buffer: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The hypercube walk's amplitudes without their phases, written into two 2^n buffers.
+
+    Qubit j contributes (cos(w_j t), sin(w_j t)), swapped where z_j = 1; entry x
+    is the left-to-right product of its qubits' factors, so the amplitude of x
+    is i^popcount(x xor z) times it, and its square is |amplitude|^2 exactly.
+    Returns the view of buffer or scratch that holds the 2^n products.
+    """
+    cur, nxt = buffer, scratch
+    for j, b in enumerate(bits):
+        angle = weights[j] * time
+        cos, sin = np.cos(angle), np.sin(angle)
+        lo, hi = (cos, sin) if b == 0 else (sin, cos)
+        if j == 0:
+            cur[0], cur[1] = lo, hi
+            continue
+        size = 1 << j
+        np.multiply(cur[:size], lo, out=nxt[: 2 * size : 2])
+        np.multiply(cur[:size], hi, out=nxt[1 : 2 * size : 2])
+        cur, nxt = nxt, cur
+    return cur
+
+
+# i^k for k = 0..3: the phase of a hypercube walk amplitude k bit flips from the seed.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
 def hypercube_walk_state(bits: np.ndarray, weights: np.ndarray, time: float) -> np.ndarray:
     """Exact hypercube walk e^{iAt}|z>: a product state, built one qubit at a time.
 
     bits must already be a validated 0/1 vector; qubit j contributes
-    (cos(w_j t), i sin(w_j t)), with the entries swapped where z_j = 1.
+    (cos(w_j t), i sin(w_j t)), with the entries swapped where z_j = 1. Each
+    amplitude is the real product of _hypercube_product times one i per
+    flipped bit, the same numbers the complex product of the factors gives.
     """
-    state = None
-    for j, b in enumerate(bits):
-        angle = weights[j] * time
-        amp0, amp1 = np.cos(angle), 1j * np.sin(angle)
-        factor = np.array([amp0, amp1] if b == 0 else [amp1, amp0], dtype=np.complex128)
-        state = factor if state is None else np.multiply.outer(state, factor).ravel()
-    return state
+    size = 1 << len(bits)
+    product = _hypercube_product(bits, weights, time, np.empty(size), np.empty(size))
+    flips = np.bitwise_count(np.arange(size) ^ bits_to_index(bits))
+    return _I_POWERS[flips & 3] * product
 
 
 def cbqoa_initial_state(

@@ -14,9 +14,8 @@ from cbqoa import (
     MaxBisectionInstance,
     PermutationFamily,
     WalkParams,
-    cbqoa_initial_state,
 )
-from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP, _cvar_sorted
+from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP
 from cbqoa.errors import CapacityError
 from cbqoa.mixer import permute_indices
 from cbqoa.problems import ProblemInstance, as_bits, bits_to_str, cost_summary, index_to_bits
@@ -139,6 +138,21 @@ def oracle_walk_state(bits, family: PermutationFamily, walk: WalkParams, steps: 
     return out
 
 
+def oracle_cvar_sorted(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
+    """CVaR for values already sorted ascending, from a full-length cumsum.
+
+    probs is made contiguous first: np.dot on a strided view takes another
+    BLAS path whose sum can differ in the last bits.
+    """
+    probs = np.ascontiguousarray(probs)
+    cum = np.cumsum(probs)
+    j = int(np.searchsorted(cum, alpha - 1e-12))
+    j = min(j, values.size - 1)
+    below = float(np.dot(probs[:j], values[:j]))
+    boundary = alpha - (float(cum[j - 1]) if j > 0 else 0.0)
+    return (below + boundary * float(values[j])) / alpha
+
+
 def _improves(candidate: float, incumbent: float) -> bool:
     """Strict improvement beyond float noise; ties keep the incumbent point."""
     return candidate < incumbent - 1e-9 * max(1.0, abs(incumbent))
@@ -222,9 +236,9 @@ def oracle_tune_walk_params(
 
     def objective(x: np.ndarray) -> float:
         walk = WalkParams(time=float(x[0]), sharpness=float(x[1]))
-        state = cbqoa_initial_state(instance, bits, walk, family=family, config=circuit_cfg)
+        state = oracle_walk_state(bits, family, walk, circuit_cfg.trotter_steps)
         probs = np.abs(state) ** 2
-        return _cvar_sorted(sorted_costs, probs[order], cvar_cfg.alpha)
+        return oracle_cvar_sorted(sorted_costs, probs[order], cvar_cfg.alpha)
 
     rng = np.random.default_rng(adam_cfg.rng_seed)
     inits = [np.zeros(2)]

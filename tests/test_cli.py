@@ -1,14 +1,15 @@
 """Command-line interface: exit codes, determinism, resumability, workers."""
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cbqoa import Max3SatInstance, RunRecord, save_instance
+from cbqoa import Max3SatInstance, RunRecord, instance_id, save_instance
 from cbqoa.bench import GenerationStats
-from cbqoa.cli import EXIT_GUARDED, EXIT_OK, EXIT_USAGE, main
+from cbqoa.cli import EXIT_GUARDED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import small_bisection
 
@@ -19,8 +20,6 @@ def make_instances(tmp_path, count=2, n=6):
     directory.mkdir()
     for _ in range(count):
         inst = small_bisection(rng, n=n)
-        from cbqoa import instance_id
-
         save_instance(inst, directory / f"{instance_id(inst)}.json")
     return directory
 
@@ -149,7 +148,7 @@ class TestBench:
         out = tmp_path / "resume"
         args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
         assert main(args) == EXIT_OK
-        record_files = list((out / "records").glob("*.json"))
+        record_files = list((out / "records").glob("*_p0.json"))
         assert len(record_files) == 1
         before = record_files[0].read_bytes()
         mtime = record_files[0].stat().st_mtime_ns
@@ -163,7 +162,7 @@ class TestBench:
         args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
         assert main(args) == EXIT_OK
         first = (out / "results.csv").read_bytes()
-        record_path = sorted((out / "records").glob("*.json"))[0]
+        record_path = sorted((out / "records").glob("*_p0.json"))[0]
         whole = record_path.read_bytes()
         record_path.write_bytes(whole[:40])
         assert main(args) == EXIT_OK
@@ -192,10 +191,56 @@ class TestBench:
 
         monkeypatch.setattr(bench_mod, "run_pipeline", fail_second)
         assert main(args + ["--out", str(out)]) != EXIT_OK
-        assert len(list((out / "records").glob("*.json"))) == 1
+        assert len(list((out / "records").glob("*_p0.json"))) == 1
         monkeypatch.setattr(bench_mod, "run_pipeline", original)
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the injected failure only when forked from the test process",
+    )
+    def test_parallel_failure_keeps_finished_records(self, tmp_path, monkeypatch):
+        """With workers, a failed job still lets every other job's record be written."""
+        import cbqoa.bench as bench_mod
+
+        instances = make_instances(tmp_path, count=3)
+        args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
+        assert main(args + ["--out", str(tmp_path / "whole")]) == EXIT_OK
+        out = tmp_path / "interrupted"
+        original = bench_mod.run_pipeline
+        first = sorted(instances.glob("*.json"))[0].stem
+
+        def fail_first(instance, *a, **kw):
+            if instance_id(instance) == first:
+                raise RuntimeError("injected failure")
+            return original(instance, *a, **kw)
+
+        monkeypatch.setattr(bench_mod, "run_pipeline", fail_first)
+        assert main(args + ["--out", str(out), "--workers", "2"]) == EXIT_INTERNAL
+        written = sorted(p.name for p in (out / "records").glob("*_p0.json"))
+        assert written == sorted(f"{p.stem}_p0.json" for p in instances.glob("*.json"))[1:]
+        monkeypatch.setattr(bench_mod, "run_pipeline", original)
+        assert main(args + ["--out", str(out), "--workers", "2"]) == EXIT_OK
+        assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--bins", "61"), ("--seed", "10"), ("--depth", "1")])
+    def test_rerun_with_other_settings_exits_2(self, tmp_path, capsys, flag, value):
+        """Records made under other settings are never reused, nor touched."""
+        instances = make_instances(tmp_path, count=1)
+        out = tmp_path / "settings"
+        args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
+        assert main(args) == EXIT_OK
+        records = out / "records"
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
+        capsys.readouterr()
+        assert main(args + [flag, value]) == EXIT_USAGE
+        assert str(records) in capsys.readouterr().err
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
+        assert after == before
+        assert main(args) == EXIT_OK
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
+        assert after == before
 
     @pytest.mark.parametrize("value", ["two", "1.5", ""])
     def test_bad_workers_variable_exits_2(self, tmp_path, monkeypatch, value):

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbqoa import (
     AdamConfig,
@@ -17,12 +19,13 @@ from cbqoa import (
     tune_walk_params,
     uniform_feasible_state,
 )
-from cbqoa.cvar import _adam_lockstep, _cvar_sorted, _rowwise, write_trace_csv
+from cbqoa.cvar import _CVAR_CHUNK, _adam_lockstep, _cvar_sorted, _rowwise, write_trace_csv
 from cbqoa.problems import cost_summary, feasible_indices, index_to_bits
 from cbqoa.simulate import _apply_layers, AnsatzParams
 
 from conftest import (
     oracle_adam_minimize,
+    oracle_cvar_sorted,
     oracle_run_restarts,
     oracle_tune_walk_params,
     small_3sat,
@@ -109,6 +112,54 @@ class TestCvarDiscrete:
                 assert _cvar_sorted(values, strided, alpha) == _cvar_sorted(
                     values, strided.copy(), alpha
                 )
+
+
+def tail_distribution(size: int, seed: int, shape: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values and a distribution over them whose mass has the given shape."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.standard_normal(size))
+    probs = rng.random(size)
+    if shape == "sparse":
+        probs[rng.random(size) > 0.01] = 0.0
+        probs[rng.integers(size)] = 1.0
+    elif shape == "chunk_edge":  # the mass runs out at the end of a chunk
+        probs[_CVAR_CHUNK * max(1, (size - 1) // _CVAR_CHUNK) :] = 0.0
+    elif shape == "last":
+        probs[:] = 0.0
+        probs[-1] = 1.0
+    probs /= probs.sum()
+    if shape == "deficit":  # the tail never fills, so the boundary is clamped to the last index
+        probs *= 0.5
+    return values, probs
+
+
+class TestPrefixCvar:
+    """The chunked prefix CVaR equals the full-length cumsum oracle exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.one_of(
+            st.integers(1, 3 * _CVAR_CHUNK + 1),
+            st.sampled_from([_CVAR_CHUNK, _CVAR_CHUNK + 1, 2 * _CVAR_CHUNK, 3 * _CVAR_CHUNK + 1]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["spread", "sparse", "chunk_edge", "last", "deficit"]),
+        alpha=st.one_of(st.just(1.0), st.floats(1e-9, 1.0)),
+        edge_offset=st.one_of(st.none(), st.integers(-2, 2)),
+    )
+    def test_matches_full_length_oracle(self, size, seed, shape, alpha, edge_offset):
+        values, probs = tail_distribution(size, seed, shape)
+        if edge_offset is not None and size > _CVAR_CHUNK:
+            # Put the alpha boundary on a chunk edge, give or take the 1e-12 tolerance.
+            edge = _CVAR_CHUNK * (1 + seed % ((size - 1) // _CVAR_CHUNK))
+            at_edge = float(np.cumsum(probs)[edge - 1]) + edge_offset * 1e-12
+            alpha = min(1.0, at_edge) if at_edge > 0 else alpha
+        order = np.random.default_rng(seed + 1).permutation(size)
+        unsorted = np.empty(size)
+        unsorted[order] = probs
+        want = oracle_cvar_sorted(values, probs, alpha)
+        assert _cvar_sorted(values, probs, alpha) == want
+        assert _cvar_sorted(values, unsorted, alpha, order) == want
 
 
 def one_restart(objective, init, cfg):
@@ -220,6 +271,15 @@ class TestTuneWalkParams:
         seed = index_to_bits(int(feas[feas.size // 3]), n)
         family = build_family(inst, seed)
         args = (inst, seed, family, CvarConfig(alpha=0.4), cfg)
+        assert tune_walk_params(*args) == oracle_tune_walk_params(*args)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1e-6])
+    def test_matches_oracle_over_several_chunks(self, rng, alpha):
+        """At n=14 the 16,384 sorted probabilities span four CVaR chunks."""
+        inst = small_3sat(rng, n=14, num_clauses=60)
+        seed = index_to_bits(int(rng.integers(1 << 14)), 14)
+        family = build_family(inst, seed)
+        args = (inst, seed, family, CvarConfig(alpha=alpha), AdamConfig(iterations=5))
         assert tune_walk_params(*args) == oracle_tune_walk_params(*args)
 
     def test_rejects_seed_other_than_family_seed(self, rng):

@@ -21,7 +21,7 @@ from cbqoa import (
 )
 from cbqoa.mixer import PermutationFamily
 from cbqoa.problems import cost_summary, index_to_bits, ising_diagonal
-from cbqoa.simulate import trotter_xy_sector_batch
+from cbqoa.simulate import _hypercube_product, hypercube_walk_state, trotter_xy_sector_batch
 
 from conftest import (
     adjacency_dense,
@@ -223,6 +223,21 @@ class TestWalkKernelIdentity:
             walk = WalkParams(time=rng.uniform(-3, 3), sharpness=rng.uniform(-4, 4))
             state = cbqoa_initial_state(inst, seed, walk, family=family)
             assert np.array_equal(state, oracle_walk_state(seed, family, walk, 3))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_hypercube_state_matches_oracle(self, rng, n):
+        """i^popcount(x xor z) times the real product is the Kronecker product, and
+        the product squared is its |amplitude|^2, bit for bit (t = 0 included)."""
+        family = hypercube_family(rng.uniform(0.05, 0.95, size=n))
+        size = 1 << n
+        for time in (0.0, *rng.uniform(-3, 3, size=4)):
+            bits = rng.integers(0, 2, size=n)
+            walk = WalkParams(time=float(time), sharpness=float(rng.uniform(-4, 4)))
+            weights = family.weights(walk.sharpness)
+            want = oracle_walk_state(bits, family, walk, 3)
+            assert np.array_equal(hypercube_walk_state(bits, weights, walk.time), want)
+            product = _hypercube_product(bits, weights, walk.time, np.empty(size), np.empty(size))
+            assert np.array_equal(product**2, np.abs(want) ** 2)
 
     def test_sector_batch_matches_full_walk(self, rng):
         """Each column of the sector sweep is ctqw_trotter_xy from the seed, restricted."""
