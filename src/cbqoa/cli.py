@@ -146,18 +146,23 @@ def _write_atomic(path: Path, text: str) -> None:
 def _claim_records(records_dir: Path, settings: dict) -> None:
     """Tie records_dir to the settings its records are made with.
 
-    The first run writes them to config.json; a run with other settings would
-    reuse records that those settings did not make, so it is refused.
+    config.json holds the settings of the records in records_dir. A run with
+    other settings would reuse records that those settings did not make, so
+    it is refused while any record is there; a directory without records
+    takes the new settings.
     """
     path = records_dir / "config.json"
     text = json.dumps(settings, sort_keys=True, indent=1) + "\n"
-    if not path.exists():
-        _write_atomic(path, text)
-    elif path.read_text(encoding="utf-8") != text:
+    stored = path.read_text(encoding="utf-8") if path.exists() else None
+    if stored == text:
+        return
+    records = (_read_record(p) for p in records_dir.glob("*_p*.json"))
+    if stored is not None and any(record is not None for record in records):
         raise ValueError(
             f"{records_dir} holds records made with other settings ({path.name}); "
             "use another --out"
         )
+    _write_atomic(path, text)
 
 
 def cmd_bench(args) -> int:
@@ -169,8 +174,9 @@ def cmd_bench(args) -> int:
     records_dir = out / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
     config = _pipeline_config(args)
-    settings = {"depth": args.depth, "base_seed": args.seed, "pipeline": asdict(config)}
-    _claim_records(records_dir, settings)
+    # An instance's seed derives from --seed and its position in paths; the
+    # record file name keys the depth.
+    _claim_records(records_dir, {"instances": [p.stem for p in paths], "pipeline": asdict(config)})
 
     record_paths = [records_dir / f"{path.stem}_p{args.depth}.json" for path in paths]
     done = {p: r for p in record_paths if (r := _read_record(p)) is not None}

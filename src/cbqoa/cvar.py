@@ -128,28 +128,22 @@ def _cvar_sorted(
     BLAS path whose sum can differ in the last bits.)
     """
     target = alpha - 1e-12
-    if order is None and probs.size <= _CVAR_CHUNK:
-        head = np.ascontiguousarray(probs)
-        cum = np.cumsum(head)
-        j = min(int(np.searchsorted(cum, target)), values.size - 1)
-        before = float(cum[j - 1]) if j > 0 else 0.0
-    else:
-        chunks, before = [], 0.0  # before: the mass of every chunk already read
-        for start in range(0, values.size, _CVAR_CHUNK):
-            stop = min(start + _CVAR_CHUNK, values.size)
-            chunk = probs[start:stop] if order is None else probs[order[start:stop]]
-            chunks.append(np.ascontiguousarray(chunk))
-            cum = chunks[-1].copy()
-            cum[0] += before  # the carry joins the sequential sum in its place
-            np.cumsum(cum, out=cum)
-            k = int(np.searchsorted(cum, target))
-            if k < cum.size or stop == values.size:
-                j = min(start + k, values.size - 1)
-                k = j - start
-                before = float(cum[k - 1]) if k > 0 else before
-                break
-            before = float(cum[-1])
-        head = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    chunks, before = [], 0.0  # before: the mass of every chunk already read
+    for start in range(0, values.size, _CVAR_CHUNK):
+        stop = min(start + _CVAR_CHUNK, values.size)
+        chunk = probs[start:stop] if order is None else probs[order[start:stop]]
+        chunks.append(np.ascontiguousarray(chunk))
+        cum = chunks[-1].copy()
+        cum[0] += before  # the carry joins the sequential sum in its place
+        np.cumsum(cum, out=cum)
+        k = int(np.searchsorted(cum, target))
+        if k < cum.size or stop == values.size:
+            j = min(start + k, values.size - 1)
+            k = j - start
+            before = float(cum[k - 1]) if k > 0 else before
+            break
+        before = float(cum[-1])
+    head = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     below = float(np.dot(head[:j], values[:j]))
     boundary = alpha - before
     return (below + boundary * float(values[j])) / alpha

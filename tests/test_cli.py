@@ -224,7 +224,11 @@ class TestBench:
         assert main(args + ["--out", str(out), "--workers", "2"]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
-    @pytest.mark.parametrize("flag, value", [("--bins", "61"), ("--seed", "10"), ("--depth", "1")])
+    @staticmethod
+    def _snapshot(records):
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
+
+    @pytest.mark.parametrize("flag, value", [("--bins", "61"), ("--seed", "10")])
     def test_rerun_with_other_settings_exits_2(self, tmp_path, capsys, flag, value):
         """Records made under other settings are never reused, nor touched."""
         instances = make_instances(tmp_path, count=1)
@@ -232,15 +236,60 @@ class TestBench:
         args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
         assert main(args) == EXIT_OK
         records = out / "records"
-        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
+        before = self._snapshot(records)
         capsys.readouterr()
         assert main(args + [flag, value]) == EXIT_USAGE
         assert str(records) in capsys.readouterr().err
-        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
-        assert after == before
+        assert self._snapshot(records) == before
         assert main(args) == EXIT_OK
-        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in records.iterdir()}
-        assert after == before
+        assert self._snapshot(records) == before
+
+    def test_instance_sorting_first_exits_2(self, tmp_path):
+        """A new first instance shifts every later instance's seed, so old records are refused."""
+        instances = make_instances(tmp_path, count=1)
+        out = tmp_path / "shifted"
+        args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
+        assert main(args) == EXIT_OK
+        records = out / "records"
+        before = self._snapshot(records)
+        existing = next(instances.glob("*.json")).stem
+        rng = np.random.default_rng(5)
+        while instance_id(extra := small_bisection(rng, n=6)) >= existing:
+            pass
+        save_instance(extra, instances / f"{instance_id(extra)}.json")
+        assert main(args) == EXIT_USAGE
+        assert self._snapshot(records) == before
+
+    def test_depth_sweep_shares_records_dir(self, tmp_path):
+        """Record file names key the depth, so depths may share one --out."""
+        instances = make_instances(tmp_path, count=1)
+        out = tmp_path / "sweep"
+        args = ["bench", str(instances), "--out", str(out)] + PIPELINE_FLAGS
+        assert main(args + ["--depth", "0"]) == EXIT_OK
+        depth_0 = (out / "results.csv").read_bytes()
+        assert main(args + ["--depth", "1"]) == EXIT_OK
+        assert len(list((out / "records").glob("*_p[01].json"))) == 2
+        assert main(args + ["--depth", "0"]) == EXIT_OK
+        assert (out / "results.csv").read_bytes() == depth_0
+
+    def test_settings_change_without_records_is_accepted(self, tmp_path, monkeypatch):
+        """A run whose every job failed leaves no record, so a rerun may change settings."""
+        import cbqoa.bench as bench_mod
+
+        instances = make_instances(tmp_path, count=2)
+        args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
+        assert main(args + ["--out", str(tmp_path / "whole")]) == EXIT_OK
+        out = tmp_path / "failed"
+        original = bench_mod.run_pipeline
+
+        def fail(*a, **kw):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(bench_mod, "run_pipeline", fail)
+        assert main(args + ["--out", str(out), "--bins", "61"]) == EXIT_INTERNAL
+        monkeypatch.setattr(bench_mod, "run_pipeline", original)
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
     @pytest.mark.parametrize("value", ["two", "1.5", ""])
     def test_bad_workers_variable_exits_2(self, tmp_path, monkeypatch, value):
