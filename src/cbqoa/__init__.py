@@ -22,25 +22,15 @@ from .bench import (
 from .cvar import AdamConfig, CvarConfig, cvar_discrete, tune_ansatz_params, tune_walk_params
 from .errors import CapacityError, DegenerateInstanceError
 from .fast_sim import bin_costs, binned_distribution, eta_from_state, evolve_binned
-from .mixer import (
-    PermutationFamily,
-    WalkParams,
-    bit_flip,
-    build_family,
-    transposition,
-    verify_assumption,
-)
+from .mixer import PermutationFamily, WalkParams, bit_flip, build_family, transposition
 from .problems import (
     Max3SatInstance,
     MaxBisectionInstance,
     approx_ratio_beta,
-    brute_force_optimum,
-    evaluate_cost,
     feasible_indices,
     instance_id,
     is_feasible,
     load_instance,
-    mean_feasible_cost,
     save_instance,
 )
 from .seeds import SdpConfig

@@ -64,22 +64,6 @@ def random_max3sat(
     return Max3SatInstance(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def random_satisfiable_max3sat(
-    rng: np.random.Generator, num_vars: int = 10, num_clauses: int = 40
-) -> Max3SatInstance:
-    """Unit-weight exactly-3-literal instance satisfied by a planted assignment."""
-    planted = rng.integers(0, 2, size=num_vars)
-    clauses = []
-    for _ in range(num_clauses):
-        variables = rng.choice(num_vars, size=3, replace=False) + 1
-        negate = rng.integers(0, 2, size=3)
-        pin = int(rng.integers(0, 3))
-        negate[pin] = 1 - planted[variables[pin] - 1]  # that literal agrees with planted
-        labels = [int(v + num_vars) if neg else int(v) for v, neg in zip(variables, negate)]
-        clauses.append((*labels, 1.0))
-    return Max3SatInstance(num_vars=num_vars, clauses=tuple(clauses))
-
-
 def random_max_bisection(
     rng: np.random.Generator, num_vertices: int = 12, edge_prob: float = 0.5
 ) -> MaxBisectionInstance:
@@ -302,6 +286,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.seed_trials is not None and not 1 <= self.seed_trials <= self.rounding_trials:
             raise ValueError("seed_trials must be in [1, rounding_trials]")
+        if self.repetitions is not None and self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
 
 
 def _algorithm_order(problem: str, depth: int) -> list[str]:
@@ -383,7 +369,9 @@ def _run_pipeline_inner(
         raise ValueError("depth must be >= 0")
     start = time.perf_counter()
     thresholds = default_thresholds(instance.kind)
-    reps = config.repetitions or default_repetitions(instance.kind)
+    reps = config.repetitions
+    if reps is None:
+        reps = default_repetitions(instance.kind)
     summary = cost_summary(instance)
     betas_table = beta_values(instance, summary)
     circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)

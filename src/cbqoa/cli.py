@@ -30,6 +30,13 @@ EXIT_GUARDED = 3
 EXIT_INTERNAL = 4
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {count}")
+    return count
+
+
 def _derive_seed(base: int, index: int) -> int:
     """Stable per-instance seed from the base seed and instance position."""
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
@@ -301,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     benchp.add_argument("instances")
     benchp.add_argument("--out", required=True)
     # argparse converts a string default with `type`, so a bad CBQOA_WORKERS is a usage error.
-    benchp.add_argument("--workers", type=int, default=os.environ.get("CBQOA_WORKERS", "1"))
+    benchp.add_argument(
+        "--workers", type=_worker_count, default=os.environ.get("CBQOA_WORKERS", "1")
+    )
     add_pipeline_flags(benchp)
     benchp.set_defaults(func=cmd_bench)
 

@@ -20,9 +20,8 @@ run, so the tuned parameters and traces do not depend on the batching.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,18 +69,6 @@ class AdamConfig:
             raise ValueError("iterations must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-
-def write_trace_csv(trace: Iterable[tuple], path) -> None:
-    """Write an optimizer trace as CSV rows of (restart, iteration, cvar)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        rows = list(trace)
-        if rows and len(rows[0]) == 2:
-            writer.writerow(["iteration", "cvar"])
-        else:
-            writer.writerow(["restart", "iteration", "cvar"])
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +295,7 @@ def tune_ansatz_params(
 
     def objective(x: np.ndarray) -> float:
         params = AnsatzParams(betas=tuple(x[:depth]), gammas=tuple(x[depth:]))
-        evolved = evolve_binned(base, binning, params)
-        probs = np.abs(evolved.coeffs) ** 2
+        probs = np.abs(evolve_binned(base, binning, params)) ** 2
         return _cvar_sorted(binning.bin_costs, probs, cvar_cfg.alpha)
 
     rng = np.random.default_rng(adam_cfg.rng_seed)

@@ -32,24 +32,6 @@ class CostBinning:
     def width(self) -> float:
         return (self.upper - self.lower) / self.num_bins
 
-    def binned_diagonal(self, size: int) -> np.ndarray:
-        """Dense diagonal with every support cost replaced by its bin midpoint."""
-        diag = np.zeros(size, dtype=np.float64)
-        diag[self.support] = self.bin_costs[self.bin_index]
-        return diag
-
-
-@dataclass(frozen=True)
-class BinnedState:
-    """Bin-coefficient representation of a state: |phi> = sum_j coeffs_j |psi_j>."""
-
-    base: np.ndarray  # nonnegative bin amplitudes of the initial state
-    coeffs: np.ndarray  # current complex coefficients
-
-    def __post_init__(self):
-        if self.base.shape != self.coeffs.shape:
-            raise ValueError("base and coeffs must have the same length")
-
 
 def bin_costs(cost_diagonal: np.ndarray, support: np.ndarray, num_bins: int) -> CostBinning:
     """Partition the support's cost values into num_bins uniform bins.
@@ -79,37 +61,38 @@ def bin_costs(cost_diagonal: np.ndarray, support: np.ndarray, num_bins: int) -> 
     )
 
 
-def eta_from_state(psi: np.ndarray, binning: CostBinning) -> BinnedState:
-    """Bin amplitudes of a normalized state: sqrt of the probability per bin."""
+def eta_from_state(psi: np.ndarray, binning: CostBinning) -> np.ndarray:
+    """Bin amplitudes of a normalized state: sqrt of the probability per bin.
+
+    These real amplitudes are the base of the layer recursion: the state is
+    sum_j base_j |psi_j>, with |psi_j> the normalized part of psi in bin j.
+    """
     probs = np.abs(psi[binning.support]) ** 2
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"state mass on the binned support is {total}, expected 1")
     per_bin = np.bincount(binning.bin_index, weights=probs, minlength=binning.num_bins)
-    base = np.sqrt(per_bin)
-    return BinnedState(base=base, coeffs=base.astype(np.complex128))
+    return np.sqrt(per_bin)
 
 
-def evolve_binned(
-    binned: BinnedState, binning: CostBinning, params: AnsatzParams
-) -> BinnedState:
-    """Apply the layer recursion for every (gamma, beta) pair.
+def evolve_binned(base: np.ndarray, binning: CostBinning, params: AnsatzParams) -> np.ndarray:
+    """Bin coefficients after every (gamma, beta) layer, starting from coeffs = base.
 
     coeffs_j <- coeffs_j * e^{-i c_j gamma} + (e^{-i beta} - 1) * base_j * S,
     with S = sum_k base_k * coeffs_k * e^{-i c_k gamma} shared across bins.
     """
-    if binned.base.size != binning.num_bins:
-        raise ValueError("binned state does not match binning size")
-    coeffs = binned.coeffs.copy()
+    if base.size != binning.num_bins:
+        raise ValueError("bin amplitudes do not match binning size")
+    coeffs = base.astype(np.complex128)
     for beta, gamma in zip(params.betas, params.gammas):
         phased = coeffs * np.exp(-1j * gamma * binning.bin_costs)
-        shared = np.dot(binned.base, phased)
-        coeffs = phased + (np.exp(-1j * beta) - 1.0) * shared * binned.base
-    return BinnedState(base=binned.base, coeffs=coeffs)
+        shared = np.dot(base, phased)
+        coeffs = phased + (np.exp(-1j * beta) - 1.0) * shared * base
+    return coeffs
 
 
-def binned_distribution(binned: BinnedState, binning: CostBinning) -> list[tuple[float, float]]:
+def binned_distribution(coeffs: np.ndarray, binning: CostBinning) -> list[tuple[float, float]]:
     """Probability of each bin midpoint cost: (cost, |coeff|^2) pairs."""
-    probs = np.abs(binned.coeffs) ** 2
+    probs = np.abs(coeffs) ** 2
     return [(float(c), float(p)) for c, p in zip(binning.bin_costs, probs)]
 

@@ -10,20 +10,10 @@ drift toward better neighbors for positive sharpness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from .errors import CapacityError
-from .problems import (
-    ProblemInstance,
-    _cost_block,
-    as_bits,
-    bits_to_index,
-    feasible_indices,
-    is_feasible,
-)
-
-MAX_VERIFY_VARS = 14
+from .problems import ProblemInstance, _cost_block, as_bits, bits_to_index, is_feasible
 
 
 @dataclass(frozen=True)
@@ -151,73 +141,3 @@ def build_family(instance: ProblemInstance, z) -> PermutationFamily:
         n=n, permutations=tuple(perms), cost_gains=gains, seed=tuple(int(b) for b in bits)
     )
 
-
-@dataclass
-class AssumptionReport:
-    """Outcome of checking the structural conditions on a permutation family."""
-
-    order_two: bool
-    closure: bool
-    connected: bool
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.order_two and self.closure and self.connected
-
-
-def verify_assumption(instance: ProblemInstance, family: PermutationFamily) -> AssumptionReport:
-    """Check order-2, closure of F under each permutation, and connectivity of F.
-
-    Connectivity is established by breadth-first search over the feasible set
-    using the permutations as edge generators. A walk from F can leave F only
-    through a permutation that maps a feasible string outside F, which the
-    closure check reports.
-    """
-    n = instance.n
-    if n > MAX_VERIFY_VARS:
-        raise CapacityError(f"assumption check supports n <= {MAX_VERIFY_VARS}, got {n}")
-    failures: list[str] = []
-
-    all_indices = np.arange(1 << n, dtype=np.int64)
-    order_two = True
-    for tau in family.permutations:
-        once = permute_indices(tau, all_indices, n)
-        if np.array_equal(once, all_indices):
-            order_two = False
-            failures.append(f"{tau} is the identity")
-        elif not np.array_equal(permute_indices(tau, once, n), all_indices):
-            order_two = False
-            failures.append(f"{tau} is not an involution")
-
-    feas = feasible_indices(instance)
-    feas_mask = np.zeros(1 << n, dtype=bool)
-    feas_mask[feas] = True
-
-    closure = True
-    for tau in family.permutations:
-        images = permute_indices(tau, feas, n)
-        if not feas_mask[images].all():
-            closure = False
-            failures.append(f"{tau} maps a feasible string outside F")
-
-    # BFS over F with the family as the edge generator.
-    reached = np.zeros(1 << n, dtype=bool)
-    frontier = np.array([feas[0]], dtype=np.int64)
-    reached[frontier] = True
-    while frontier.size:
-        nxt = []
-        for tau in family.permutations:
-            images = permute_indices(tau, frontier, n)
-            fresh = images[~reached[images]]
-            if fresh.size:
-                reached[fresh] = True
-                nxt.append(fresh)
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.array([], dtype=np.int64)
-    connected = bool(reached[feas].all())
-    if not connected:
-        failures.append("feasible set is not connected under the family")
-
-    return AssumptionReport(
-        order_two=order_two, closure=closure, connected=connected, failures=failures
-    )

@@ -68,13 +68,6 @@ def bits_to_index(bits) -> int:
     return index
 
 
-def index_to_bits(index: int, n: int) -> np.ndarray:
-    """Bit string of a basis index (bit 1 = most significant)."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"index {index} out of range for {n} bits")
-    return ((index >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-
-
 def bits_to_str(bits) -> str:
     return "".join(str(int(b)) for b in as_bits(bits))
 
@@ -253,13 +246,6 @@ def _literal_values(indices: np.ndarray, label: int, n: int) -> np.ndarray:
     return 1.0 - _bit_column(indices, label - n, n)
 
 
-def evaluate_cost(instance: ProblemInstance, x) -> float:
-    """Cost f(x); defined by the same polynomial on every string, feasible or not."""
-    bits = as_bits(x, instance.n)
-    index = np.array([bits_to_index(bits)], dtype=np.int64)
-    return float(_cost_block(instance, index)[0])
-
-
 def _cost_block(instance: ProblemInstance, indices: np.ndarray) -> np.ndarray:
     n = instance.n
     total = np.zeros(indices.shape, dtype=np.float64)
@@ -320,17 +306,6 @@ def cost_summary(instance: ProblemInstance) -> CostSummary:
         optimum_value=float(values[best]),
         mean_value=float(values.mean()),
     )
-
-
-def brute_force_optimum(instance: ProblemInstance) -> tuple[np.ndarray, float]:
-    """Lexicographically-smallest minimizer of the cost over F, with its value."""
-    summary = cost_summary(instance)
-    return index_to_bits(summary.optimum_index, instance.n), summary.optimum_value
-
-
-def mean_feasible_cost(instance: ProblemInstance) -> float:
-    """Average cost of a uniformly random feasible string."""
-    return cost_summary(instance).mean_value
 
 
 def _quality_ratio(summary: CostSummary, costs):

@@ -83,17 +83,21 @@ def _clause_arrays(instance: Max3SatInstance):
     return rows, signs, weights
 
 
-def _kz_relaxed_values(V: np.ndarray, rows, signs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-clause relaxed values min(1, r1, r2, r3) and the stacked candidates."""
+# Literal slots (f, g, h) of the three pairing expressions (v0 + l_f) . (l_g + l_h).
+_PAIRINGS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _kz_relaxed_values(V: np.ndarray, rows, signs):
+    """Per-clause relaxed values min(1, r1, r2, r3), the stacked candidates, and
+    each pairing's (v0 + l_f, l_g + l_h) rows."""
     lit = signs[:, :, None] * V[rows]  # (clauses, 3, dim)
-    v0 = V[0]
     r = np.empty((3, rows.shape[0]), dtype=np.float64)
-    for m, (f, g, h) in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
-        first = v0 + lit[:, f]
-        second = lit[:, g] + lit[:, h]
-        r[m] = (4.0 - np.einsum("cd,cd->c", first, second)) / 4.0
+    sums = []
+    for m, (f, g, h) in enumerate(_PAIRINGS):
+        sums.append((V[0] + lit[:, f], lit[:, g] + lit[:, h]))
+        r[m] = (4.0 - np.einsum("cd,cd->c", *sums[-1])) / 4.0
     candidates = np.vstack([np.ones(rows.shape[0]), r])
-    return candidates.min(axis=0), candidates
+    return candidates.min(axis=0), candidates, sums
 
 
 class _AdamAscent:
@@ -137,14 +141,13 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
 
     rows, signs, weights = _clause_arrays(instance)
     total_weight = float(weights.sum())
-    pairings = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
 
     best_obj = -np.inf
     best_V = V.copy()
     history = []
     for _ in range(cfg.iterations):
-        values, candidates = _kz_relaxed_values(V, rows, signs)
+        values, candidates, sums = _kz_relaxed_values(V, rows, signs)
         obj = float(np.dot(weights, values))
         if obj > best_obj:
             best_obj = obj
@@ -155,16 +158,13 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
 
         active = np.argmin(candidates, axis=0)  # 0 = clamped at 1, zero gradient
         grad = np.zeros_like(V)
-        lit = signs[:, :, None] * V[rows]
-        for m, (f, g, h) in enumerate(pairings, start=1):
+        for m, ((f, g, h), (first, second)) in enumerate(zip(_PAIRINGS, sums), start=1):
             mask = active == m
             if not mask.any():
                 continue
             w = weights[mask, None]
-            first = V[0] + lit[mask, f]
-            second = lit[mask, g] + lit[mask, h]
-            d_first = -w * second / 4.0
-            d_second = -w * first / 4.0
+            d_first = -w * second[mask] / 4.0
+            d_second = -w * first[mask] / 4.0
             grad[0] += d_first.sum(axis=0)
             np.add.at(grad, rows[mask, f], signs[mask, f, None] * d_first)
             np.add.at(grad, rows[mask, g], signs[mask, g, None] * d_second)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mixer import PermutationFamily, WalkParams, build_family
+from .mixer import PermutationFamily, WalkParams, build_family, permute_indices
 from .problems import (
     ProblemInstance,
     as_bits,
@@ -80,15 +80,6 @@ def apply_phase_separator(state: np.ndarray, cost_diagonal: np.ndarray, gamma: f
     return state * np.exp(-1j * gamma * cost_diagonal)
 
 
-def _xy_index_pairs(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with (bit_a, bit_b) = (0, 1) and their (1, 0) partners."""
-    place_a = 1 << (n - a)
-    place_b = 1 << (n - b)
-    indices = np.arange(1 << n, dtype=np.int64)
-    i01 = indices[((indices & place_a) == 0) & ((indices & place_b) != 0)]
-    return i01, i01 + place_a - place_b
-
-
 def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, isin2: np.ndarray, steps: int) -> None:
     """Apply `steps` rounds of XY rotations in place to every column of amps.
 
@@ -119,10 +110,9 @@ def _trotter_plan(family: PermutationFamily, sector: bool) -> tuple[np.ndarray, 
     position[rows] = np.arange(rows.size)
     plan = []
     for idx, tau in enumerate(family.permutations):
-        a, b = sorted(tau.indices)
-        i01, i10 = _xy_index_pairs(n, a, b)
-        keep = position[i01] >= 0
-        plan.append((position[i01[keep]], position[i10[keep]], idx))
+        place_a, place_b = (1 << (n - i) for i in sorted(tau.indices))
+        i01 = rows[((rows & place_a) == 0) & ((rows & place_b) != 0)]
+        plan.append((position[i01], position[permute_indices(tau, i01, n)], idx))
     return rows, tuple(plan)
 
 

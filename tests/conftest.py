@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
@@ -17,11 +18,26 @@ from cbqoa import (
 )
 from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP
 from cbqoa.errors import CapacityError
+from cbqoa.fast_sim import CostBinning
 from cbqoa.mixer import permute_indices
-from cbqoa.problems import ProblemInstance, as_bits, bits_to_str, cost_summary, index_to_bits
-from cbqoa.simulate import _xy_index_pairs
+from cbqoa.problems import ProblemInstance, as_bits, bits_to_str, cost_summary, feasible_indices
 
 MAX_DENSE_ADJACENCY_VARS = 12
+MAX_VERIFY_VARS = 14
+
+
+def index_to_bits(index: int, n: int) -> np.ndarray:
+    """Bit string of a basis index (bit 1 = most significant)."""
+    if not 0 <= index < (1 << n):
+        raise ValueError(f"index {index} out of range for {n} bits")
+    return ((index >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def binned_diagonal(binning: CostBinning, size: int) -> np.ndarray:
+    """Dense diagonal with every support cost replaced by its bin midpoint."""
+    diag = np.zeros(size, dtype=np.float64)
+    diag[binning.support] = binning.bin_costs[binning.bin_index]
+    return diag
 
 
 def dense_unitary(hermitian: np.ndarray, t: float) -> np.ndarray:
@@ -96,6 +112,22 @@ def small_bisection(rng: np.random.Generator, n: int = 6, edge_prob: float = 0.6
     return MaxBisectionInstance(num_vertices=n, edges=edges)
 
 
+def random_satisfiable_max3sat(
+    rng: np.random.Generator, num_vars: int = 10, num_clauses: int = 40
+) -> Max3SatInstance:
+    """Unit-weight exactly-3-literal instance satisfied by a planted assignment."""
+    planted = rng.integers(0, 2, size=num_vars)
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.choice(num_vars, size=3, replace=False) + 1
+        negate = rng.integers(0, 2, size=3)
+        pin = int(rng.integers(0, 3))
+        negate[pin] = 1 - planted[variables[pin] - 1]  # that literal agrees with planted
+        labels = [int(v + num_vars) if neg else int(v) for v, neg in zip(variables, negate)]
+        clauses.append((*labels, 1.0))
+    return Max3SatInstance(num_vars=num_vars, clauses=tuple(clauses))
+
+
 def small_3sat(rng: np.random.Generator, n: int = 6, num_clauses: int = 12):
     clauses = []
     for _ in range(num_clauses):
@@ -109,6 +141,15 @@ def small_3sat(rng: np.random.Generator, n: int = 6, num_clauses: int = 12):
 # ---------------------------------------------------------------------------
 # Sequential tuning oracle: one objective call per point, one ADAM run per
 # restart. The lockstep tuner must reproduce these results exactly.
+
+
+def _xy_index_pairs(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with (bit_a, bit_b) = (0, 1) and their (1, 0) partners."""
+    place_a = 1 << (n - a)
+    place_b = 1 << (n - b)
+    indices = np.arange(1 << n, dtype=np.int64)
+    i01 = indices[((indices & place_a) == 0) & ((indices & place_b) != 0)]
+    return i01, i01 + place_a - place_b
 
 
 def oracle_walk_state(bits, family: PermutationFamily, walk: WalkParams, steps: int):
@@ -246,3 +287,78 @@ def oracle_tune_walk_params(
         inits.append(np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]))
     best, _, trace = oracle_run_restarts(objective, inits, adam_cfg)
     return float(best[0]), float(best[1]), trace
+
+
+# ---------------------------------------------------------------------------
+# Structural checks of a permutation family on the feasible set
+
+
+@dataclass
+class AssumptionReport:
+    """Outcome of checking the structural conditions on a permutation family."""
+
+    order_two: bool
+    closure: bool
+    connected: bool
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.order_two and self.closure and self.connected
+
+
+def verify_assumption(instance: ProblemInstance, family: PermutationFamily) -> AssumptionReport:
+    """Check order-2, closure of F under each permutation, and connectivity of F.
+
+    Connectivity is established by breadth-first search over the feasible set
+    using the permutations as edge generators. A walk from F can leave F only
+    through a permutation that maps a feasible string outside F, which the
+    closure check reports.
+    """
+    n = instance.n
+    if n > MAX_VERIFY_VARS:
+        raise CapacityError(f"assumption check supports n <= {MAX_VERIFY_VARS}, got {n}")
+    failures: list[str] = []
+
+    all_indices = np.arange(1 << n, dtype=np.int64)
+    order_two = True
+    for tau in family.permutations:
+        once = permute_indices(tau, all_indices, n)
+        if np.array_equal(once, all_indices):
+            order_two = False
+            failures.append(f"{tau} is the identity")
+        elif not np.array_equal(permute_indices(tau, once, n), all_indices):
+            order_two = False
+            failures.append(f"{tau} is not an involution")
+
+    feas = feasible_indices(instance)
+    feas_mask = np.zeros(1 << n, dtype=bool)
+    feas_mask[feas] = True
+
+    closure = True
+    for tau in family.permutations:
+        images = permute_indices(tau, feas, n)
+        if not feas_mask[images].all():
+            closure = False
+            failures.append(f"{tau} maps a feasible string outside F")
+
+    # BFS over F with the family as the edge generator.
+    reached = np.zeros(1 << n, dtype=bool)
+    frontier = np.array([feas[0]], dtype=np.int64)
+    reached[frontier] = True
+    while frontier.size:
+        nxt = []
+        for tau in family.permutations:
+            images = permute_indices(tau, frontier, n)
+            fresh = images[~reached[images]]
+            if fresh.size:
+                reached[fresh] = True
+                nxt.append(fresh)
+        frontier = np.unique(np.concatenate(nxt)) if nxt else np.array([], dtype=np.int64)
+    connected = bool(reached[feas].all())
+    if not connected:
+        failures.append("feasible set is not connected under the family")
+
+    return AssumptionReport(
+        order_two=order_two, closure=closure, connected=connected, failures=failures
+    )

@@ -22,7 +22,6 @@ from cbqoa import (
     apply_rank1_mixer,
     bin_costs,
     bit_flip,
-    brute_force_optimum,
     build_family,
     cbqoa_initial_state,
     ctqw_trotter_xy,
@@ -34,14 +33,22 @@ from cbqoa import (
     pogs_repeated,
     run_pipeline,
 )
-from cbqoa.bench import estimate_seed_pogs, random_max3sat, random_max_bisection, random_satisfiable_max3sat
+from cbqoa.bench import estimate_seed_pogs, random_max3sat, random_max_bisection
 from cbqoa.cvar import _cvar_sorted
 from cbqoa.mixer import PermutationFamily
-from cbqoa.problems import cost_summary, index_to_bits
+from cbqoa.problems import cost_summary
 from cbqoa.seeds import kz_round_batch, rounding_costs, solve_kz_sdp
 from cbqoa.simulate import _apply_layers
 
-from conftest import adjacency_dense, dense_unitary, random_feasible_state, random_state
+from conftest import (
+    adjacency_dense,
+    binned_diagonal,
+    dense_unitary,
+    index_to_bits,
+    random_feasible_state,
+    random_satisfiable_max3sat,
+    random_state,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -224,17 +231,17 @@ def test_criterion_5_fast_sim_equivalence():
         # substituted-cost regime: binned run must match the dense run exactly
         binning = bin_costs(summary.diagonal, feas, 750)
         fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-        dense = _apply_layers(psi.copy(), psi, binning.binned_diagonal(summary.diagonal.size), params)
+        dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, summary.diagonal.size), params)
         aggregated = np.bincount(
             binning.bin_index, weights=np.abs(dense[feas]) ** 2, minlength=binning.num_bins
         )
-        tv = 0.5 * float(np.abs(aggregated - np.abs(fast.coeffs) ** 2).sum())
+        tv = 0.5 * float(np.abs(aggregated - np.abs(fast) ** 2).sum())
         worst_tv = max(worst_tv, tv)
 
         # true-cost regime at the default bin count: CVaR within 1% of the span
         binning2 = bin_costs(summary.diagonal, feas, 1000)
         fast2 = evolve_binned(eta_from_state(psi, binning2), binning2, params)
-        cvar_fast = _cvar_sorted(binning2.bin_costs, np.abs(fast2.coeffs) ** 2, 0.5)
+        cvar_fast = _cvar_sorted(binning2.bin_costs, np.abs(fast2) ** 2, 0.5)
         dense2 = _apply_layers(psi.copy(), psi, summary.diagonal, params)
         values = summary.diagonal[feas]
         order = np.argsort(values)
@@ -281,7 +288,7 @@ def test_criterion_6_bin_count_bound():
         errors = []
         for params, dense_cvar in zip(points, dense_cvars):
             fast = evolve_binned(base, binning, params)
-            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast.coeffs) ** 2, alpha)
+            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
             errors.append(abs(cvar_fast - dense_cvar))
         mean_err[M] = float(np.mean(errors))
         bound_unit = depth * binning.width * span / alpha  # error bound at c = 1
@@ -324,7 +331,7 @@ def test_criterion_8_kz_satisfiable_ratio():
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
         inst = random_satisfiable_max3sat(rng, num_vars=12, num_clauses=48)
-        _, optimum_cost = brute_force_optimum(inst)
+        optimum_cost = cost_summary(inst).optimum_value
         vectors = solve_kz_sdp(inst, SdpConfig(rng_seed=seed))
         assignments = kz_round_batch(vectors, np.random.default_rng(300 + seed), 10000)
         best = -float(rounding_costs(inst, assignments).min())

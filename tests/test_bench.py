@@ -16,7 +16,6 @@ from cbqoa import (
     RunRecord,
     SdpConfig,
     WalkParams,
-    brute_force_optimum,
     cbqoa_initial_state,
     export_results,
     gen_hard_instances,
@@ -27,9 +26,15 @@ from cbqoa import (
 )
 from cbqoa.bench import estimate_seed_pogs
 from cbqoa.errors import DegenerateInstanceError
-from cbqoa.problems import beta_values, bits_to_str, cost_summary, index_to_bits
+from cbqoa.problems import beta_values, bits_to_str, cost_summary
 
-from conftest import measurement_distribution, oracle_tune_walk_params, small_3sat, small_bisection
+from conftest import (
+    index_to_bits,
+    measurement_distribution,
+    oracle_tune_walk_params,
+    small_3sat,
+    small_bisection,
+)
 
 FAST_PIPELINE = PipelineConfig(
     rounding_trials=400,
@@ -43,13 +48,13 @@ FAST_PIPELINE = PipelineConfig(
 class TestPogsExact:
     def test_point_mass_at_optimum(self, rng):
         inst = small_bisection(rng, n=6)
-        best, _ = brute_force_optimum(inst)
+        best = index_to_bits(cost_summary(inst).optimum_index, inst.n)
         assert pogs_exact({bits_to_str(best): 1.0}, inst, 1.0) == 1.0
         assert pogs_exact({bits_to_str(best): 1.0}, inst, 0.3) == 1.0
 
     def test_threshold_above_one_gives_zero(self, rng):
         inst = small_bisection(rng, n=6)
-        best, _ = brute_force_optimum(inst)
+        best = index_to_bits(cost_summary(inst).optimum_index, inst.n)
         assert pogs_exact({bits_to_str(best): 1.0}, inst, 1.5) == 0.0
 
     def test_infeasible_support_rejected(self, rng):

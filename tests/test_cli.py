@@ -118,8 +118,9 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flags",
         [["--depth", "-1"], ["--bins", "0"], ["--alpha", "0"], ["--trotter-steps", "0"],
-         ["--trials", "0"], []],
-        ids=["depth", "bins", "alpha", "trotter-steps", "trials", "degenerate-instance"],
+         ["--trials", "0"], ["--repetitions", "0"], []],
+        ids=["depth", "bins", "alpha", "trotter-steps", "trials", "repetitions",
+             "degenerate-instance"],
     )
     def test_invalid_input_exits_2(self, tmp_path, flags):
         """A bad setting, or an instance whose feasible costs are all equal."""
@@ -291,7 +292,7 @@ class TestBench:
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
-    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-1"])
     def test_bad_workers_variable_exits_2(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("CBQOA_WORKERS", value)
         with pytest.raises(SystemExit) as excinfo:

@@ -1,7 +1,5 @@
 """Lower-tail objective, the ADAM loop, and the two tuning entry points."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +17,12 @@ from cbqoa import (
     tune_walk_params,
     uniform_feasible_state,
 )
-from cbqoa.cvar import _CVAR_CHUNK, _adam_lockstep, _cvar_sorted, _rowwise, write_trace_csv
-from cbqoa.problems import cost_summary, feasible_indices, index_to_bits
+from cbqoa.cvar import _CVAR_CHUNK, _adam_lockstep, _cvar_sorted, _rowwise
+from cbqoa.problems import cost_summary, feasible_indices
 from cbqoa.simulate import _apply_layers, AnsatzParams
 
 from conftest import (
+    index_to_bits,
     oracle_adam_minimize,
     oracle_cvar_sorted,
     oracle_run_restarts,
@@ -192,15 +191,6 @@ class TestAdamMinimize:
     def test_non_finite_abort(self):
         with pytest.raises(RuntimeError):
             one_restart(lambda x: float("nan"), [0.0], AdamConfig())
-
-    def test_trace_csv(self, tmp_path):
-        _, _, trace = one_restart(lambda x: float(x[0] ** 2), [1.0], AdamConfig(iterations=5))
-        path = tmp_path / "trace.csv"
-        write_trace_csv([(it, val) for _, it, val in trace], path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "cvar"]
-        assert len(rows) == 7
 
 
 def _bumpy(x: np.ndarray) -> float:
@@ -383,7 +373,7 @@ class TestTuneAnsatzParams:
                 gammas=tuple(rng.uniform(-np.pi, np.pi, depth)),
             )
             fast = evolve_binned(base, binning, params)
-            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast.coeffs) ** 2, alpha)
+            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
             dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
             cvar_dense = _cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)
             assert abs(cvar_fast - cvar_dense) <= bound

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbqoa import (
     AnsatzParams,
@@ -19,7 +21,7 @@ from cbqoa.cvar import _cvar_sorted
 from cbqoa.problems import cost_summary
 from cbqoa.simulate import _apply_layers, basis_state
 
-from conftest import small_3sat, small_bisection
+from conftest import binned_diagonal, random_feasible_state, small_3sat, small_bisection
 
 
 def walked_state(rng, inst, seed):
@@ -69,26 +71,26 @@ class TestEtaFromState:
         feas = feasible_indices(inst)
         binning = bin_costs(diag, feas, 10)
         state = basis_state(6, "000111")
-        binned = eta_from_state(state, binning)
+        base = eta_from_state(state, binning)
         bin_of_seed = binning.bin_index[np.where(feas == 7)[0][0]]
         expected = np.zeros(10)
         expected[bin_of_seed] = 1.0
-        np.testing.assert_allclose(binned.base, expected)
+        np.testing.assert_allclose(base, expected)
 
     def test_uniform_split(self):
         diag = np.array([0.0, 0.0, 10.0, 10.0])
         binning = bin_costs(diag, np.arange(4), 2)
         state = np.full(4, 0.5, dtype=np.complex128)
-        binned = eta_from_state(state, binning)
-        np.testing.assert_allclose(binned.base, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        base = eta_from_state(state, binning)
+        np.testing.assert_allclose(base, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_unit_mass(self, rng):
         inst = small_bisection(rng, n=8)
         feas = feasible_indices(inst)
         binning = bin_costs(cost_summary(inst).diagonal, feas, 17)
         state = walked_state(rng, inst, "00001111")
-        binned = eta_from_state(state, binning)
-        assert np.sum(binned.base**2) == pytest.approx(1.0, abs=1e-10)
+        base = eta_from_state(state, binning)
+        assert np.sum(base**2) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEvolveBinned:
@@ -96,29 +98,34 @@ class TestEvolveBinned:
         inst = small_bisection(rng, n=6)
         feas = feasible_indices(inst)
         binning = bin_costs(cost_summary(inst).diagonal, feas, 12)
-        binned = eta_from_state(walked_state(rng, inst, "000111"), binning)
-        out = evolve_binned(binned, binning, AnsatzParams.zeros(4))
-        np.testing.assert_allclose(out.coeffs, binned.coeffs)
+        base = eta_from_state(walked_state(rng, inst, "000111"), binning)
+        out = evolve_binned(base, binning, AnsatzParams.zeros(4))
+        np.testing.assert_allclose(out, base)
 
     def test_depth_zero_identity(self, rng):
         inst = small_bisection(rng, n=6)
         feas = feasible_indices(inst)
         binning = bin_costs(cost_summary(inst).diagonal, feas, 12)
-        binned = eta_from_state(walked_state(rng, inst, "000111"), binning)
-        out = evolve_binned(binned, binning, AnsatzParams(betas=(), gammas=()))
-        np.testing.assert_allclose(out.coeffs, binned.coeffs)
+        base = eta_from_state(walked_state(rng, inst, "000111"), binning)
+        out = evolve_binned(base, binning, AnsatzParams(betas=(), gammas=()))
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, base)
 
     def test_unitarity_each_layer(self, rng):
         inst = small_3sat(rng, n=8, num_clauses=20)
         feas = feasible_indices(inst)
         binning = bin_costs(cost_summary(inst).diagonal, feas, 64)
-        binned = eta_from_state(walked_state(rng, inst, "00110011"), binning)
-        for _ in range(6):
-            beta, gamma = rng.uniform(-np.pi, np.pi, 2)
-            binned = evolve_binned(
-                binned, binning, AnsatzParams(betas=(float(beta),), gammas=(float(gamma),))
-            )
-            assert np.sum(np.abs(binned.coeffs) ** 2) == pytest.approx(1.0, abs=1e-10)
+        base = eta_from_state(walked_state(rng, inst, "00110011"), binning)
+        betas, gammas = rng.uniform(-np.pi, np.pi, (2, 6))
+        for depth in range(1, 7):
+            params = AnsatzParams(betas=betas[:depth], gammas=gammas[:depth])
+            coeffs = evolve_binned(base, binning, params)
+            assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+    def test_size_mismatch_rejected(self, rng):
+        binning = bin_costs(np.arange(4.0), np.arange(4), 3)
+        with pytest.raises(ValueError):
+            evolve_binned(np.full(4, 0.5), binning, AnsatzParams.zeros(1))
 
     def test_matches_statevector_with_binned_costs(self, rng):
         """Exact agreement when the dense simulator also phases with midpoints."""
@@ -135,14 +142,46 @@ class TestEvolveBinned:
             psi = walked_state(rng, inst, seed)
             params = random_params(rng)
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-            dense = _apply_layers(psi.copy(), psi, binning.binned_diagonal(1 << 8), params)
+            dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, 1 << 8), params)
             aggregated = np.bincount(
                 binning.bin_index,
                 weights=np.abs(dense[feas]) ** 2,
                 minlength=binning.num_bins,
             )
-            tv = 0.5 * np.abs(aggregated - np.abs(fast.coeffs) ** 2).sum()
+            tv = 0.5 * np.abs(aggregated - np.abs(fast) ** 2).sum()
             assert tv <= 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bisection=st.booleans(),
+        n=st.integers(3, 8),
+        depth=st.integers(1, 3),
+        num_bins=st.integers(1, 40),
+    )
+    def test_coefficients_match_dense_projection(self, seed, bisection, n, depth, num_bins):
+        """On midpoint costs, the dense layers keep the state in the span of the
+        per-bin parts psi_j of psi, with the binned coefficients on them."""
+        rng = np.random.default_rng(seed)
+        if bisection:
+            inst = small_bisection(rng, n=n - n % 2)
+        else:
+            inst = small_3sat(rng, n=n, num_clauses=int(rng.integers(1, 15)))
+        summary = cost_summary(inst)
+        binning = bin_costs(summary.diagonal, summary.feasible, num_bins)
+        psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
+        params = random_params(rng, depth)
+        fast = evolve_binned(eta_from_state(psi, binning), binning, params)
+        dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, psi.size), params)
+        # The projection of dense onto psi_j = (psi on bin j) / base_j, times base_j.
+        overlap = np.conj(psi[binning.support]) * dense[binning.support]
+        projected = np.bincount(binning.bin_index, overlap.real, num_bins) + 1j * np.bincount(
+            binning.bin_index, overlap.imag, num_bins
+        )
+        base = eta_from_state(psi, binning)
+        np.testing.assert_allclose(projected, base * fast, rtol=0, atol=1e-10)
+        # Equal norms and matching projections: dense has no part outside the span.
+        assert np.linalg.norm(dense) == pytest.approx(np.linalg.norm(fast), abs=1e-10)
 
     def test_exact_when_bins_separate_costs(self, rng):
         """With one cost value per bin, the per-cost distribution of the binned
@@ -170,9 +209,9 @@ class TestEvolveBinned:
         psi = walked_state(rng, inst, "00001111")
         params = random_params(rng)
         fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-        dense = _apply_layers(psi.copy(), psi, binning.binned_diagonal(1 << 8), params)
+        dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, 1 << 8), params)
         dense_probs = np.abs(dense[feas]) ** 2
-        fast_probs = np.abs(fast.coeffs) ** 2
+        fast_probs = np.abs(fast) ** 2
         # each occupied bin holds one cost, so the per-cost comparison is exact
         for j in np.unique(binning.bin_index):
             assert abs(dense_probs[binning.bin_index == j].sum() - fast_probs[j]) <= 1e-10
@@ -181,12 +220,12 @@ class TestEvolveBinned:
         inst = small_bisection(rng, n=6)
         feas = feasible_indices(inst)
         binning = bin_costs(cost_summary(inst).diagonal, feas, 9)
-        binned = evolve_binned(
+        coeffs = evolve_binned(
             eta_from_state(walked_state(rng, inst, "000111"), binning),
             binning,
             random_params(rng),
         )
-        pairs = binned_distribution(binned, binning)
+        pairs = binned_distribution(coeffs, binning)
         assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-10)
         assert [c for c, _ in pairs] == list(binning.bin_costs)
 
@@ -214,7 +253,7 @@ class TestChooseNumBins:
             M = math.ceil(3 * span * span / (alpha * epsilon))  # p (b - a)^2 / (alpha eps)
             binning = bin_costs(summary.diagonal, feas, M)
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast.coeffs) ** 2, alpha)
+            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
 
             dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
             values = summary.diagonal[feas]
@@ -242,7 +281,7 @@ class TestChooseNumBins:
                 dense_binned = np.bincount(
                     binning.bin_index, weights=dense_probs, minlength=M
                 )
-                total += 0.5 * np.abs(dense_binned - np.abs(fast.coeffs) ** 2).sum()
+                total += 0.5 * np.abs(dense_binned - np.abs(fast) ** 2).sum()
             tv_by_m.append(total / len(points))
         for small, large in zip(tv_by_m, tv_by_m[1:]):
             assert large <= small * 1.1 + 1e-12

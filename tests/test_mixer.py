@@ -10,12 +10,10 @@ from cbqoa import (
     build_family,
     feasible_indices,
     transposition,
-    verify_assumption,
 )
-from cbqoa.problems import index_to_bits
 from cbqoa.mixer import permute_indices, sigmoid_weight
 
-from conftest import adjacency_dense, small_3sat, small_bisection
+from conftest import adjacency_dense, index_to_bits, small_3sat, small_bisection, verify_assumption
 
 
 def permute_bits(tau, bits):
@@ -91,15 +89,15 @@ class TestBuildFamily:
                 assert set(images.tolist()) == set(feas.tolist())
 
     def test_cost_gains_definition(self, rng):
-        from cbqoa import evaluate_cost
-        from cbqoa.problems import as_bits
+        from cbqoa.problems import as_bits, bits_to_index, cost_summary
 
         inst = small_bisection(rng, n=6)
         seed = as_bits("010101")
         family = build_family(inst, seed)
-        fz = evaluate_cost(inst, seed)
+        diagonal = cost_summary(inst).diagonal
+        fz = diagonal[bits_to_index(seed)]
         for tau, gain in zip(family.permutations, family.cost_gains):
-            assert gain == fz - evaluate_cost(inst, permute_bits(tau, seed))
+            assert gain == fz - diagonal[bits_to_index(permute_bits(tau, seed))]
 
 
 class TestSigmoidWeight:

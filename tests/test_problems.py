@@ -11,25 +11,23 @@ from cbqoa import (
     Max3SatInstance,
     MaxBisectionInstance,
     approx_ratio_beta,
-    brute_force_optimum,
-    evaluate_cost,
     feasible_indices,
     instance_id,
     is_feasible,
     load_instance,
-    mean_feasible_cost,
     save_instance,
 )
 from cbqoa.problems import (
+    as_bits,
     bits_to_index,
     bits_to_str,
     cost_summary,
-    index_to_bits,
     instance_from_dict,
     ising_diagonal,
 )
+from cbqoa.seeds import rounding_costs
 
-from conftest import small_3sat, small_bisection
+from conftest import index_to_bits, small_3sat, small_bisection
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +61,25 @@ def all_bitstrings(n):
         yield index_to_bits(index, n)
 
 
+def cost(instance, bits):
+    """f(x) of one string, from the batch cost that scores the roundings."""
+    return float(rounding_costs(instance, as_bits(bits, instance.n)[None])[0])
+
+
 class TestEvaluateCost:
     def test_single_clause_unsatisfied(self, single_clause):
-        assert evaluate_cost(single_clause, "000") == 0.0
+        assert cost(single_clause, "000") == 0.0
 
     def test_single_clause_satisfied(self, single_clause):
-        assert evaluate_cost(single_clause, "100") == -1.0
+        assert cost(single_clause, "100") == -1.0
 
     def test_single_edge(self, single_edge):
-        assert evaluate_cost(single_edge, "01") == -1.0
-        assert evaluate_cost(single_edge, "11") == 0.0
+        assert cost(single_edge, "01") == -1.0
+        assert cost(single_edge, "11") == 0.0
 
     def test_length_mismatch(self, single_clause):
         with pytest.raises(ValueError):
-            evaluate_cost(single_clause, "0000")
+            approx_ratio_beta(single_clause, "0000")
 
     def test_sat_cost_matches_clause_oracle(self):
         """Polynomial cost equals minus the directly-counted satisfied weight."""
@@ -85,7 +88,7 @@ class TestEvaluateCost:
             inst = small_3sat(rng, n=7, num_clauses=15)
             for bits in all_bitstrings(7):
                 expected = sat_cost_oracle(inst, bits)
-                assert math.isclose(evaluate_cost(inst, bits), expected, abs_tol=1e-12)
+                assert math.isclose(cost(inst, bits), expected, abs_tol=1e-12)
 
     def test_bisection_cost_matches_cut_oracle(self):
         rng = np.random.default_rng(1)
@@ -93,11 +96,11 @@ class TestEvaluateCost:
             inst = small_bisection(rng, n=8)
             for bits in all_bitstrings(8):
                 expected = cut_cost_oracle(inst, bits)
-                assert math.isclose(evaluate_cost(inst, bits), expected, abs_tol=1e-12)
+                assert math.isclose(cost(inst, bits), expected, abs_tol=1e-12)
 
     def test_defined_on_infeasible_strings(self, single_edge):
         # same polynomial everywhere, no feasibility gate
-        assert evaluate_cost(single_edge, "11") == 0.0
+        assert cost(single_edge, "11") == 0.0
 
 
 class TestFeasibility:
@@ -130,14 +133,14 @@ class TestFeasibility:
 
 class TestOptimumAndMean:
     def test_single_clause_tiebreak(self, single_clause):
-        bits, value = brute_force_optimum(single_clause)
-        assert bits_to_str(bits) == "001"
-        assert value == -1.0
+        summary = cost_summary(single_clause)
+        assert bits_to_str(index_to_bits(summary.optimum_index, 3)) == "001"
+        assert summary.optimum_value == -1.0
 
     def test_single_edge_optimum(self, single_edge):
-        bits, value = brute_force_optimum(single_edge)
-        assert bits_to_str(bits) == "01"
-        assert value == -1.0
+        summary = cost_summary(single_edge)
+        assert bits_to_str(index_to_bits(summary.optimum_index, 2)) == "01"
+        assert summary.optimum_value == -1.0
 
     def test_matches_exhaustive_scan(self):
         """Second, independent enumeration over the feasible set."""
@@ -150,15 +153,15 @@ class TestOptimumAndMean:
             value = cut_cost_oracle(inst, bits)
             if value < best_value:
                 best_bits, best_value = bits, value
-        bits, value = brute_force_optimum(inst)
-        assert math.isclose(value, best_value, abs_tol=1e-12)
-        assert np.array_equal(bits, best_bits)
+        summary = cost_summary(inst)
+        assert math.isclose(summary.optimum_value, best_value, abs_tol=1e-12)
+        assert np.array_equal(index_to_bits(summary.optimum_index, 10), best_bits)
 
     def test_mean_single_edge(self, single_edge):
-        assert mean_feasible_cost(single_edge) == -1.0
+        assert cost_summary(single_edge).mean_value == -1.0
 
     def test_mean_single_clause(self, single_clause):
-        assert math.isclose(mean_feasible_cost(single_clause), -7.0 / 8.0, abs_tol=1e-15)
+        assert math.isclose(cost_summary(single_clause).mean_value, -7.0 / 8.0, abs_tol=1e-15)
 
     def test_mean_matches_streaming_oracle(self):
         rng = np.random.default_rng(3)
@@ -167,14 +170,14 @@ class TestOptimumAndMean:
         for bits in all_bitstrings(8):
             total += sat_cost_oracle(inst, bits)
             count += 1
-        assert math.isclose(mean_feasible_cost(inst), total / count, rel_tol=1e-12)
+        assert math.isclose(cost_summary(inst).mean_value, total / count, rel_tol=1e-12)
 
 
 class TestApproxRatio:
     def test_optimum_has_ratio_one(self):
         rng = np.random.default_rng(4)
         inst = small_3sat(rng, n=6)
-        bits, _ = brute_force_optimum(inst)
+        bits = index_to_bits(cost_summary(inst).optimum_index, 6)
         assert approx_ratio_beta(inst, bits) == 1.0
 
     def test_affine_invariance(self):
@@ -232,7 +235,7 @@ class TestIsingDiagonal:
     def test_entries_equal_cost(self, single_clause):
         diag = ising_diagonal(single_clause)
         for bits in all_bitstrings(3):
-            assert diag[bits_to_index(bits)] == evaluate_cost(single_clause, bits)
+            assert diag[bits_to_index(bits)] == cost(single_clause, bits)
 
     def test_3sat_pauli_decomposition(self):
         """Diagonal of sum_C w [ (I+B_i)(I+B_j)(I+B_k)/8 - I ] with B from Z's."""

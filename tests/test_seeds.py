@@ -3,20 +3,14 @@
 import numpy as np
 import pytest
 
-from cbqoa import (
-    Max3SatInstance,
-    MaxBisectionInstance,
-    SdpConfig,
-    brute_force_optimum,
-)
+from cbqoa import Max3SatInstance, MaxBisectionInstance, SdpConfig
 from cbqoa.bench import (
     classical_batch,
     random_max3sat,
     random_max_bisection,
-    random_satisfiable_max3sat,
 )
 from cbqoa.errors import DegenerateInstanceError
-from cbqoa.problems import approx_ratio_beta
+from cbqoa.problems import approx_ratio_beta, cost_summary
 from cbqoa.seeds import (
     UnitVectorSet,
     fl_round_batch,
@@ -28,6 +22,8 @@ from cbqoa.seeds import (
     solve_kz_sdp,
     solve_relaxation,
 )
+
+from conftest import random_satisfiable_max3sat
 
 QUICK = SdpConfig(iterations=800, rng_seed=0)
 
@@ -64,7 +60,7 @@ class TestSolveKz:
         for seed in range(5):
             rng = np.random.default_rng(seed + 50)
             inst = random_max3sat(rng, num_vars=10, num_clauses=80)
-            _, optimum_cost = brute_force_optimum(inst)
+            optimum_cost = cost_summary(inst).optimum_value
             result = solve_kz_sdp(inst, SdpConfig(rng_seed=seed))
             assert result.objective >= -optimum_cost
 
@@ -109,7 +105,7 @@ class TestKzRounding:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             inst = random_satisfiable_max3sat(rng, num_vars=10, num_clauses=40)
-            _, optimum_cost = brute_force_optimum(inst)
+            optimum_cost = cost_summary(inst).optimum_value
             result = solve_kz_sdp(inst, SdpConfig(rng_seed=seed))
             assignments = kz_round_batch(result, np.random.default_rng(seed + 100), 3000)
             best = -rounding_costs(inst, assignments).min()
@@ -143,7 +139,7 @@ class TestSolveFl:
         for entropy in (3000, 3002, 3003, 3005, 3016, 3021):
             rng = np.random.default_rng(entropy)
             inst = random_max_bisection(rng, 10, 0.5)
-            _, optimum_cost = brute_force_optimum(inst)
+            optimum_cost = cost_summary(inst).optimum_value
             result = solve_fl_sdp(inst, SdpConfig(rng_seed=1))
             assert result.objective >= -optimum_cost
 

@@ -20,12 +20,13 @@ from cbqoa import (
     transposition,
 )
 from cbqoa.mixer import PermutationFamily
-from cbqoa.problems import cost_summary, index_to_bits, ising_diagonal
+from cbqoa.problems import cost_summary, ising_diagonal
 from cbqoa.simulate import _hypercube_product, hypercube_walk_state, trotter_xy_sector_batch
 
 from conftest import (
     adjacency_dense,
     dense_unitary,
+    index_to_bits,
     measurement_distribution,
     oracle_walk_state,
     random_feasible_state,

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import cbqoa
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MAX_PUBLIC_NAMES = 50
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cbqoa"
+PERFBENCH = ROOT / "perfbench"
+MAX_PUBLIC_NAMES = 46
 
 
 def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
@@ -45,3 +47,38 @@ def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
         if not name.startswith("_") and not inspect.ismodule(value)
     ]
     assert len(public) <= MAX_PUBLIC_NAMES, f"{len(public)} root exports: {sorted(public)}"
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module refers to, leaving out each top-level definition's uses of itself."""
+    found = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            elif isinstance(node, ast.Name) and node.id != own:
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                found.add(node.attr)
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    """Test-only code lives in tests/: every public function or class of a package
+    module is used by the package or by the benchmark, not only re-exported."""
+    def parse(path: Path) -> ast.Module:
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    modules = {p: parse(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    benchmark = [parse(p) for p in sorted(PERFBENCH.glob("*.py"))]
+    used = set().union(*map(_referenced_names, [*modules.values(), *benchmark]))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert not unused, f"public definitions that src/cbqoa and perfbench/ never use: {unused}"
