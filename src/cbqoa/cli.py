@@ -16,6 +16,7 @@ import sys
 import traceback
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -193,25 +194,28 @@ def cmd_bench(args) -> int:
         if record_path not in done
     }
 
-    def finish(record_path: Path, record: RunRecord) -> None:
-        _write_atomic(record_path, record.to_json() + "\n")
-        done[record_path] = record
+    # Every job runs and every finished record is written; then the first failure is raised.
+    failures = []
+
+    def finish(record_path: Path, result: Callable[[], RunRecord]) -> None:
+        try:
+            record = result()
+        except Exception as error:
+            failures.append(error)
+        else:
+            _write_atomic(record_path, record.to_json() + "\n")
+            done[record_path] = record
 
     if args.workers > 1 and jobs:
-        failures = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = {pool.submit(_bench_one, job): p for p, job in jobs.items()}
             for future in concurrent.futures.as_completed(futures):
-                error = future.exception()
-                if error is None:
-                    finish(futures[future], future.result())
-                else:
-                    failures.append(error)
-        if failures:
-            raise failures[0]
+                finish(futures[future], future.result)
     else:
         for record_path, job in jobs.items():
-            finish(record_path, _bench_one(job))
+            finish(record_path, lambda: _bench_one(job))
+    if failures:
+        raise failures[0]
     records = [done[p] for p in record_paths]
 
     paths_out = bench.export_results(

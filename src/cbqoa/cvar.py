@@ -1,21 +1,17 @@
-"""Lower-tail cost objective and derivative-free parameter tuning.
+"""Lower-tail cost objective and gradient-based parameter tuning.
 
-The tuning objective is the mean of the lower alpha-tail of the simulated
-cost distribution (the conditional value at risk of the cost, minimized).
-Because the simulator is deterministic, gradients are taken by central finite
-differences and fed to a standard ADAM loop with random restarts; the best
-point ever evaluated is returned, so the result can never be worse than any
-restart's initialization.
-
-The restarts run in lockstep over a (restarts, params) array. Each step makes
-one batched objective call on every restart's current point plus its
-central-difference probes. The walk objective evaluates a batch of
-transposition-family walks as one product-formula sweep restricted to the
-seed's Hamming-weight sector. Hypercube walks are evaluated point by point as
-the squared real product of their per-qubit factors, in two buffers reused
-for the whole tuning. The CVaR reads the sorted probabilities only up to the
-alpha boundary. Every point's arithmetic is that of a one-point, one-restart
-run, so the tuned parameters and traces do not depend on the batching.
+The tuning objective is the mean of the lower alpha-tail of the simulated cost
+distribution (the conditional value at risk of the cost, minimized). ADAM runs
+every random restart in lockstep over a (restarts, params) array, with one
+(value, gradient) call per step, and returns the best point ever evaluated, so
+the result is never worse than any restart's initialization. For a fixed order
+of the costs the CVaR is piecewise linear in the probabilities, so the layer
+tuner back-propagates its exact gradient through the binned layer recursion.
+The walk tuner takes central differences from one batched call per step: a
+product-formula sweep in the seed's Hamming-weight sector (transpositions), or
+point by point the squared real product of the qubit factors (hypercube). Each
+walk point's arithmetic is that of a one-point run, so the tuned walk does not
+depend on the batching.
 """
 
 from __future__ import annotations
@@ -25,11 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fast_sim import bin_costs, eta_from_state, evolve_binned
+from .fast_sim import _evolve_rows, _evolve_rows_adjoint, bin_costs, eta_from_state
+from .fast_sim import evolve_binned  # noqa: F401 -- the traced benchmark run wraps it by this name
 from .mixer import PermutationFamily
 from .problems import ProblemInstance, as_bits, cost_summary, feasible_indices, is_feasible
 from .simulate import (
-    AnsatzParams,
     CircuitConfig,
     _hypercube_product,
     cbqoa_initial_state,  # noqa: F401 -- the traced benchmark run wraps it by this name
@@ -102,45 +98,46 @@ def cvar_discrete(pairs: Sequence[tuple[float, float]], alpha: float) -> float:
 _CVAR_CHUNK = 4096
 
 
-def _cvar_sorted(
-    values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
-) -> float:
-    """CVaR for values already sorted ascending (fast path for simulators).
-
-    probs is in the order of values, or, if order is given, probs[order] is.
-    The running mass is a sequential cumsum, taken one chunk at a time and
-    stopped at the alpha boundary, so only the tail in use is gathered; the
-    entries read are summed exactly as a full-length cumsum and one np.dot on
-    a contiguous copy would sum them. (np.dot on a strided view takes another
-    BLAS path whose sum can differ in the last bits.)
-    """
+def _cvar_boundary(probs: np.ndarray, alpha: float, order: np.ndarray | None = None):
+    """(j, mass before j, contiguous sorted prefix read) for the alpha boundary j; probs
+    is sorted, or probs[order] is. The running mass is a sequential cumsum taken one
+    chunk at a time up to the boundary, summed as a full-length one."""
     target = alpha - 1e-12
     chunks, before = [], 0.0  # before: the mass of every chunk already read
-    for start in range(0, values.size, _CVAR_CHUNK):
-        stop = min(start + _CVAR_CHUNK, values.size)
+    for start in range(0, probs.size, _CVAR_CHUNK):
+        stop = min(start + _CVAR_CHUNK, probs.size)
         chunk = probs[start:stop] if order is None else probs[order[start:stop]]
         chunks.append(np.ascontiguousarray(chunk))
         cum = chunks[-1].copy()
         cum[0] += before  # the carry joins the sequential sum in its place
         np.cumsum(cum, out=cum)
         k = int(np.searchsorted(cum, target))
-        if k < cum.size or stop == values.size:
-            j = min(start + k, values.size - 1)
+        if k < cum.size or stop == probs.size:
+            j = min(start + k, probs.size - 1)
             k = j - start
             before = float(cum[k - 1]) if k > 0 else before
             break
         before = float(cum[-1])
     head = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return j, before, head
+
+
+def _cvar_sorted(
+    values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
+) -> float:
+    """CVaR for values sorted ascending, probs in their order (or probs[order] so). Only
+    the prefix up to the alpha boundary is read, and np.dot runs on a contiguous
+    copy (on a strided view BLAS may sum in another order)."""
+    j, before, head = _cvar_boundary(probs, alpha, order)
     below = float(np.dot(head[:j], values[:j]))
-    boundary = alpha - before
-    return (below + boundary * float(values[j])) / alpha
+    return (below + (alpha - before) * float(values[j])) / alpha
 
 
 # ---------------------------------------------------------------------------
-# ADAM with finite-difference gradients, all restarts in lockstep
+# ADAM on (value, gradient) calls, all restarts in lockstep
 
-# Maps a (rows, dim) array of points to their (rows,) objective values.
-BatchObjective = Callable[[np.ndarray], np.ndarray]
+# Maps (points, with_grad) to their values and, if with_grad, their (rows, dim) gradients.
+ValueAndGrad = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
 
 
 def _improves(candidate, incumbent):
@@ -148,40 +145,43 @@ def _improves(candidate, incumbent):
     return candidate < incumbent - 1e-9 * np.maximum(1.0, np.abs(incumbent))
 
 
-def _rowwise(objective: Callable[[np.ndarray], float]) -> BatchObjective:
-    """Batch objective that calls a point objective once per row."""
-    return lambda points: np.array([objective(x) for x in points], dtype=np.float64)
+def _central_differences(objective: Callable[[np.ndarray], np.ndarray]) -> ValueAndGrad:
+    """Values and central differences from one batch objective call on the points,
+    then each coordinate's +h and -h probes."""
+
+    def value_and_grad(points: np.ndarray, with_grad: bool):
+        if not with_grad:
+            return objective(points), None
+        rows, dim = points.shape
+        probes = np.repeat(points[None], 2 * dim, axis=0)
+        for i in range(dim):
+            probes[2 * i, :, i] += FD_STEP
+            probes[2 * i + 1, :, i] -= FD_STEP
+        evaluated = objective(np.concatenate([points, *probes]))
+        up, down = evaluated[rows:].reshape(dim, 2, rows).transpose(1, 2, 0)
+        return evaluated[:rows], (up - down) / (2 * FD_STEP)
+
+    return value_and_grad
 
 
 def _adam_lockstep(
-    objective: BatchObjective, inits: np.ndarray, cfg: AdamConfig
+    value_and_grad: ValueAndGrad, inits: np.ndarray, cfg: AdamConfig
 ) -> tuple[np.ndarray, float, list[tuple[int, int, float]]]:
     """Run ADAM from every row of inits at once; keep the best point seen.
 
-    Each step makes one objective call on (1 + 2*dim) * restarts rows: every
-    restart's current point, then its central-difference probes; the last step
-    evaluates the final points alone. The arithmetic per restart is that of a
-    sequential run. Returns the best point over all restarts (an earlier
-    restart wins ties), its value, and the (restart, iteration, value) trace in
-    restart-major order.
+    Each step makes one (value, gradient) call on every restart's current point;
+    the last step asks for the values of the final points alone. The arithmetic
+    per restart is that of a sequential run. Returns the best point over all
+    restarts (an earlier restart wins ties), its value, and the (restart,
+    iteration, value) trace in restart-major order.
     """
     params = np.array(inits, dtype=np.float64)
-    restarts, dim = params.shape
-    h = FD_STEP
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    restarts = len(params)
+    m, v = np.zeros((2, *params.shape))
     values = np.empty((cfg.iterations + 1, restarts))
     best_params = params.copy()
     for t in range(cfg.iterations + 1):
-        probes = []
-        if t < cfg.iterations:
-            for i in range(dim):
-                for shift in (h, -h):
-                    probe = params.copy()
-                    probe[:, i] = params[:, i] + shift
-                    probes.append(probe)
-        evaluated = objective(np.concatenate([params, *probes]))
-        value = evaluated[:restarts]
+        value, grad = value_and_grad(params, t < cfg.iterations)
         if not np.isfinite(value).all():
             raise RuntimeError(f"objective not finite at iteration {t}, params {params}")
         values[t] = value
@@ -193,8 +193,6 @@ def _adam_lockstep(
             best_params[better] = params[better]
         if t == cfg.iterations:
             break
-        up, down = evaluated[restarts:].reshape(dim, 2, restarts).transpose(1, 2, 0)
-        grad = (up - down) / (2 * h)
         if not np.isfinite(grad).all():
             raise RuntimeError(f"non-finite gradient at iteration {t + 1}, params {params}")
         m = BETA1 * m + (1 - BETA1) * grad
@@ -225,11 +223,8 @@ def tune_walk_params(
     """Tune the walk's (time, sharpness) against the lower-tail cost of its output.
 
     The first restart starts at (0, 0) -- the point mass at the seed -- so the
-    tuned objective never exceeds the seed's own tail cost. A transposition
-    family's batch is one product-formula sweep over the seed's Hamming-weight
-    sector. A hypercube walk's probabilities are, point by point, the squared
-    real product of its qubit factors, which equals |amplitude|^2 bit for bit;
-    the CVaR gathers them in cost order only up to the alpha boundary.
+    tuned objective never exceeds the seed's own tail cost. A hypercube walk's
+    squared real product equals |amplitude|^2 bit for bit.
     """
     bits = as_bits(z, instance.n)
     if not is_feasible(instance, bits):
@@ -269,8 +264,28 @@ def tune_walk_params(
     inits = [np.zeros(2)]
     for _ in range(adam_cfg.restarts - 1):
         inits.append(np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]))
-    best, _, trace = _adam_lockstep(objective, np.array(inits), adam_cfg)
+    best, _, trace = _adam_lockstep(_central_differences(objective), np.array(inits), adam_cfg)
     return float(best[0]), float(best[1]), trace
+
+
+def _layer_objective(base: np.ndarray, costs: np.ndarray, depth: int, alpha: float):
+    """CVaR of the binned output of (betas, gammas) rows and its exact gradient: one
+    forward pass, and one adjoint pass of the CVaR's gradient over the probabilities."""
+
+    def value_and_grad(points: np.ndarray, with_grad: bool):
+        coeffs, tape = _evolve_rows(base, costs, points[:, :depth], points[:, depth:])
+        probs = np.abs(coeffs) ** 2
+        values = np.array([_cvar_sorted(costs, row, alpha) for row in probs])
+        if not with_grad:
+            return values, None
+        # lam = 2 g x, g_k = (c_k - c_j) / alpha below _cvar_sorted's boundary bin j, 0 from j on.
+        lam = np.zeros_like(coeffs)
+        for out, row, x in zip(lam, probs, coeffs):
+            j = _cvar_boundary(row, alpha)[0]
+            out[:j] = 2 * (costs[:j] - costs[j]) / alpha * x[:j]
+        return values, np.hstack(_evolve_rows_adjoint(base, costs, tape, lam))
+
+    return value_and_grad
 
 
 def tune_ansatz_params(
@@ -283,24 +298,18 @@ def tune_ansatz_params(
 ) -> tuple[tuple[float, ...], tuple[float, ...], list[tuple[int, int, float]]]:
     """Tune p layers of (beta, gamma) on top of a fixed initial state psi.
 
-    The all-zero layer parameters are the first restart, so the tuned tail cost
-    never exceeds that of psi itself. The objective runs on the binned
-    simulator's bin coefficients.
+    The objective is the binned simulator's CVaR, with its exact gradient. The all-zero
+    layers are the first restart, so the tuned tail cost never exceeds that of psi.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     summary = cost_summary(instance)
     binning = bin_costs(summary.diagonal, feasible_indices(instance), num_bins)
     base = eta_from_state(psi, binning)
-
-    def objective(x: np.ndarray) -> float:
-        params = AnsatzParams(betas=tuple(x[:depth]), gammas=tuple(x[depth:]))
-        probs = np.abs(evolve_binned(base, binning, params)) ** 2
-        return _cvar_sorted(binning.bin_costs, probs, cvar_cfg.alpha)
-
+    value_and_grad = _layer_objective(base, binning.bin_costs, depth, cvar_cfg.alpha)
     rng = np.random.default_rng(adam_cfg.rng_seed)
     inits = [np.zeros(2 * depth)]
     for _ in range(adam_cfg.restarts - 1):
         inits.append(rng.uniform(-np.pi, np.pi, size=2 * depth))
-    best, _, trace = _adam_lockstep(_rowwise(objective), np.array(inits), adam_cfg)
+    best, _, trace = _adam_lockstep(value_and_grad, np.array(inits), adam_cfg)
     return tuple(best[:depth]), tuple(best[depth:]), trace

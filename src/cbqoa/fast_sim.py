@@ -76,19 +76,45 @@ def eta_from_state(psi: np.ndarray, binning: CostBinning) -> np.ndarray:
 
 
 def evolve_binned(base: np.ndarray, binning: CostBinning, params: AnsatzParams) -> np.ndarray:
-    """Bin coefficients after every (gamma, beta) layer, starting from coeffs = base.
-
-    coeffs_j <- coeffs_j * e^{-i c_j gamma} + (e^{-i beta} - 1) * base_j * S,
-    with S = sum_k base_k * coeffs_k * e^{-i c_k gamma} shared across bins.
-    """
+    """Bin coefficients after every (gamma, beta) layer: _evolve_rows on one row."""
     if base.size != binning.num_bins:
         raise ValueError("bin amplitudes do not match binning size")
-    coeffs = base.astype(np.complex128)
-    for beta, gamma in zip(params.betas, params.gammas):
-        phased = coeffs * np.exp(-1j * gamma * binning.bin_costs)
-        shared = np.dot(base, phased)
-        coeffs = phased + (np.exp(-1j * beta) - 1.0) * shared * base
-    return coeffs
+    rows = np.array([params.betas, params.gammas], dtype=np.float64)[:, None, :]
+    return _evolve_rows(base, binning.bin_costs, *rows)[0][0]
+
+
+def _evolve_rows(base: np.ndarray, costs: np.ndarray, betas: np.ndarray, gammas: np.ndarray):
+    """The layer recursion from x_0 = base on R rows of (betas, gammas), each (R, p):
+    phi_l = D_l x_{l-1} with D_l = e^{-i gamma_l c}, S_l = base . phi_l shared across
+    bins, m_l = e^{-i beta_l} - 1 and x_l = phi_l + m_l S_l base, O(M) per layer.
+    Returns the (R, M) coefficients x_p and the tape (D_l, phi_l, S_l, m_l) per layer.
+    """
+    coeffs = np.tile(base.astype(np.complex128), (len(betas), 1))
+    tape = []
+    for beta, gamma in zip(betas.T, gammas.T):
+        phases = np.exp(-1j * gamma[:, None] * costs)
+        phi = coeffs * phases
+        shared = phi @ base
+        mix = np.exp(-1j * beta) - 1.0
+        coeffs = phi + (mix * shared)[:, None] * base
+        tape.append((phases, phi, shared, mix))
+    return coeffs, tape
+
+
+def _evolve_rows_adjoint(base: np.ndarray, costs: np.ndarray, tape: list, lam: np.ndarray):
+    """(R, p) gradients of L over betas and gammas, back through _evolve_rows' tape
+    (Jones and Gacon, arXiv:2009.02823); lam = 2 dL/d conj(x_p), so 2 g x_p for
+    L = sum_k g_k |x_k|^2. O(M) per layer, with no new exponential.
+    """
+    dbetas, dgammas = np.empty((2, len(lam), len(tape)))
+    for layer in reversed(range(len(tape))):
+        phases, phi, shared, mix = tape[layer]
+        t = lam @ base
+        dbetas[:, layer] = (np.conj(t) * (-1j * (mix + 1.0)) * shared).real
+        mu = lam + (np.conj(mix) * t)[:, None] * base
+        dgammas[:, layer] = (np.conj(mu) * (-1j * costs) * phi).real.sum(axis=1)
+        lam = np.conj(phases) * mu
+    return dbetas, dgammas
 
 
 def binned_distribution(coeffs: np.ndarray, binning: CostBinning) -> list[tuple[float, float]]:

@@ -9,12 +9,14 @@ import pytest
 
 from cbqoa import (
     AdamConfig,
+    BenchmarkSpec,
     CircuitConfig,
     CvarConfig,
     Max3SatInstance,
     MaxBisectionInstance,
     PermutationFamily,
     WalkParams,
+    gen_hard_instances,
 )
 from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP
 from cbqoa.errors import CapacityError
@@ -88,6 +90,15 @@ def random_feasible_state(rng: np.random.Generator, size: int, support: np.ndarr
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def hard_bisection_instances():
+    """The acceptance suite's ten hard Max Bisection instances (n=12)."""
+    spec = BenchmarkSpec.for_max_bisection(count=10, rng_seed=11)
+    instances, stats = gen_hard_instances(spec)
+    assert not stats.guard_tripped
+    return spec, instances
 
 
 @pytest.fixture

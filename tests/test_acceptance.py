@@ -61,14 +61,6 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def hard_bisection_instances():
-    spec = BenchmarkSpec.for_max_bisection(count=10, rng_seed=11)
-    instances, stats = gen_hard_instances(spec)
-    assert not stats.guard_tripped
-    return spec, instances
-
-
-@pytest.fixture(scope="session")
 def hard_max3sat_instances():
     spec = BenchmarkSpec.for_max3sat(count=10, rng_seed=11)
     instances, stats = gen_hard_instances(spec)

@@ -197,12 +197,21 @@ class TestBench:
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
+    def test_serial_failure_keeps_finished_records(self, tmp_path, monkeypatch):
+        """With one worker, as with several, a failed job lets every later job run."""
+        self.check_failure_keeps_finished_records(tmp_path, monkeypatch, "1")
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="workers see the injected failure only when forked from the test process",
     )
     def test_parallel_failure_keeps_finished_records(self, tmp_path, monkeypatch):
         """With workers, a failed job still lets every other job's record be written."""
+        self.check_failure_keeps_finished_records(tmp_path, monkeypatch, "2")
+
+    @staticmethod
+    def check_failure_keeps_finished_records(tmp_path, monkeypatch, workers):
+        """The first of 3 jobs fails: exit 4, the other 2 records are written, a rerun completes."""
         import cbqoa.bench as bench_mod
 
         instances = make_instances(tmp_path, count=3)
@@ -218,11 +227,11 @@ class TestBench:
             return original(instance, *a, **kw)
 
         monkeypatch.setattr(bench_mod, "run_pipeline", fail_first)
-        assert main(args + ["--out", str(out), "--workers", "2"]) == EXIT_INTERNAL
+        assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_INTERNAL
         written = sorted(p.name for p in (out / "records").glob("*_p0.json"))
         assert written == sorted(f"{p.stem}_p0.json" for p in instances.glob("*.json"))[1:]
         monkeypatch.setattr(bench_mod, "run_pipeline", original)
-        assert main(args + ["--out", str(out), "--workers", "2"]) == EXIT_OK
+        assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
     @staticmethod

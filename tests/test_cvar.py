@@ -17,7 +17,16 @@ from cbqoa import (
     tune_walk_params,
     uniform_feasible_state,
 )
-from cbqoa.cvar import _CVAR_CHUNK, _adam_lockstep, _cvar_sorted, _rowwise
+from cbqoa.cvar import (
+    FD_STEP,
+    _CVAR_CHUNK,
+    _adam_lockstep,
+    _central_differences,
+    _cvar_boundary,
+    _cvar_sorted,
+    _layer_objective,
+)
+from cbqoa.fast_sim import _evolve_rows, bin_costs, eta_from_state
 from cbqoa.problems import cost_summary, feasible_indices
 from cbqoa.simulate import _apply_layers, AnsatzParams
 
@@ -27,6 +36,7 @@ from conftest import (
     oracle_cvar_sorted,
     oracle_run_restarts,
     oracle_tune_walk_params,
+    random_feasible_state,
     small_3sat,
     small_bisection,
 )
@@ -161,9 +171,15 @@ class TestPrefixCvar:
         assert _cvar_sorted(values, unsorted, alpha, order) == want
 
 
+def row_by_row(objective):
+    """Batch objective that calls a point objective once per row."""
+    return lambda points: np.array([objective(x) for x in points], dtype=np.float64)
+
+
 def one_restart(objective, init, cfg):
-    """One ADAM run: the lockstep driver on a single restart."""
-    return _adam_lockstep(_rowwise(objective), np.asarray(init, dtype=float)[None], cfg)
+    """One ADAM run: the lockstep driver on a single restart, central differences."""
+    value_and_grad = _central_differences(row_by_row(objective))
+    return _adam_lockstep(value_and_grad, np.asarray(init, dtype=float)[None], cfg)
 
 
 class TestAdamMinimize:
@@ -210,7 +226,9 @@ class TestLockstepAdam:
     )
     def test_matches_sequential_restarts(self, rng, cfg):
         inits = [np.zeros(3)] + [rng.uniform(-2, 2, size=3) for _ in range(3)]
-        params, value, trace = _adam_lockstep(_rowwise(_bumpy), np.array(inits), cfg)
+        params, value, trace = _adam_lockstep(
+            _central_differences(row_by_row(_bumpy)), np.array(inits), cfg
+        )
         want_params, want_value, want_trace = oracle_run_restarts(_bumpy, inits, cfg)
         assert np.array_equal(params, want_params)
         assert value == want_value
@@ -232,7 +250,7 @@ class TestLockstepAdam:
             rows.append(len(points))
             return np.array([_bumpy(x) for x in points])
 
-        _adam_lockstep(objective, np.zeros((4, 2)), AdamConfig(iterations=7))
+        _adam_lockstep(_central_differences(objective), np.zeros((4, 2)), AdamConfig(iterations=7))
         assert rows == [4 * 5] * 7 + [4]
 
     def test_non_finite_row_raises(self):
@@ -242,7 +260,35 @@ class TestLockstepAdam:
             return np.where(points[:, 0] > 1.0, np.nan, -points[:, 0])
 
         with pytest.raises(RuntimeError):
-            _adam_lockstep(objective, np.array([[0.0], [0.9]]), AdamConfig(learning_rate=0.2))
+            _adam_lockstep(
+                _central_differences(objective),
+                np.array([[0.0], [0.9]]),
+                AdamConfig(learning_rate=0.2),
+            )
+
+    def test_nan_value_raises_on_the_analytic_path(self):
+        def value_and_grad(points, with_grad):
+            return np.full(len(points), np.nan), np.zeros_like(points) if with_grad else None
+
+        with pytest.raises(RuntimeError, match="objective not finite"):
+            _adam_lockstep(value_and_grad, np.zeros((2, 3)), AdamConfig(iterations=5))
+
+    def test_nan_gradient_raises_on_the_analytic_path(self):
+        def value_and_grad(points, with_grad):
+            return np.sum(points**2, axis=1), np.full_like(points, np.nan) if with_grad else None
+
+        with pytest.raises(RuntimeError, match="non-finite gradient"):
+            _adam_lockstep(value_and_grad, np.zeros((2, 3)), AdamConfig(iterations=5))
+
+    def test_last_step_asks_for_values_only(self):
+        calls = []
+
+        def value_and_grad(points, with_grad):
+            calls.append(with_grad)
+            return np.sum(points**2, axis=1), 2 * points if with_grad else None
+
+        _adam_lockstep(value_and_grad, np.ones((3, 2)), AdamConfig(iterations=4))
+        assert calls == [True] * 4 + [False]
 
 
 class TestTuneWalkParams:
@@ -382,3 +428,38 @@ class TestTuneAnsatzParams:
         inst = small_bisection(rng, n=6)
         with pytest.raises(ValueError):
             tune_ansatz_params(inst, uniform_feasible_state(inst), 0)
+
+
+class TestLayerGradient:
+    """The adjoint gradient of the binned layer CVaR against central differences."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", [small_bisection, small_3sat])
+    def test_matches_central_differences_away_from_kinks(self, make, depth, alpha):
+        rng = np.random.default_rng(100 * depth + int(10 * alpha))
+        inst = make(rng, n=8)
+        summary = cost_summary(inst)
+        binning = bin_costs(summary.diagonal, summary.feasible, 60)
+        psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
+        costs = binning.bin_costs
+        base = eta_from_state(psi, binning)
+        value_and_grad = _layer_objective(base, costs, depth, alpha)
+        h = FD_STEP / 100
+        steps = h * np.eye(2 * depth)
+        stencil = np.concatenate([np.zeros((1, 2 * depth)), steps, -steps])
+        checked = 0
+        for _ in range(200):
+            point = rng.uniform(-np.pi, np.pi, 2 * depth) + stencil
+            coeffs = _evolve_rows(base, costs, point[:, :depth], point[:, depth:])[0]
+            # On one boundary bin the CVaR is smooth; a stencil across a kink is rejected.
+            if len({_cvar_boundary(np.abs(row) ** 2, alpha)[0] for row in coeffs}) > 1:
+                continue
+            grad = value_and_grad(point[:1], True)[1][0]
+            up, down = value_and_grad(point[1:], False)[0].reshape(2, -1)
+            want = (up - down) / (2 * h)
+            assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
+            checked += 1
+            if checked == 5:
+                break
+        assert checked == 5

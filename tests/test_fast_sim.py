@@ -18,6 +18,7 @@ from cbqoa import (
     feasible_indices,
 )
 from cbqoa.cvar import _cvar_sorted
+from cbqoa.fast_sim import _evolve_rows
 from cbqoa.problems import cost_summary
 from cbqoa.simulate import _apply_layers, basis_state
 
@@ -121,6 +122,35 @@ class TestEvolveBinned:
             params = AnsatzParams(betas=betas[:depth], gammas=gammas[:depth])
             coeffs = evolve_binned(base, binning, params)
             assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+    def test_batched_rows_match_one_row_runs(self, rng):
+        """Each row of the batched pass equals evolve_binned on that row."""
+        inst = small_3sat(rng, n=8, num_clauses=20)
+        binning = bin_costs(cost_summary(inst).diagonal, feasible_indices(inst), 64)
+        base = eta_from_state(walked_state(rng, inst, "00110011"), binning)
+        for depth in (1, 3, 5):
+            betas, gammas = rng.uniform(-np.pi, np.pi, (2, 7, depth))
+            coeffs, tape = _evolve_rows(base, binning.bin_costs, betas, gammas)
+            assert coeffs.shape == (7, 64) and len(tape) == depth
+            for row, beta, gamma in zip(coeffs, betas, gammas):
+                one = evolve_binned(base, binning, AnsatzParams(betas=beta, gammas=gamma))
+                np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        depth=st.integers(0, 5),
+        num_bins=st.integers(1, 300),
+    )
+    def test_batched_pass_preserves_norm(self, seed, rows, depth, num_bins):
+        rng = np.random.default_rng(seed)
+        base = rng.random(num_bins)
+        base /= np.linalg.norm(base)
+        costs = np.sort(rng.uniform(-50, 50, num_bins))
+        betas, gammas = rng.uniform(-np.pi, np.pi, (2, rows, depth))
+        coeffs = _evolve_rows(base, costs, betas, gammas)[0]
+        np.testing.assert_allclose(np.sum(np.abs(coeffs) ** 2, axis=1), 1.0, rtol=0, atol=1e-10)
 
     def test_size_mismatch_rejected(self, rng):
         binning = bin_costs(np.arange(4.0), np.arange(4), 3)
