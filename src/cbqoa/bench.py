@@ -349,7 +349,10 @@ def run_pipeline(
 
     Records POGS for the classical seed algorithm (empirical over the rounding
     batch), the bare walk state, the depth-p ansatz, and the uniform-start
-    baseline at the same depth, at every configured threshold. A ValueError
+    baseline at the same depth, at every configured threshold. A seed whose
+    cost equals the feasible optimum skips walk and cbqoa layer tuning and
+    keeps the walk (0, 0) and all-zero layers: its point mass already has the
+    least CVaR, so the tuners would return exactly those. A ValueError
     (invalid settings, degenerate or oversized instance) is re-raised as its
     own class, any other failure as RuntimeError; both name the instance.
     """
@@ -402,16 +405,21 @@ def _run_pipeline_inner(
         seed_algorithm: {_threshold_key(x): float(_good(ratios, x).mean()) for x in thresholds}
     }
 
+    # At an optimal seed both tuners can only return their all-zero first restart.
+    seed_optimal = float(costs[best_trial]) == summary.optimum_value
+
     # Walk tuning and the bare walk state.
     family = build_family(instance, seed_bits)
-    walk_time, walk_sharpness, _ = tune_walk_params(
-        instance,
-        seed_bits,
-        family,
-        cvar_cfg,
-        replace(config.adam, rng_seed=int(walk_seq.generate_state(1)[0])),
-        circuit_cfg,
-    )
+    walk_time, walk_sharpness = 0.0, 0.0
+    if not seed_optimal:
+        walk_time, walk_sharpness, _ = tune_walk_params(
+            instance,
+            seed_bits,
+            family,
+            cvar_cfg,
+            replace(config.adam, rng_seed=int(walk_seq.generate_state(1)[0])),
+            circuit_cfg,
+        )
     walk = WalkParams(time=walk_time, sharpness=walk_sharpness)
     psi = cbqoa_initial_state(instance, seed_bits, walk, family=family, config=circuit_cfg)
     pogs["cbqoa_0"] = score(psi)
@@ -423,18 +431,19 @@ def _run_pipeline_inner(
         ("cbqoa", psi, ansatz_seq),
         ("gm_qaoa", uniform_feasible_state(instance), gm_seq),
     ):
-        params = AnsatzParams(betas=(), gammas=())
+        params = AnsatzParams.zeros(depth)
         final = initial
         if depth >= 1:
-            betas, gammas, _ = tune_ansatz_params(
-                instance,
-                initial,
-                depth,
-                cvar_cfg,
-                replace(config.adam, rng_seed=int(seq.generate_state(1)[0])),
-                num_bins=config.num_bins,
-            )
-            params = AnsatzParams(betas=betas, gammas=gammas)
+            if not (label == "cbqoa" and seed_optimal):
+                betas, gammas, _ = tune_ansatz_params(
+                    instance,
+                    initial,
+                    depth,
+                    cvar_cfg,
+                    replace(config.adam, rng_seed=int(seq.generate_state(1)[0])),
+                    num_bins=config.num_bins,
+                )
+                params = AnsatzParams(betas=betas, gammas=gammas)
             final = _apply_layers(initial.copy(), initial, summary.diagonal, params)
         layers[label] = params
         pogs[f"{label}_{depth}"] = score(final)

@@ -81,6 +81,14 @@ def _bit_column(indices: np.ndarray, var: int, n: int) -> np.ndarray:
 # Instances
 
 
+def _integral(value, what: str) -> int:
+    """value as an int; a fractional value raises ValueError rather than truncate."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Max3SatInstance:
     """Weighted Max 3SAT instance with label-encoded clauses."""
@@ -89,6 +97,7 @@ class Max3SatInstance:
     clauses: tuple[tuple[int, int, int, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_vars", _integral(self.num_vars, "num_vars"))
         if self.num_vars < 1:
             raise ValueError("num_vars must be positive")
         normalized = []
@@ -96,7 +105,7 @@ class Max3SatInstance:
             if len(clause) != 4:
                 raise ValueError(f"clause must be (i, j, k, weight), got {clause!r}")
             i, j, k, w = clause
-            labels = sorted(int(l) for l in (i, j, k))
+            labels = sorted(_integral(l, "clause label") for l in (i, j, k))
             if labels[0] < 0 or labels[2] > 2 * self.num_vars:
                 raise ValueError(f"clause labels {labels} out of range [0, {2 * self.num_vars}]")
             w = float(w)
@@ -129,6 +138,7 @@ class MaxBisectionInstance:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_vertices", _integral(self.num_vertices, "num_vertices"))
         if self.num_vertices < 2 or self.num_vertices % 2:
             raise ValueError("num_vertices must be even and >= 2")
         normalized = []
@@ -136,7 +146,8 @@ class MaxBisectionInstance:
         for edge in self.edges:
             if len(edge) != 3:
                 raise ValueError(f"edge must be (a, b, weight), got {edge!r}")
-            a, b, w = int(edge[0]), int(edge[1]), float(edge[2])
+            a, b = (_integral(end, "edge end") for end in edge[:2])
+            w = float(edge[2])
             if a > b:
                 a, b = b, a
             if not 1 <= a < b <= self.num_vertices:
@@ -176,17 +187,17 @@ def instance_from_dict(data) -> ProblemInstance:
     try:
         if kind == "max3sat":
             return Max3SatInstance(
-                num_vars=int(data["num_vars"]),
+                num_vars=data["num_vars"],
                 clauses=tuple(tuple(c) for c in data["clauses"]),
             )
         if kind == "max_bisection":
             return MaxBisectionInstance(
-                num_vertices=int(data["num_vertices"]),
+                num_vertices=data["num_vertices"],
                 edges=tuple(tuple(e) for e in data["edges"]),
             )
     except KeyError as exc:
         raise ValueError(f"{kind} instance lacks the key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} instance: {exc}") from exc
     raise ValueError(f"unknown instance type {kind!r}")
 

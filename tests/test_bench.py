@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from cbqoa import (
     AdamConfig,
     BenchmarkSpec,
+    CvarConfig,
     Max3SatInstance,
     PipelineConfig,
     RunRecord,
     SdpConfig,
     WalkParams,
+    build_family,
     cbqoa_initial_state,
     export_results,
     gen_hard_instances,
@@ -23,7 +26,10 @@ from cbqoa import (
     pogs_exact,
     pogs_repeated,
     run_pipeline,
+    tune_ansatz_params,
+    tune_walk_params,
 )
+from cbqoa import bench
 from cbqoa.bench import estimate_seed_pogs
 from cbqoa.errors import DegenerateInstanceError
 from cbqoa.problems import beta_values, bits_to_str, cost_summary
@@ -43,6 +49,20 @@ FAST_PIPELINE = PipelineConfig(
     sdp=SdpConfig(iterations=600),
     rng_seed=21,
 )
+# The walk seed is one rounding: on the n=8 test instances it is not optimal, so the
+# walk and the cbqoa layers are tuned.
+ONE_ROUNDING = replace(FAST_PIPELINE, seed_trials=1, rng_seed=24)
+
+
+class Spy:
+    """Calls through to func and counts the calls."""
+
+    def __init__(self, func):
+        self.func, self.calls = func, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.func(*args, **kwargs)
 
 
 class TestPogsExact:
@@ -198,12 +218,46 @@ class TestRunPipeline:
     @pytest.mark.parametrize("make, n", [(small_bisection, 8), (small_3sat, 6)])
     def test_record_matches_sequential_walk_oracle(self, rng, monkeypatch, make, n):
         inst = make(rng, n=n)
-        lockstep = run_pipeline(inst, 1, FAST_PIPELINE).to_dict()
-        monkeypatch.setattr("cbqoa.bench.tune_walk_params", oracle_tune_walk_params)
-        sequential = run_pipeline(inst, 1, FAST_PIPELINE).to_dict()
+        lockstep = run_pipeline(inst, 1, ONE_ROUNDING).to_dict()
+        oracle = Spy(oracle_tune_walk_params)
+        monkeypatch.setattr("cbqoa.bench.tune_walk_params", oracle)
+        sequential = run_pipeline(inst, 1, ONE_ROUNDING).to_dict()
+        assert oracle.calls == 1
+        assert lockstep["walk_time"] != 0.0
         lockstep.pop("wall_time_s")
         sequential.pop("wall_time_s")
         assert lockstep == sequential
+
+    def _spied_run(self, monkeypatch, inst, config):
+        walk = Spy(bench.tune_walk_params)
+        layers = Spy(bench.tune_ansatz_params)
+        monkeypatch.setattr(bench, "tune_walk_params", walk)
+        monkeypatch.setattr(bench, "tune_ansatz_params", layers)
+        return run_pipeline(inst, 2, config), walk.calls, layers.calls
+
+    def test_optimal_seed_skips_walk_and_cbqoa_layer_tuning(self, rng, monkeypatch):
+        inst = small_bisection(rng, n=8)
+        record, walk_calls, layer_calls = self._spied_run(monkeypatch, inst, FAST_PIPELINE)
+        assert record.seed_cost == cost_summary(inst).optimum_value
+        assert (walk_calls, layer_calls) == (0, 1)  # GM-QAOA's layers only
+        # The record holds what the tuners return when they do run from that seed.
+        cvar_cfg = CvarConfig(alpha=FAST_PIPELINE.alpha)
+        family = build_family(inst, record.seed_bits)
+        walk_time, sharpness, _ = tune_walk_params(
+            inst, record.seed_bits, family, cvar_cfg, FAST_PIPELINE.adam
+        )
+        assert (record.walk_time, record.walk_sharpness) == (walk_time, sharpness)
+        psi = cbqoa_initial_state(inst, record.seed_bits, WalkParams(walk_time, sharpness))
+        betas, gammas, _ = tune_ansatz_params(
+            inst, psi, 2, cvar_cfg, FAST_PIPELINE.adam, num_bins=FAST_PIPELINE.num_bins
+        )
+        assert (record.betas, record.gammas) == (betas, gammas) == ((0.0, 0.0), (0.0, 0.0))
+
+    def test_other_seed_tunes_walk_and_both_layers(self, rng, monkeypatch):
+        inst = small_bisection(rng, n=8)
+        record, walk_calls, layer_calls = self._spied_run(monkeypatch, inst, ONE_ROUNDING)
+        assert record.seed_cost > cost_summary(inst).optimum_value
+        assert (walk_calls, layer_calls) == (1, 2)
 
     def test_error_carries_instance_id(self):
         inst = Max3SatInstance(num_vars=3, clauses=())  # degenerate: no cost spread

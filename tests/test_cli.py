@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbqoa import Max3SatInstance, RunRecord, instance_id, save_instance
+from cbqoa import Max3SatInstance, RunRecord, instance_id, load_instance, save_instance
 from cbqoa.bench import GenerationStats
 from cbqoa.cli import EXIT_GUARDED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
@@ -37,7 +37,8 @@ class TestGen:
         assert code == EXIT_OK
         manifest = json.loads((out / "gen_manifest.json").read_text())
         assert len(manifest["instances"]) == 1
-        assert (out / f"{manifest['instances'][0]}.json").exists()
+        iid = manifest["instances"][0]
+        assert instance_id(load_instance(out / f"{iid}.json")) == iid
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["gen", "--kind", "max3sat", "--count", "1", "--trials", "1500", "--seed", "4"]
@@ -89,8 +90,11 @@ class TestSeed:
             "[1, 2]",
             '{"type": "max3sat", "num_vars": 3, "clauses": [1]}',
             '{"type": "max3sat", "num_vars": null, "clauses": []}',
+            '{"type": "max3sat", "num_vars": 3.9, "clauses": [[1, 2, 3, 1.0]]}',
+            '{"type": "max_bisection", "num_vertices": 4, "edges": [[1.7, 2, 1.0]]}',
         ],
-        ids=["missing-key", "not-an-object", "clause-not-a-list", "null-num-vars"],
+        ids=["missing-key", "not-an-object", "clause-not-a-list", "null-num-vars",
+             "fractional-num-vars", "fractional-edge-end"],
     )
     def test_malformed_instance_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "inst.json"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbqoa import (
@@ -428,6 +428,36 @@ class TestTuneAnsatzParams:
         inst = small_bisection(rng, n=6)
         with pytest.raises(ValueError):
             tune_ansatz_params(inst, uniform_feasible_state(inst), 0)
+
+
+class TestOptimalSeed:
+    """From a seed at the feasible optimum neither tuner can beat its all-zero first
+    restart: the point mass there already has the least CVaR, and a gain must be
+    strict. run_pipeline skips both tuners for such a seed on this premise."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        make=st.sampled_from([small_bisection, small_3sat]),
+        n=st.integers(3, 8),
+        instance_seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.5, 1.0, 0.37]),
+        adam_seed=st.integers(0, 1000),
+    )
+    def test_tuners_return_zeros(self, make, n, instance_seed, alpha, adam_seed):
+        if make is small_bisection:
+            n += n % 2
+        inst = make(np.random.default_rng(instance_seed), n=n)
+        summary = cost_summary(inst)
+        assume(not summary.degenerate)
+        seed = index_to_bits(summary.optimum_index, n)
+        cvar_cfg, adam_cfg = CvarConfig(alpha=alpha), AdamConfig(iterations=50, rng_seed=adam_seed)
+        family = build_family(inst, seed)
+        walk_time, sharpness, _ = tune_walk_params(inst, seed, family, cvar_cfg, adam_cfg)
+        assert (walk_time, sharpness) == (0.0, 0.0)
+        psi = cbqoa_initial_state(inst, seed, WalkParams(0.0, 0.0), family=family)
+        for depth in (1, 2, 3):
+            betas, gammas, _ = tune_ansatz_params(inst, psi, depth, cvar_cfg, adam_cfg)
+            assert betas == gammas == (0.0,) * depth
 
 
 class TestLayerGradient:

@@ -2,9 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cbqoa import (
     DegenerateInstanceError,
@@ -19,6 +22,7 @@ from cbqoa import (
 )
 from cbqoa.problems import (
     as_bits,
+    beta_values,
     bits_to_index,
     bits_to_str,
     cost_summary,
@@ -196,6 +200,34 @@ class TestApproxRatio:
             remapped = (mean2 - mapped[z]) / (mean2 - opt2)
             assert abs(direct - remapped) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        make=st.sampled_from([small_bisection, small_3sat]),
+        n=st.integers(3, 8),
+        instance_seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 10.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_beta_values_invariant_under_affine_map(self, make, n, instance_seed, scale, shift):
+        """beta_values from the table f -> a f + b (a > 0) agree to 1e-12, relative where
+        |beta| > 1: infeasible strings of a small instance can reach |beta| ~ 100."""
+        if make is small_bisection:
+            n += n % 2
+        inst = make(np.random.default_rng(instance_seed), n=n)
+        summary = cost_summary(inst)
+        assume(not summary.degenerate)
+        mapped = scale * summary.diagonal + shift
+        values = mapped[summary.feasible]
+        rescaled = replace(
+            summary,
+            diagonal=mapped,
+            optimum_value=float(values.min()),
+            mean_value=float(values.mean()),
+        )
+        np.testing.assert_allclose(
+            beta_values(inst, rescaled), beta_values(inst, summary), rtol=1e-12, atol=1e-12
+        )
+
     def test_argmin_invariant_under_affine_map(self):
         rng = np.random.default_rng(6)
         inst = small_bisection(rng, n=8)
@@ -295,3 +327,30 @@ class TestInstanceFormat:
             MaxBisectionInstance(num_vertices=3, edges=())  # odd vertex count
         with pytest.raises(ValueError):
             MaxBisectionInstance(num_vertices=4, edges=((1, 2, 1.0), (2, 1, 0.5)))  # dup
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "max3sat", "num_vars": 3.9, "clauses": []},
+            {"type": "max3sat", "num_vars": 3, "clauses": [[1.5, 2, 3, 1.0]]},
+            {"type": "max_bisection", "num_vertices": 4.5, "edges": []},
+            {"type": "max_bisection", "num_vertices": 4, "edges": [[1.7, 2, 1.0]]},
+            {"type": "max_bisection", "num_vertices": float("inf"), "edges": []},
+        ],
+        ids=["num-vars", "clause-label", "num-vertices", "edge-end", "infinite"],
+    )
+    def test_fractional_counts_and_labels_rejected(self, data):
+        """A fractional count or label raises rather than load a truncated instance."""
+        with pytest.raises(ValueError, match="integer|malformed"):
+            instance_from_dict(data)
+
+    def test_integral_floats_load_as_ints(self):
+        sat = {"type": "max3sat", "num_vars": 3.0, "clauses": [[1.0, 2.0, 6.0, 0.5]]}
+        cut = {"type": "max_bisection", "num_vertices": 4.0, "edges": [[2.0, 1.0, 1.0]]}
+        for data, expected in (
+            (sat, Max3SatInstance(num_vars=3, clauses=((1, 2, 6, 0.5),))),
+            (cut, MaxBisectionInstance(num_vertices=4, edges=((1, 2, 1.0),))),
+        ):
+            loaded = instance_from_dict(data)
+            assert loaded == expected
+            assert instance_id(loaded) == instance_id(expected)

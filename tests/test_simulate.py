@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbqoa import (
     AnsatzParams,
@@ -371,3 +373,39 @@ class TestAnsatz:
             state = apply_phase_separator(state, diag, gamma)
             state = apply_rank1_mixer(state, psi, beta)
             assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+
+
+class TestAnsatzProperties:
+    """Both ansatzes on random small instances, feasible seeds, walks and angles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        make=st.sampled_from([small_bisection, small_3sat]),
+        n=st.integers(3, 8),
+        instance_seed=st.integers(0, 2**32 - 1),
+        seed_pick=st.integers(0, 2**16),
+        time=st.floats(0.0, 2 * np.pi),
+        sharpness=st.floats(-4.0, 4.0),
+        angles=st.integers(0, 3).flatmap(
+            lambda depth: st.lists(st.floats(-np.pi, np.pi), min_size=2 * depth, max_size=2 * depth)
+        ),
+    )
+    def test_norm_one_and_no_mass_off_the_feasible_set(
+        self, make, n, instance_seed, seed_pick, time, sharpness, angles
+    ):
+        if make is small_bisection:
+            n += n % 2
+        inst = make(np.random.default_rng(instance_seed), n=n)
+        feas = feasible_indices(inst)
+        seed = index_to_bits(int(feas[seed_pick % feas.size]), n)
+        depth = len(angles) // 2
+        params = AnsatzParams(betas=tuple(angles[:depth]), gammas=tuple(angles[depth:]))
+        infeasible = np.ones(1 << n, dtype=bool)
+        infeasible[feas] = False
+        for state in (
+            cbqoa_ansatz(inst, seed, WalkParams(time=time, sharpness=sharpness), params),
+            gm_qaoa_ansatz(inst, params),
+        ):
+            probs = np.abs(state) ** 2
+            assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+            assert (probs[infeasible] == 0.0).all()

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +83,13 @@ def test_every_public_definition_has_a_caller():
         and node.name not in used
     ]
     assert not unused, f"public definitions that src/cbqoa and perfbench/ never use: {unused}"
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own self-test, at reduced size: a library change that breaks the
+    harness fails here."""
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
