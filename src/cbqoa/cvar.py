@@ -5,13 +5,13 @@ distribution (the conditional value at risk of the cost, minimized). ADAM runs
 every random restart in lockstep over a (restarts, params) array, with one
 (value, gradient) call per step, and returns the best point ever evaluated, so
 the result is never worse than any restart's initialization. For a fixed order
-of the costs the CVaR is piecewise linear in the probabilities, so the layer
-tuner back-propagates its exact gradient through the binned layer recursion.
-The walk tuner takes central differences from one batched call per step: a
-product-formula sweep in the seed's Hamming-weight sector (transpositions), or
-point by point the squared real product of the qubit factors (hypercube). Each
-walk point's arithmetic is that of a one-point run, so the tuned walk does not
-depend on the batching.
+of the costs the CVaR is piecewise linear in the probabilities, so a tuner can
+back-propagate its exact gradient: the layer tuner through the binned layer
+recursion, the hypercube walk tuner through the stages of the walk's real
+product state, point by point. The transposition walk tuner takes central
+differences from one batched product-formula sweep per step in the seed's
+Hamming-weight sector. Each point's arithmetic is that of a one-point run, so
+the tuned parameters do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .mixer import PermutationFamily
 from .problems import ProblemInstance, as_bits, cost_summary, feasible_indices, is_feasible
 from .simulate import (
     CircuitConfig,
+    _hypercube_adjoint,
     _hypercube_product,
     cbqoa_initial_state,  # noqa: F401 -- the traced benchmark run wraps it by this name
     trotter_xy_sector_batch,
@@ -122,15 +123,21 @@ def _cvar_boundary(probs: np.ndarray, alpha: float, order: np.ndarray | None = N
     return j, before, head
 
 
+def _cvar_from_boundary(
+    values: np.ndarray, j: int, before: float, head: np.ndarray, alpha: float
+) -> float:
+    """CVaR for values sorted ascending, from _cvar_boundary's (j, before, head)."""
+    below = float(np.dot(head[:j], values[:j]))
+    return (below + (alpha - before) * float(values[j])) / alpha
+
+
 def _cvar_sorted(
     values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
 ) -> float:
     """CVaR for values sorted ascending, probs in their order (or probs[order] so). Only
     the prefix up to the alpha boundary is read, and np.dot runs on a contiguous
     copy (on a strided view BLAS may sum in another order)."""
-    j, before, head = _cvar_boundary(probs, alpha, order)
-    below = float(np.dot(head[:j], values[:j]))
-    return (below + (alpha - before) * float(values[j])) / alpha
+    return _cvar_from_boundary(values, *_cvar_boundary(probs, alpha, order), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +219,42 @@ def _adam_lockstep(
 # Walk-parameter and ansatz-parameter tuning
 
 
+def _hypercube_objective(
+    bits: np.ndarray, family: PermutationFamily, costs: np.ndarray, alpha: float
+) -> ValueAndGrad:
+    """CVaR of the squared hypercube walk product at (time, sharpness) rows, and its exact
+    gradient: per row, one forward product on the tape and one adjoint pass back through
+    it. The two 2^(n+1) buffers are reused by every row."""
+    order = np.argsort(costs, kind="stable")
+    sorted_costs = costs[order]
+    gains = np.asarray(family.cost_gains, dtype=np.float64)
+    tape, adj = np.empty(2 * order.size), np.empty(2 * order.size)
+
+    def value_and_grad(points: np.ndarray, with_grad: bool):
+        values = np.empty(len(points))
+        grads = np.empty_like(points) if with_grad else None
+        for k, (time, sharpness) in enumerate(points):
+            weights = family.weights(sharpness)
+            product = _hypercube_product(bits, weights, time, tape)
+            lam = np.square(product, out=adj[order.size :])  # the probabilities, until lam
+            j, before, head = _cvar_boundary(lam, alpha, order)
+            values[k] = _cvar_from_boundary(sorted_costs, j, before, head, alpha)
+            if not with_grad:
+                continue
+            # dF/dR = 2 g R with g_k = (c_k - c_j) / alpha below the boundary j and 0 from
+            # j on. In index order that g is min(c - c_j, 0) / alpha: the costs below j
+            # are <= c_j, those from j on >= c_j. The factor 2 / alpha is applied to da.
+            np.subtract(costs, sorted_costs[j], out=lam)
+            np.minimum(lam, 0.0, out=lam)
+            np.multiply(lam, product, out=lam)
+            da = _hypercube_adjoint(bits, weights, time, tape, adj) * (2 / alpha)
+            # a_q = w_q t, and dw_q/ds = gain_q w_q (1 - w_q).
+            grads[k] = weights @ da, time * ((gains * weights * (1 - weights)) @ da)
+        return values, grads
+
+    return value_and_grad
+
+
 def tune_walk_params(
     instance: ProblemInstance,
     z,
@@ -224,19 +267,20 @@ def tune_walk_params(
 
     The first restart starts at (0, 0) -- the point mass at the seed -- so the
     tuned objective never exceeds the seed's own tail cost. A hypercube walk's
-    squared real product equals |amplitude|^2 bit for bit.
+    squared real product equals |amplitude|^2 bit for bit, and its gradient is
+    exact (_hypercube_objective); a transposition walk's is central differences.
     """
     bits = as_bits(z, instance.n)
     if not is_feasible(instance, bits):
         raise ValueError("walk seed must be feasible")
-    summary = cost_summary(instance)
-    order = np.argsort(summary.diagonal, kind="stable")
-    sorted_costs = summary.diagonal[order]
+    diagonal = cost_summary(instance).diagonal
     alpha = cvar_cfg.alpha
 
     if family.kind == "transposition":
         if family.seed != tuple(int(b) for b in bits):
             raise ValueError("walk seed must be the family's seed")
+        order = np.argsort(diagonal, kind="stable")
+        sorted_costs = diagonal[order]
         rank = np.argsort(order)
 
         def objective(points: np.ndarray) -> np.ndarray:
@@ -249,22 +293,15 @@ def tune_walk_params(
             probs[:, rank[rows]] = (np.abs(amps) ** 2).T
             return np.array([_cvar_sorted(sorted_costs, row, alpha) for row in probs])
 
+        value_and_grad = _central_differences(objective)
     else:
-        buffers = np.empty(order.size), np.empty(order.size)
-
-        def objective(points: np.ndarray) -> np.ndarray:
-            values = np.empty(len(points))
-            for k, (time, sharpness) in enumerate(points):
-                probs = _hypercube_product(bits, family.weights(sharpness), time, *buffers)
-                np.square(probs, out=probs)
-                values[k] = _cvar_sorted(sorted_costs, probs, alpha, order)
-            return values
+        value_and_grad = _hypercube_objective(bits, family, diagonal, alpha)
 
     rng = np.random.default_rng(adam_cfg.rng_seed)
     inits = [np.zeros(2)]
     for _ in range(adam_cfg.restarts - 1):
         inits.append(np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]))
-    best, _, trace = _adam_lockstep(_central_differences(objective), np.array(inits), adam_cfg)
+    best, _, trace = _adam_lockstep(value_and_grad, np.array(inits), adam_cfg)
     return float(best[0]), float(best[1]), trace
 
 
@@ -275,14 +312,15 @@ def _layer_objective(base: np.ndarray, costs: np.ndarray, depth: int, alpha: flo
     def value_and_grad(points: np.ndarray, with_grad: bool):
         coeffs, tape = _evolve_rows(base, costs, points[:, :depth], points[:, depth:])
         probs = np.abs(coeffs) ** 2
-        values = np.array([_cvar_sorted(costs, row, alpha) for row in probs])
+        values = np.empty(len(points))
+        lam = np.zeros_like(coeffs)
+        for k, (row, x) in enumerate(zip(probs, coeffs)):
+            j, before, head = _cvar_boundary(row, alpha)
+            values[k] = _cvar_from_boundary(costs, j, before, head, alpha)
+            # lam = 2 g x, g_k = (c_k - c_j) / alpha below the boundary bin j, 0 from j on.
+            lam[k, :j] = 2 * (costs[:j] - costs[j]) / alpha * x[:j]
         if not with_grad:
             return values, None
-        # lam = 2 g x, g_k = (c_k - c_j) / alpha below _cvar_sorted's boundary bin j, 0 from j on.
-        lam = np.zeros_like(coeffs)
-        for out, row, x in zip(lam, probs, coeffs):
-            j = _cvar_boundary(row, alpha)[0]
-            out[:j] = 2 * (costs[:j] - costs[j]) / alpha * x[:j]
         return values, np.hstack(_evolve_rows_adjoint(base, costs, tape, lam))
 
     return value_and_grad

@@ -187,28 +187,50 @@ def apply_rank1_mixer(state: np.ndarray, psi: np.ndarray, beta: float) -> np.nda
 
 
 def _hypercube_product(
-    bits: np.ndarray, weights: np.ndarray, time: float, buffer: np.ndarray, scratch: np.ndarray
+    bits: np.ndarray, weights: np.ndarray, time: float, tape: np.ndarray
 ) -> np.ndarray:
-    """The hypercube walk's amplitudes without their phases, written into two 2^n buffers.
+    """The hypercube walk's amplitudes without their phases, built stage by stage on a tape.
 
     Qubit j contributes (cos(w_j t), sin(w_j t)), swapped where z_j = 1; entry x
     is the left-to-right product of its qubits' factors, so the amplitude of x
     is i^popcount(x xor z) times it, and its square is |amplitude|^2 exactly.
-    Returns the view of buffer or scratch that holds the 2^n products.
+    Stage j, the 2^(j+1) products of the first j + 1 factors, is written to
+    tape[2^(j+1):2^(j+2)] of the 2^(n+1) tape, after the empty product 1 in
+    tape[1]. Returns the last stage, tape[2^n:].
     """
-    cur, nxt = buffer, scratch
+    tape[1] = 1.0
     for j, b in enumerate(bits):
         angle = weights[j] * time
         cos, sin = np.cos(angle), np.sin(angle)
         lo, hi = (cos, sin) if b == 0 else (sin, cos)
-        if j == 0:
-            cur[0], cur[1] = lo, hi
-            continue
         size = 1 << j
-        np.multiply(cur[:size], lo, out=nxt[: 2 * size : 2])
-        np.multiply(cur[:size], hi, out=nxt[1 : 2 * size : 2])
-        cur, nxt = nxt, cur
-    return cur
+        np.multiply(tape[size : 2 * size], lo, out=tape[2 * size : 4 * size : 2])
+        np.multiply(tape[size : 2 * size], hi, out=tape[2 * size + 1 : 4 * size : 2])
+    return tape[1 << len(bits) :]
+
+
+def _hypercube_adjoint(
+    bits: np.ndarray, weights: np.ndarray, time: float, tape: np.ndarray, adj: np.ndarray
+) -> np.ndarray:
+    """Gradient over the angles a_j = w_j t of sum(lam * product), back through the tape.
+
+    tape is _hypercube_product's at (bits, weights, time); adj has its layout and
+    holds lam in its last stage, adj[2^n:]. Stage j's adjoint (lo-part, hi-part)
+    pairs dot the stage before it for dF/dlo_j and dF/dhi_j, then fold into that
+    stage's adjoint; the earlier stages of adj are overwritten.
+    """
+    grad = np.empty(len(bits))
+    for j in range(len(bits) - 1, -1, -1):
+        angle = weights[j] * time
+        cos, sin = np.cos(angle), np.sin(angle)
+        lo, hi = (cos, sin) if bits[j] == 0 else (sin, cos)
+        size = 1 << j
+        lam = adj[2 * size : 4 * size].reshape(size, 2)
+        dlo, dhi = tape[size : 2 * size] @ lam
+        np.dot(lam, np.array([lo, hi]), out=adj[size : 2 * size])
+        # cos' = -sin and sin' = cos, with the factors swapped where z_j = 1.
+        grad[j] = -sin * dlo + cos * dhi if bits[j] == 0 else cos * dlo - sin * dhi
+    return grad
 
 
 # i^k for k = 0..3: the phase of a hypercube walk amplitude k bit flips from the seed.
@@ -224,7 +246,7 @@ def hypercube_walk_state(bits: np.ndarray, weights: np.ndarray, time: float) -> 
     flipped bit, the same numbers the complex product of the factors gives.
     """
     size = 1 << len(bits)
-    product = _hypercube_product(bits, weights, time, np.empty(size), np.empty(size))
+    product = _hypercube_product(bits, weights, time, np.empty(2 * size))
     flips = np.bitwise_count(np.arange(size) ^ bits_to_index(bits))
     return _I_POWERS[flips & 3] * product
 

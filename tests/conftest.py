@@ -15,10 +15,12 @@ from cbqoa import (
     Max3SatInstance,
     MaxBisectionInstance,
     PermutationFamily,
+    PipelineConfig,
     WalkParams,
     gen_hard_instances,
+    run_pipeline,
 )
-from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP
+from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP, _hypercube_objective
 from cbqoa.errors import CapacityError
 from cbqoa.fast_sim import CostBinning
 from cbqoa.mixer import permute_indices
@@ -99,6 +101,25 @@ def hard_bisection_instances():
     instances, stats = gen_hard_instances(spec)
     assert not stats.guard_tripped
     return spec, instances
+
+
+@pytest.fixture(scope="session")
+def hard_max3sat_instances():
+    """The acceptance suite's ten hard Max 3SAT instances (n=16)."""
+    spec = BenchmarkSpec.for_max3sat(count=10, rng_seed=11)
+    instances, stats = gen_hard_instances(spec)
+    assert not stats.guard_tripped
+    return spec, instances
+
+
+@pytest.fixture(scope="session")
+def max3sat_records(hard_max3sat_instances):
+    """Depth-3 pipeline records of the ten hard Max 3SAT instances."""
+    _, instances = hard_max3sat_instances
+    return [
+        run_pipeline(inst, 3, PipelineConfig(rng_seed=1000 + i))
+        for i, inst in enumerate(instances)
+    ]
 
 
 @pytest.fixture
@@ -210,13 +231,34 @@ def _improves(candidate: float, incumbent: float) -> bool:
     return candidate < incumbent - 1e-9 * max(1.0, abs(incumbent))
 
 
+def oracle_central_differences(objective: Callable[[np.ndarray], float]):
+    """Gradient of a point objective by central differences, one coordinate at a time."""
+
+    def gradient(params: np.ndarray) -> np.ndarray:
+        grad = np.empty_like(params)
+        for i in range(params.size):
+            probe = params.copy()
+            probe[i] = params[i] + FD_STEP
+            up = objective(probe)
+            probe[i] = params[i] - FD_STEP
+            down = objective(probe)
+            grad[i] = (up - down) / (2 * FD_STEP)
+        return grad
+
+    return gradient
+
+
 def oracle_adam_minimize(
-    objective: Callable[[np.ndarray], float], init, cfg: AdamConfig
+    objective: Callable[[np.ndarray], float],
+    init,
+    cfg: AdamConfig,
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
-    """Minimize a deterministic black-box objective.
+    """Minimize a deterministic objective, by central differences unless a gradient is given.
 
     Returns the best point seen, its value, and the (iteration, value) trace.
     """
+    gradient = gradient or oracle_central_differences(objective)
     params = np.asarray(init, dtype=np.float64).copy()
     value = float(objective(params))
     if not np.isfinite(value):
@@ -224,16 +266,8 @@ def oracle_adam_minimize(
     best_params, best_value, trace = params.copy(), value, [(0, value)]
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    h = FD_STEP
     for t in range(1, cfg.iterations + 1):
-        grad = np.empty_like(params)
-        for i in range(params.size):
-            probe = params.copy()
-            probe[i] = params[i] + h
-            up = objective(probe)
-            probe[i] = params[i] - h
-            down = objective(probe)
-            grad[i] = (up - down) / (2 * h)
+        grad = gradient(params)
         if not np.isfinite(grad).all():
             raise RuntimeError(f"non-finite gradient at iteration {t}, params {params}")
         m = BETA1 * m + (1 - BETA1) * grad
@@ -255,12 +289,13 @@ def oracle_run_restarts(
     objective: Callable[[np.ndarray], float],
     inits: list[np.ndarray],
     cfg: AdamConfig,
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, list[tuple[int, int, float]]]:
     """Run ADAM from each init; keep the best point seen across all runs."""
     best_params, best_value = None, np.inf
     trace: list[tuple[int, int, float]] = []
     for r, init in enumerate(inits):
-        params, value, run_trace = oracle_adam_minimize(objective, init, cfg)
+        params, value, run_trace = oracle_adam_minimize(objective, init, cfg, gradient)
         trace.extend((r, it, val) for it, val in run_trace)
         if best_params is None or _improves(value, best_value):
             best_value = value
@@ -279,7 +314,11 @@ def oracle_tune_walk_params(
     """Tune the walk's (time, sharpness) against the lower-tail cost of its output.
 
     The first restart starts at (0, 0) -- the point mass at the seed -- so the
-    tuned objective never exceeds the seed's own tail cost.
+    tuned objective never exceeds the seed's own tail cost. Values come from the
+    Kronecker product (hypercube) or the one-vector Trotter loop (XY). A
+    transposition walk's gradient is central differences; a hypercube walk's is
+    the library's exact one, asked for one point at a time, and is checked on
+    its own against central differences (tests/test_cvar.py::TestWalkGradient).
     """
     bits = as_bits(z, instance.n)
     summary = cost_summary(instance)
@@ -292,11 +331,18 @@ def oracle_tune_walk_params(
         probs = np.abs(state) ** 2
         return oracle_cvar_sorted(sorted_costs, probs[order], cvar_cfg.alpha)
 
+    gradient = None
+    if family.kind == "bit_flip":
+        value_and_grad = _hypercube_objective(bits, family, summary.diagonal, cvar_cfg.alpha)
+
+        def gradient(x: np.ndarray) -> np.ndarray:
+            return value_and_grad(x[None], True)[1][0]
+
     rng = np.random.default_rng(adam_cfg.rng_seed)
     inits = [np.zeros(2)]
     for _ in range(adam_cfg.restarts - 1):
         inits.append(np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]))
-    best, _, trace = oracle_run_restarts(objective, inits, adam_cfg)
+    best, _, trace = oracle_run_restarts(objective, inits, adam_cfg, gradient)
     return float(best[0]), float(best[1]), trace
 
 

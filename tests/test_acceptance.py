@@ -13,7 +13,6 @@ import pytest
 
 from cbqoa import (
     AnsatzParams,
-    BenchmarkSpec,
     Max3SatInstance,
     PipelineConfig,
     SdpConfig,
@@ -29,7 +28,6 @@ from cbqoa import (
     eta_from_state,
     evolve_binned,
     feasible_indices,
-    gen_hard_instances,
     pogs_repeated,
     run_pipeline,
 )
@@ -61,14 +59,6 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def hard_max3sat_instances():
-    spec = BenchmarkSpec.for_max3sat(count=10, rng_seed=11)
-    instances, stats = gen_hard_instances(spec)
-    assert not stats.guard_tripped
-    return spec, instances
-
-
-@pytest.fixture(scope="session")
 def bisection_records(hard_bisection_instances):
     _, instances = hard_bisection_instances
     by_depth = {}
@@ -78,15 +68,6 @@ def bisection_records(hard_bisection_instances):
             for i, inst in enumerate(instances)
         ]
     return by_depth
-
-
-@pytest.fixture(scope="session")
-def max3sat_records(hard_max3sat_instances):
-    _, instances = hard_max3sat_instances
-    return [
-        run_pipeline(inst, 3, PipelineConfig(rng_seed=1000 + i))
-        for i, inst in enumerate(instances)
-    ]
 
 
 def hypercube_family(weights):

@@ -24,11 +24,12 @@ from cbqoa.cvar import (
     _central_differences,
     _cvar_boundary,
     _cvar_sorted,
+    _hypercube_objective,
     _layer_objective,
 )
 from cbqoa.fast_sim import _evolve_rows, bin_costs, eta_from_state
 from cbqoa.problems import cost_summary, feasible_indices
-from cbqoa.simulate import _apply_layers, AnsatzParams
+from cbqoa.simulate import _apply_layers, AnsatzParams, hypercube_walk_state
 
 from conftest import (
     index_to_bits,
@@ -493,3 +494,56 @@ class TestLayerGradient:
             if checked == 5:
                 break
         assert checked == 5
+
+
+def walk_setup(rng, n, alpha):
+    """A 3SAT instance, a seed with both 0 and 1 bits (so both factor orders occur),
+    its cost order, and the walk tuner's (value, gradient) function."""
+    inst = small_3sat(rng, n=n, num_clauses=4 * n)
+    seed = rng.permutation(np.arange(n) % 2)
+    family = build_family(inst, seed)
+    costs = cost_summary(inst).diagonal
+    order = np.argsort(costs, kind="stable")
+    return seed, family, costs[order], order, _hypercube_objective(seed, family, costs, alpha)
+
+
+class TestWalkGradient:
+    """The adjoint gradient of the hypercube walk CVaR against central differences."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 0.37])
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_matches_central_differences_away_from_kinks(self, n, alpha):
+        rng = np.random.default_rng(10 * n + int(100 * alpha))
+        seed, family, _, order, value_and_grad = walk_setup(rng, n, alpha)
+        h = FD_STEP / 100
+        stencil = np.concatenate([np.zeros((1, 2)), h * np.eye(2), -h * np.eye(2)])
+        checked = 0
+        for _ in range(200):
+            point = np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]) + stencil
+            states = [hypercube_walk_state(seed, family.weights(s), t) for t, s in point]
+            # On one boundary j the CVaR is smooth; a stencil across a kink is rejected.
+            if len({_cvar_boundary(np.abs(x) ** 2, alpha, order)[0] for x in states}) > 1:
+                continue
+            grad = value_and_grad(point[:1], True)[1][0]
+            up, down = value_and_grad(point[1:], False)[0].reshape(2, -1)
+            want = (up - down) / (2 * h)
+            assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
+            checked += 1
+            if checked == 5:
+                break
+        assert checked == 5
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 0.37])
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_values_and_zero_time(self, rng, n, alpha):
+        """One batched call: each value is _cvar_sorted on the squared walk state, and
+        at t = 0 (a point mass, whatever the sharpness) the gradient is exactly zero."""
+        seed, family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
+        points = np.column_stack([rng.uniform(0, np.pi, 8), rng.uniform(-2, 2, 8)])
+        points[[0, 3], 0] = 0.0
+        values, grads = value_and_grad(points, True)
+        for (time, sharpness), value in zip(points, values):
+            state = hypercube_walk_state(seed, family.weights(sharpness), time)
+            assert value == _cvar_sorted(sorted_costs, np.abs(state) ** 2, alpha, order)
+        assert grads[[0, 3]].tolist() == [[0.0, 0.0]] * 2
+        assert np.all(grads[1:3] != 0.0)

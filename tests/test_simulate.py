@@ -239,7 +239,7 @@ class TestWalkKernelIdentity:
             weights = family.weights(walk.sharpness)
             want = oracle_walk_state(bits, family, walk, 3)
             assert np.array_equal(hypercube_walk_state(bits, weights, walk.time), want)
-            product = _hypercube_product(bits, weights, walk.time, np.empty(size), np.empty(size))
+            product = _hypercube_product(bits, weights, walk.time, np.empty(2 * size))
             assert np.array_equal(product**2, np.abs(want) ** 2)
 
     def test_sector_batch_matches_full_walk(self, rng):

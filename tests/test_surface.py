@@ -13,6 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cbqoa"
 PERFBENCH = ROOT / "perfbench"
 MAX_PUBLIC_NAMES = 46
+# Lines of src/cbqoa/*.py as `wc -l` counts them. A change that grows src/ past
+# this raises it and states by how much and why.
+MAX_SRC_LINES = 2534
 
 
 def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
@@ -48,6 +51,11 @@ def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
         if not name.startswith("_") and not inspect.ismodule(value)
     ]
     assert len(public) <= MAX_PUBLIC_NAMES, f"{len(public)} root exports: {sorted(public)}"
+
+
+def test_src_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= MAX_SRC_LINES, f"src/cbqoa has {lines} lines, over its budget {MAX_SRC_LINES}"
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
