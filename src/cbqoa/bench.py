@@ -107,6 +107,10 @@ def pogs_exact(
     return float(probs[_good(betas[indices], threshold)].sum())
 
 
+def default_thresholds(problem: str) -> tuple[float, ...]:
+    return (0.7, 0.8) if problem == "max3sat" else (0.99,)
+
+
 def pogs_repeated(pogs: float, k: int) -> float:
     """Probability that the best of k independent runs is good: 1 - (1-p)^k."""
     if not 0.0 <= pogs <= 1.0:
@@ -130,7 +134,7 @@ class BenchmarkSpec:
     num_clauses: int = 200
     num_vertices: int = 12
     edge_prob: float = 0.5
-    ratio_threshold: float = 0.7
+    ratio_threshold: Optional[float] = None  # None: the problem's first POGS threshold
     pogs_cutoff: float = 0.05
     rounding_trials: int = 10000
     rng_seed: int = 0
@@ -139,6 +143,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.problem not in ("max3sat", "max_bisection"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.ratio_threshold is None:
+            object.__setattr__(self, "ratio_threshold", default_thresholds(self.problem)[0])
         if not 0 < self.pogs_cutoff < 1:
             raise ValueError("pogs_cutoff must be in (0, 1)")
         if self.ratio_threshold > 1:
@@ -148,11 +154,11 @@ class BenchmarkSpec:
 
     @classmethod
     def for_max3sat(cls, **overrides) -> "BenchmarkSpec":
-        return cls(problem="max3sat", ratio_threshold=0.7, **overrides)
+        return cls(problem="max3sat", **overrides)
 
     @classmethod
     def for_max_bisection(cls, **overrides) -> "BenchmarkSpec":
-        return cls(problem="max_bisection", ratio_threshold=0.99, **overrides)
+        return cls(problem="max_bisection", **overrides)
 
 
 @dataclass
@@ -245,10 +251,6 @@ def gen_hard_instances(spec: BenchmarkSpec) -> tuple[list[ProblemInstance], Gene
 # Full pipeline
 
 
-def default_thresholds(problem: str) -> tuple[float, ...]:
-    return (0.7, 0.8) if problem == "max3sat" else (0.99,)
-
-
 def default_repetitions(problem: str) -> int:
     return 10 if problem == "max3sat" else 5
 
@@ -271,6 +273,7 @@ class PipelineConfig:
     `rounding_trials` sizes the empirical POGS estimate of the classical
     algorithm; `seed_trials` is how many of those roundings compete to become
     the walk seed (None: problem-dependent default, see default_seed_trials).
+    `adam.rng_seed` and `sdp.rng_seed` are replaced by seeds derived from `rng_seed`.
     """
 
     alpha: float = 0.5
@@ -414,7 +417,6 @@ def _run_pipeline_inner(
     if not seed_optimal:
         walk_time, walk_sharpness, _ = tune_walk_params(
             instance,
-            seed_bits,
             family,
             cvar_cfg,
             replace(config.adam, rng_seed=int(walk_seq.generate_state(1)[0])),

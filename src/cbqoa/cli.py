@@ -1,7 +1,8 @@
 """Command-line entry point: gen / seed / solve / bench / compare.
 
-Exit codes: 0 success, 2 usage or validation error, 3 guarded failure (e.g.
-the hard-instance generator gave up early), 4 internal error. All randomness
+Exit codes: 0 success, 2 usage or validation error, 3 guarded failure (the
+hard-instance generator gave up early, or bench exported the records of some
+instances and listed the others' failures), 4 internal error. All randomness
 flows from --seed; rerunning with the same seed reproduces outputs byte for
 byte, regardless of worker count.
 """
@@ -57,25 +58,18 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def cmd_gen(args) -> int:
     if args.kind == "max3sat":
-        spec = BenchmarkSpec.for_max3sat(
-            count=args.count,
-            num_vars=args.num_vars,
-            num_clauses=args.num_clauses,
-            pogs_cutoff=args.cutoff,
-            rounding_trials=args.trials,
-            rng_seed=args.seed,
-        )
+        shape = {"num_vars": args.num_vars, "num_clauses": args.num_clauses}
     else:
-        spec = BenchmarkSpec.for_max_bisection(
-            count=args.count,
-            num_vertices=args.num_vertices,
-            edge_prob=args.edge_prob,
-            pogs_cutoff=args.cutoff,
-            rounding_trials=args.trials,
-            rng_seed=args.seed,
-        )
-    if args.threshold is not None:
-        spec = replace(spec, ratio_threshold=args.threshold)
+        shape = {"num_vertices": args.num_vertices, "edge_prob": args.edge_prob}
+    spec = BenchmarkSpec(
+        problem=args.kind,
+        count=args.count,
+        ratio_threshold=args.threshold,
+        pogs_cutoff=args.cutoff,
+        rounding_trials=args.trials,
+        rng_seed=args.seed,
+        **shape,
+    )
     instances, stats = bench.gen_hard_instances(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,14 +188,14 @@ def cmd_bench(args) -> int:
         if record_path not in done
     }
 
-    # Every job runs and every finished record is written; then the first failure is raised.
-    failures = []
+    # Every job runs and every finished record is written as it finishes.
+    failures: dict[Path, Exception] = {}
 
     def finish(record_path: Path, result: Callable[[], RunRecord]) -> None:
         try:
             record = result()
         except Exception as error:
-            failures.append(error)
+            failures[record_path] = error
         else:
             _write_atomic(record_path, record.to_json() + "\n")
             done[record_path] = record
@@ -214,15 +208,19 @@ def cmd_bench(args) -> int:
     else:
         for record_path, job in jobs.items():
             finish(record_path, lambda: _bench_one(job))
-    if failures:
-        raise failures[0]
-    records = [done[p] for p in record_paths]
-
-    paths_out = bench.export_results(
-        records, out, manifest_extra={"pipeline": asdict(config), "base_seed": args.seed}
-    )
+    # The records that exist are exported, and the failures listed with them.
+    failed = [(path, failures[p]) for path, p in zip(paths, record_paths) if p in failures]
+    records = [done[p] for p in record_paths if p in done]
+    if not records:
+        raise failed[0][1]
+    extra = {"pipeline": asdict(config), "base_seed": args.seed}
+    if failed:
+        extra["failures"] = [{"instance": path.stem, "error": str(error)} for path, error in failed]
+    paths_out = bench.export_results(records, out, manifest_extra=extra)
     print(f"wrote {paths_out['csv']} and {paths_out['manifest']} ({len(records)} records)")
-    return EXIT_OK
+    for path, error in failed:
+        print(f"error: {path.stem}: {error}", file=sys.stderr)
+    return EXIT_GUARDED if failed else EXIT_OK
 
 
 def cmd_compare(args) -> int:

@@ -257,7 +257,6 @@ def _hypercube_objective(
 
 def tune_walk_params(
     instance: ProblemInstance,
-    z,
     family: PermutationFamily,
     cvar_cfg: CvarConfig = CvarConfig(),
     adam_cfg: AdamConfig = AdamConfig(),
@@ -265,20 +264,19 @@ def tune_walk_params(
 ) -> tuple[float, float, list[tuple[int, int, float]]]:
     """Tune the walk's (time, sharpness) against the lower-tail cost of its output.
 
-    The first restart starts at (0, 0) -- the point mass at the seed -- so the
-    tuned objective never exceeds the seed's own tail cost. A hypercube walk's
-    squared real product equals |amplitude|^2 bit for bit, and its gradient is
-    exact (_hypercube_objective); a transposition walk's is central differences.
+    The walk starts at the family's seed. The first restart starts at (0, 0) --
+    the point mass at the seed -- so the tuned objective never exceeds the seed's
+    own tail cost. A hypercube walk's squared real product equals |amplitude|^2
+    bit for bit, and its gradient is exact (_hypercube_objective); a
+    transposition walk's is central differences.
     """
-    bits = as_bits(z, instance.n)
+    bits = as_bits(family.seed, instance.n)
     if not is_feasible(instance, bits):
         raise ValueError("walk seed must be feasible")
     diagonal = cost_summary(instance).diagonal
     alpha = cvar_cfg.alpha
 
     if family.kind == "transposition":
-        if family.seed != tuple(int(b) for b in bits):
-            raise ValueError("walk seed must be the family's seed")
         order = np.argsort(diagonal, kind="stable")
         sorted_costs = diagonal[order]
         rank = np.argsort(order)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .problems import ProblemInstance, _cost_block, as_bits, bits_to_index, is_feasible
+from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary, is_feasible
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,9 @@ def build_family(instance: ProblemInstance, z) -> PermutationFamily:
             for i in range(half)
         ]
     seed = np.array([bits_to_index(bits)], dtype=np.int64)
-    images = [permute_indices(tau, seed, n) for tau in perms]
-    cost = _cost_block(instance, np.concatenate([seed, *images]))
-    gains = tuple(float(cost[0] - cost[k]) for k in range(1, cost.size))
+    images = np.concatenate([permute_indices(tau, seed, n) for tau in perms])
+    diagonal = cost_summary(instance).diagonal
+    gains = tuple((diagonal[seed[0]] - diagonal[images]).tolist())
     return PermutationFamily(
         n=n, permutations=tuple(perms), cost_gains=gains, seed=tuple(int(b) for b in bits)
     )

@@ -72,11 +72,6 @@ def bits_to_str(bits) -> str:
     return "".join(str(int(b)) for b in as_bits(bits))
 
 
-def _bit_column(indices: np.ndarray, var: int, n: int) -> np.ndarray:
-    """Value of 1-based variable ``var`` across an array of basis indices."""
-    return ((indices >> (n - var)) & 1).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Instances
 
@@ -248,29 +243,33 @@ def feasible_indices(instance: ProblemInstance) -> np.ndarray:
 # Cost evaluation
 
 
-def _literal_values(indices: np.ndarray, label: int, n: int) -> np.ndarray:
-    """Value of the literal with the given label across basis indices."""
-    if label == 0:
-        return np.zeros(indices.shape, dtype=np.float64)
-    if label <= n:
-        return _bit_column(indices, label, n)
-    return 1.0 - _bit_column(indices, label - n, n)
+def _clause_arrays(instance: Max3SatInstance):
+    """Clause labels decoded to (variables, signs, weights), one row per clause.
+
+    Label l <= n is variable l with sign +1 and label n + i is variable i with
+    sign -1, so label 0 is variable 0, whose bit is 0 at every index: the
+    constant-false literal, and the v_0 row of the clause relaxation.
+    """
+    n = instance.num_vars
+    table = np.array(instance.clauses, dtype=np.float64).reshape(-1, 4)
+    labels = table[:, :3].astype(np.int64)
+    negated = labels > n
+    return np.where(negated, labels - n, labels), np.where(negated, -1.0, 1.0), table[:, 3].copy()
 
 
 def _cost_block(instance: ProblemInstance, indices: np.ndarray) -> np.ndarray:
     n = instance.n
+    # value[v]: the bit of variable v at each index (bit 1 = most significant; v = 0 gives 0).
+    value = np.stack([((indices >> (n - v)) & 1).astype(bool) for v in range(n + 1)])
     total = np.zeros(indices.shape, dtype=np.float64)
     if instance.kind == "max3sat":
-        for i, j, k, w in instance.clauses:
-            li = _literal_values(indices, i, n)
-            lj = _literal_values(indices, j, n)
-            lk = _literal_values(indices, k, n)
-            total += w * ((1.0 - li) * (1.0 - lj) * (1.0 - lk) - 1.0)
+        variables, signs, weights = _clause_arrays(instance)
+        # A literal is false where its variable's bit equals its negation flag.
+        for (i, j, k), (a, b, c), w in zip(variables, signs < 0, weights):
+            total += w * (((value[i] == a) & (value[j] == b) & (value[k] == c)) - 1.0)
     else:
         for a, b, w in instance.edges:
-            xa = _bit_column(indices, a, n)
-            xb = _bit_column(indices, b, n)
-            total += w * (2.0 * xa * xb - xa - xb)
+            total += w * (2.0 * value[a] * value[b] - value[a] - value[b])
     return total
 
 

@@ -20,7 +20,8 @@ from .problems import (
     Max3SatInstance,
     MaxBisectionInstance,
     ProblemInstance,
-    _cost_block,
+    _clause_arrays,
+    cost_summary,
 )
 
 S_LINEAR_DEFAULT = 0.605
@@ -63,24 +64,6 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Max 3SAT relaxation
-
-
-def _clause_arrays(instance: Max3SatInstance):
-    """Label triples mapped to (vector row, sign): negated literals are -v_i."""
-    n = instance.num_vars
-    rows = np.empty((len(instance.clauses), 3), dtype=np.int64)
-    signs = np.empty((len(instance.clauses), 3), dtype=np.float64)
-    weights = np.empty(len(instance.clauses), dtype=np.float64)
-    for c, (i, j, k, w) in enumerate(instance.clauses):
-        for slot, label in enumerate((i, j, k)):
-            if label <= n:
-                rows[c, slot] = label  # label 0 maps to the v_0 row itself
-                signs[c, slot] = 1.0
-            else:
-                rows[c, slot] = label - n
-                signs[c, slot] = -1.0
-        weights[c] = w
-    return rows, signs, weights
 
 
 # Literal slots (f, g, h) of the three pairing expressions (v0 + l_f) . (l_g + l_h).
@@ -139,7 +122,7 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
         V[0] = -V[0]
         return UnitVectorSet(kind="karloff_zwick", vectors=V, objective=0.0, converged=True)
 
-    rows, signs, weights = _clause_arrays(instance)
+    rows, signs, weights = _clause_arrays(instance)  # negated literals are -v_i
     total_weight = float(weights.sum())
     optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
 
@@ -341,9 +324,7 @@ def round_batch(
 
 
 def rounding_costs(instance: ProblemInstance, assignments: np.ndarray) -> np.ndarray:
-    """Cost of each rounded assignment (rows of bits)."""
-    n = instance.n
-    places = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    indices = assignments.astype(np.int64) @ places
-    return _cost_block(instance, indices)
+    """Cost of each rounded assignment (rows of bits), read from the cost table."""
+    places = 1 << np.arange(instance.n - 1, -1, -1, dtype=np.int64)
+    return cost_summary(instance).diagonal[assignments.astype(np.int64) @ places]
 

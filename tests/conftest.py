@@ -14,7 +14,6 @@ from cbqoa import (
     CvarConfig,
     Max3SatInstance,
     MaxBisectionInstance,
-    PermutationFamily,
     PipelineConfig,
     WalkParams,
     gen_hard_instances,
@@ -23,7 +22,7 @@ from cbqoa import (
 from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP, _hypercube_objective
 from cbqoa.errors import CapacityError
 from cbqoa.fast_sim import CostBinning
-from cbqoa.mixer import permute_indices
+from cbqoa.mixer import PermutationFamily, permute_indices
 from cbqoa.problems import ProblemInstance, as_bits, bits_to_str, cost_summary, feasible_indices
 
 MAX_DENSE_ADJACENCY_VARS = 12
@@ -305,7 +304,6 @@ def oracle_run_restarts(
 
 def oracle_tune_walk_params(
     instance: ProblemInstance,
-    z,
     family: PermutationFamily,
     cvar_cfg: CvarConfig = CvarConfig(),
     adam_cfg: AdamConfig = AdamConfig(),
@@ -320,7 +318,7 @@ def oracle_tune_walk_params(
     the library's exact one, asked for one point at a time, and is checked on
     its own against central differences (tests/test_cvar.py::TestWalkGradient).
     """
-    bits = as_bits(z, instance.n)
+    bits = as_bits(family.seed, instance.n)
     summary = cost_summary(instance)
     order = np.argsort(summary.diagonal, kind="stable")
     sorted_costs = summary.diagonal[order]

@@ -11,32 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from cbqoa import (
-    AnsatzParams,
-    Max3SatInstance,
-    PipelineConfig,
-    SdpConfig,
-    WalkParams,
+from cbqoa import AnsatzParams, Max3SatInstance, PipelineConfig, SdpConfig, WalkParams, run_pipeline
+from cbqoa.bench import estimate_seed_pogs, pogs_repeated, random_max3sat, random_max_bisection
+from cbqoa.cvar import _cvar_sorted, cvar_discrete
+from cbqoa.fast_sim import bin_costs, eta_from_state, evolve_binned
+from cbqoa.mixer import PermutationFamily, bit_flip, build_family
+from cbqoa.problems import cost_summary, feasible_indices
+from cbqoa.seeds import kz_round_batch, rounding_costs, solve_kz_sdp
+from cbqoa.simulate import (
+    _apply_layers,
     apply_phase_separator,
     apply_rank1_mixer,
-    bin_costs,
-    bit_flip,
-    build_family,
     cbqoa_initial_state,
     ctqw_trotter_xy,
-    cvar_discrete,
-    eta_from_state,
-    evolve_binned,
-    feasible_indices,
-    pogs_repeated,
-    run_pipeline,
 )
-from cbqoa.bench import estimate_seed_pogs, random_max3sat, random_max_bisection
-from cbqoa.cvar import _cvar_sorted
-from cbqoa.mixer import PermutationFamily
-from cbqoa.problems import cost_summary
-from cbqoa.seeds import kz_round_batch, rounding_costs, solve_kz_sdp
-from cbqoa.simulate import _apply_layers
 
 from conftest import (
     adjacency_dense,

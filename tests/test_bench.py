@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,21 +18,18 @@ from cbqoa import (
     RunRecord,
     SdpConfig,
     WalkParams,
-    build_family,
-    cbqoa_initial_state,
+    bench,
     export_results,
     gen_hard_instances,
     import_results,
-    pogs_exact,
-    pogs_repeated,
     run_pipeline,
-    tune_ansatz_params,
-    tune_walk_params,
 )
-from cbqoa import bench
-from cbqoa.bench import estimate_seed_pogs
+from cbqoa.bench import estimate_seed_pogs, pogs_exact, pogs_repeated
+from cbqoa.cvar import tune_ansatz_params, tune_walk_params
 from cbqoa.errors import DegenerateInstanceError
+from cbqoa.mixer import build_family
 from cbqoa.problems import beta_values, bits_to_str, cost_summary
+from cbqoa.simulate import cbqoa_initial_state
 
 from conftest import (
     index_to_bits,
@@ -143,6 +140,26 @@ class TestPogsRepeated:
             pogs_repeated(0.5, 0)
 
 
+class TestBenchmarkSpec:
+    @pytest.mark.parametrize("problem, threshold", [("max3sat", 0.7), ("max_bisection", 0.99)])
+    def test_screening_threshold_follows_the_problem(self, problem, threshold):
+        """Unset, the threshold is the problem's first POGS threshold; set, it is kept."""
+        assert BenchmarkSpec(problem=problem).ratio_threshold == threshold
+        assert BenchmarkSpec(problem=problem, ratio_threshold=0.5).ratio_threshold == 0.5
+
+    def test_problem_constructors(self):
+        shared = dict(
+            count=3, num_vars=16, num_clauses=200, num_vertices=12, edge_prob=0.5,
+            pogs_cutoff=0.05, rounding_trials=10000, rng_seed=0, max_attempts_factor=100,
+        )
+        assert asdict(BenchmarkSpec.for_max3sat(count=3)) == dict(
+            shared, problem="max3sat", ratio_threshold=0.7
+        )
+        assert asdict(BenchmarkSpec.for_max_bisection(count=3)) == dict(
+            shared, problem="max_bisection", ratio_threshold=0.99
+        )
+
+
 class TestGenHardInstances:
     def test_deterministic_and_below_cutoff(self):
         spec = BenchmarkSpec.for_max3sat(count=2, rounding_trials=1500, rng_seed=13)
@@ -243,9 +260,7 @@ class TestRunPipeline:
         # The record holds what the tuners return when they do run from that seed.
         cvar_cfg = CvarConfig(alpha=FAST_PIPELINE.alpha)
         family = build_family(inst, record.seed_bits)
-        walk_time, sharpness, _ = tune_walk_params(
-            inst, record.seed_bits, family, cvar_cfg, FAST_PIPELINE.adam
-        )
+        walk_time, sharpness, _ = tune_walk_params(inst, family, cvar_cfg, FAST_PIPELINE.adam)
         assert (record.walk_time, record.walk_sharpness) == (walk_time, sharpness)
         psi = cbqoa_initial_state(inst, record.seed_bits, WalkParams(walk_time, sharpness))
         betas, gammas, _ = tune_ansatz_params(

@@ -7,7 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbqoa import Max3SatInstance, RunRecord, instance_id, load_instance, save_instance
+from cbqoa import (
+    Max3SatInstance,
+    MaxBisectionInstance,
+    RunRecord,
+    instance_id,
+    load_instance,
+    save_instance,
+)
 from cbqoa.bench import GenerationStats
 from cbqoa.cli import EXIT_GUARDED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
@@ -49,6 +56,34 @@ class TestGen:
         assert files_a == sorted(p.name for p in out_b.iterdir())
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--kind", "max3sat", "--num-vertices", "10"],
+             {"problem": "max3sat", "num_vars": 16, "num_vertices": 12, "ratio_threshold": 0.7}),
+            (["--kind", "max3sat", "--num-vars", "9", "--threshold", "0.8"],
+             {"problem": "max3sat", "num_vars": 9, "num_vertices": 12, "ratio_threshold": 0.8}),
+            (["--kind", "max_bisection", "--num-vars", "9", "--num-vertices", "8"],
+             {"problem": "max_bisection", "num_vars": 16, "num_vertices": 8,
+              "ratio_threshold": 0.99}),
+        ],
+        ids=["max3sat", "max3sat-threshold", "max_bisection"],
+    )
+    def test_manifest_spec(self, tmp_path, monkeypatch, flags, expected):
+        """The spec takes the kind's shape flags only, and the kind's threshold unless set."""
+        import cbqoa.bench as bench_mod
+
+        monkeypatch.setattr(
+            bench_mod, "gen_hard_instances", lambda spec: ([], GenerationStats(attempts=1))
+        )
+        out = tmp_path / "gen"
+        assert main(["gen", "--out", str(out), "--count", "2", "--seed", "5"] + flags) == EXIT_OK
+        spec = json.loads((out / "gen_manifest.json").read_text())["spec"]
+        assert spec == {
+            "count": 2, "num_clauses": 200, "edge_prob": 0.5, "pogs_cutoff": 0.05,
+            "rounding_trials": 10000, "rng_seed": 5, "max_attempts_factor": 100, **expected,
+        }
 
     def test_malformed_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -215,7 +250,8 @@ class TestBench:
 
     @staticmethod
     def check_failure_keeps_finished_records(tmp_path, monkeypatch, workers):
-        """The first of 3 jobs fails: exit 4, the other 2 records are written, a rerun completes."""
+        """The first of 3 jobs fails: exit 3, the other 2 records are written and exported
+        with the failure listed, and a rerun completes."""
         import cbqoa.bench as bench_mod
 
         instances = make_instances(tmp_path, count=3)
@@ -231,12 +267,39 @@ class TestBench:
             return original(instance, *a, **kw)
 
         monkeypatch.setattr(bench_mod, "run_pipeline", fail_first)
-        assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_INTERNAL
+        assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_GUARDED
         written = sorted(p.name for p in (out / "records").glob("*_p0.json"))
         assert written == sorted(f"{p.stem}_p0.json" for p in instances.glob("*.json"))[1:]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [{"instance": first, "error": "injected failure"}]
+        assert sorted(r["instance_id"] for r in manifest["records"]) == [p[:-8] for p in written]
         monkeypatch.setattr(bench_mod, "run_pipeline", original)
         assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
+        assert "failures" not in json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_degenerate_instance_is_listed_and_others_exported(self, tmp_path, capsys, workers):
+        """One instance whose feasible costs are all equal: exit 3, its failure in the
+        manifest and on stderr, every other record written and exported."""
+        instances = make_instances(tmp_path, count=2)
+        flat = MaxBisectionInstance(num_vertices=6, edges=())
+        save_instance(flat, instances / "flat.json")
+        out = tmp_path / "out"
+        args = ["bench", str(instances), "--depth", "0", "--out", str(out), "--workers", workers]
+        assert main(args + PIPELINE_FLAGS) == EXIT_GUARDED
+        good = sorted(p.stem for p in instances.glob("*.json") if p.stem != "flat")
+        assert sorted(p.name for p in (out / "records").glob("*_p0.json")) == [
+            f"{stem}_p0.json" for stem in good
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r["instance_id"] for r in manifest["records"]] == good
+        [failure] = manifest["failures"]
+        assert failure["instance"] == "flat"
+        assert instance_id(flat) in failure["error"] and "costs are equal" in failure["error"]
+        assert "flat" in capsys.readouterr().err
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == good
 
     @staticmethod
     def _snapshot(records):

@@ -5,31 +5,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cbqoa import (
-    AdamConfig,
-    CvarConfig,
-    Max3SatInstance,
-    WalkParams,
-    build_family,
-    cbqoa_initial_state,
-    cvar_discrete,
-    tune_ansatz_params,
-    tune_walk_params,
-    uniform_feasible_state,
-)
+from cbqoa import AdamConfig, CvarConfig, Max3SatInstance, WalkParams
 from cbqoa.cvar import (
-    FD_STEP,
     _CVAR_CHUNK,
+    FD_STEP,
     _adam_lockstep,
     _central_differences,
     _cvar_boundary,
     _cvar_sorted,
     _hypercube_objective,
     _layer_objective,
+    cvar_discrete,
+    tune_ansatz_params,
+    tune_walk_params,
 )
 from cbqoa.fast_sim import _evolve_rows, bin_costs, eta_from_state
+from cbqoa.mixer import build_family
 from cbqoa.problems import cost_summary, feasible_indices
-from cbqoa.simulate import _apply_layers, AnsatzParams, hypercube_walk_state
+from cbqoa.simulate import (
+    AnsatzParams,
+    _apply_layers,
+    cbqoa_initial_state,
+    hypercube_walk_state,
+    uniform_feasible_state,
+)
 
 from conftest import (
     index_to_bits,
@@ -307,7 +306,7 @@ class TestTuneWalkParams:
         feas = feasible_indices(inst)
         seed = index_to_bits(int(feas[feas.size // 3]), n)
         family = build_family(inst, seed)
-        args = (inst, seed, family, CvarConfig(alpha=0.4), cfg)
+        args = (inst, family, CvarConfig(alpha=0.4), cfg)
         assert tune_walk_params(*args) == oracle_tune_walk_params(*args)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1e-6])
@@ -316,14 +315,8 @@ class TestTuneWalkParams:
         inst = small_3sat(rng, n=14, num_clauses=60)
         seed = index_to_bits(int(rng.integers(1 << 14)), 14)
         family = build_family(inst, seed)
-        args = (inst, seed, family, CvarConfig(alpha=alpha), AdamConfig(iterations=5))
+        args = (inst, family, CvarConfig(alpha=alpha), AdamConfig(iterations=5))
         assert tune_walk_params(*args) == oracle_tune_walk_params(*args)
-
-    def test_rejects_seed_other_than_family_seed(self, rng):
-        inst = small_bisection(rng, n=6)
-        family = build_family(inst, "010101")
-        with pytest.raises(ValueError):
-            tune_walk_params(inst, "101010", family)
 
     def test_never_worse_than_zero_point(self, rng):
         """(0, 0) is the first restart, so the tuned tail cost can't exceed it."""
@@ -332,9 +325,7 @@ class TestTuneWalkParams:
         family = build_family(inst, seed)
         summary = cost_summary(inst)
         order = np.argsort(summary.diagonal)
-        t, sharpness, trace = tune_walk_params(
-            inst, seed, family, CvarConfig(alpha=0.5), FAST_ADAM
-        )
+        t, sharpness, trace = tune_walk_params(inst, family, CvarConfig(alpha=0.5), FAST_ADAM)
         state = cbqoa_initial_state(inst, seed, WalkParams(time=t, sharpness=sharpness), family=family)
         tuned = _cvar_sorted(
             summary.diagonal[order], (np.abs(state) ** 2)[order], 0.5
@@ -346,7 +337,7 @@ class TestTuneWalkParams:
         inst = Max3SatInstance(num_vars=4, clauses=((1, 2, 3, 0.0),))
         family = build_family(inst, "0000")
         t, sharpness, trace = tune_walk_params(
-            inst, "0000", family, CvarConfig(alpha=0.5), AdamConfig(iterations=5, restarts=2)
+            inst, family, CvarConfig(alpha=0.5), AdamConfig(iterations=5, restarts=2)
         )
         values = {round(v, 12) for _, _, v in trace}
         assert values == {0.0}
@@ -366,7 +357,7 @@ class TestTuneWalkParams:
             return _cvar_sorted(sorted_costs, (np.abs(state) ** 2)[order], 0.5)
 
         t, sharpness, _ = tune_walk_params(
-            inst, "000", family, CvarConfig(alpha=0.5), AdamConfig(iterations=120, restarts=3, rng_seed=1)
+            inst, family, CvarConfig(alpha=0.5), AdamConfig(iterations=120, restarts=3, rng_seed=1)
         )
         tuned = objective(t, sharpness)
         grid_best = min(
@@ -409,7 +400,7 @@ class TestTuneAnsatzParams:
         span = values.max() - values.min()
         depth, num_bins, alpha = 3, 2000, 0.5
 
-        from cbqoa import bin_costs, eta_from_state, evolve_binned
+        from cbqoa.fast_sim import bin_costs, eta_from_state, evolve_binned
 
         binning = bin_costs(summary.diagonal, feas, num_bins)
         base = eta_from_state(psi, binning)
@@ -453,7 +444,7 @@ class TestOptimalSeed:
         seed = index_to_bits(summary.optimum_index, n)
         cvar_cfg, adam_cfg = CvarConfig(alpha=alpha), AdamConfig(iterations=50, rng_seed=adam_seed)
         family = build_family(inst, seed)
-        walk_time, sharpness, _ = tune_walk_params(inst, seed, family, cvar_cfg, adam_cfg)
+        walk_time, sharpness, _ = tune_walk_params(inst, family, cvar_cfg, adam_cfg)
         assert (walk_time, sharpness) == (0.0, 0.0)
         psi = cbqoa_initial_state(inst, seed, WalkParams(0.0, 0.0), family=family)
         for depth in (1, 2, 3):

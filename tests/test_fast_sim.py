@@ -7,20 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbqoa import (
-    AnsatzParams,
-    WalkParams,
+from cbqoa import AnsatzParams, WalkParams
+from cbqoa.cvar import _cvar_sorted
+from cbqoa.fast_sim import (
+    _evolve_rows,
     bin_costs,
     binned_distribution,
-    cbqoa_initial_state,
     eta_from_state,
     evolve_binned,
-    feasible_indices,
 )
-from cbqoa.cvar import _cvar_sorted
-from cbqoa.fast_sim import _evolve_rows
-from cbqoa.problems import cost_summary
-from cbqoa.simulate import _apply_layers, basis_state
+from cbqoa.problems import cost_summary, feasible_indices
+from cbqoa.simulate import _apply_layers, basis_state, cbqoa_initial_state
 
 from conftest import binned_diagonal, random_feasible_state, small_3sat, small_bisection
 

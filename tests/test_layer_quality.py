@@ -10,25 +10,13 @@ instances with a single rounding (seed_trials=1), tune the walk once, and tune
 import numpy as np
 import pytest
 
-from cbqoa import (
-    AdamConfig,
-    AnsatzParams,
-    CvarConfig,
-    SdpConfig,
-    WalkParams,
-    bin_costs,
-    build_family,
-    cbqoa_initial_state,
-    cvar_discrete,
-    eta_from_state,
-    evolve_binned,
-    tune_walk_params,
-)
-from cbqoa import cvar
+from cbqoa import AdamConfig, AnsatzParams, CvarConfig, SdpConfig, WalkParams, cvar
 from cbqoa.bench import classical_batch
-from cbqoa.fast_sim import binned_distribution
+from cbqoa.cvar import cvar_discrete, tune_walk_params
+from cbqoa.fast_sim import bin_costs, binned_distribution, eta_from_state, evolve_binned
+from cbqoa.mixer import build_family
 from cbqoa.problems import cost_summary
-from cbqoa.simulate import _apply_layers
+from cbqoa.simulate import _apply_layers, cbqoa_initial_state
 
 ALPHA = 0.5
 NUM_BINS = 1000
@@ -71,7 +59,7 @@ def walked_states(instances):
         seed = assignments[0]
         family = build_family(inst, seed)
         adam = AdamConfig(rng_seed=3000 + i)
-        time, sharpness, _ = tune_walk_params(inst, seed, family, CvarConfig(ALPHA), adam)
+        time, sharpness, _ = tune_walk_params(inst, family, CvarConfig(ALPHA), adam)
         psi = cbqoa_initial_state(inst, seed, WalkParams(time, sharpness), family=family)
         out.append((inst, summary, psi))
     return out

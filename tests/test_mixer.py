@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from cbqoa import (
-    MaxBisectionInstance,
+from cbqoa import MaxBisectionInstance
+from cbqoa.mixer import (
     PermutationFamily,
     bit_flip,
     build_family,
-    feasible_indices,
+    permute_indices,
+    sigmoid_weight,
     transposition,
 )
-from cbqoa.mixer import permute_indices, sigmoid_weight
+from cbqoa.problems import feasible_indices
 
 from conftest import adjacency_dense, index_to_bits, small_3sat, small_bisection, verify_assumption
 

@@ -13,20 +13,20 @@ from cbqoa import (
     DegenerateInstanceError,
     Max3SatInstance,
     MaxBisectionInstance,
-    approx_ratio_beta,
-    feasible_indices,
     instance_id,
-    is_feasible,
     load_instance,
     save_instance,
 )
 from cbqoa.problems import (
+    approx_ratio_beta,
     as_bits,
     beta_values,
     bits_to_index,
     bits_to_str,
     cost_summary,
+    feasible_indices,
     instance_from_dict,
+    is_feasible,
     ising_diagonal,
 )
 from cbqoa.seeds import rounding_costs

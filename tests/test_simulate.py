@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbqoa import (
-    AnsatzParams,
-    Max3SatInstance,
-    WalkParams,
+from cbqoa import AnsatzParams, Max3SatInstance, WalkParams
+from cbqoa.mixer import PermutationFamily, bit_flip, build_family, transposition
+from cbqoa.problems import cost_summary, feasible_indices, ising_diagonal
+from cbqoa.simulate import (
+    _hypercube_product,
     apply_phase_separator,
     apply_rank1_mixer,
     basis_state,
-    bit_flip,
-    build_family,
     cbqoa_ansatz,
     cbqoa_initial_state,
     ctqw_trotter_xy,
-    feasible_indices,
     gm_qaoa_ansatz,
-    transposition,
+    hypercube_walk_state,
+    trotter_xy_sector_batch,
 )
-from cbqoa.mixer import PermutationFamily
-from cbqoa.problems import cost_summary, ising_diagonal
-from cbqoa.simulate import _hypercube_product, hypercube_walk_state, trotter_xy_sector_batch
 
 from conftest import (
     adjacency_dense,

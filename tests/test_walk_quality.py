@@ -8,15 +8,11 @@ ratio, so they add no tuning of their own.
 
 import numpy as np
 
-from cbqoa import (
-    CvarConfig,
-    WalkParams,
-    build_family,
-    cbqoa_initial_state,
-    cvar_discrete,
-)
-from cbqoa import cvar
+from cbqoa import CvarConfig, WalkParams, cvar
+from cbqoa.cvar import cvar_discrete
+from cbqoa.mixer import build_family
 from cbqoa.problems import cost_summary
+from cbqoa.simulate import cbqoa_initial_state
 
 ALPHA = 0.5  # the pipeline's default
 # Distance allowed from the ratios of the earlier finite-difference walk tuner.
@@ -81,7 +77,7 @@ def test_gate_fails_for_a_tuner_that_returns_its_first_restart(
     instances = hard_max3sat_instances[1]
     seeds = [r.seed_bits for r in max3sat_records]
     walks = [
-        cvar.tune_walk_params(inst, seed, build_family(inst, seed), CvarConfig(ALPHA))[:2]
+        cvar.tune_walk_params(inst, build_family(inst, seed), CvarConfig(ALPHA))[:2]
         for inst, seed in zip(instances, seeds)
     ]
     assert walks == [(0.0, 0.0)] * len(instances)
