@@ -293,6 +293,23 @@ class PipelineConfig:
             raise ValueError("repetitions must be >= 1")
 
 
+def _classical_seed(
+    instance: ProblemInstance, config: PipelineConfig, summary: CostSummary | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The pipeline's seed step, seeded by the first two children of SeedSequence(rng_seed):
+    the classical batch, and the index of the walk seed, its best of seed_trials roundings."""
+    sdp_seq, round_seq = np.random.SeedSequence(config.rng_seed).spawn(2)
+    assignments, costs, ratios = classical_batch(
+        instance,
+        replace(config.sdp, rng_seed=int(sdp_seq.generate_state(1)[0])),
+        np.random.default_rng(round_seq),
+        config.rounding_trials,
+        summary,
+    )
+    seed_trials = config.seed_trials or default_seed_trials(instance.kind, config.rounding_trials)
+    return assignments, costs, ratios, int(np.argmin(costs[:seed_trials]))
+
+
 def _algorithm_order(problem: str, depth: int) -> list[str]:
     """Record order: the classical seed algorithm, the bare walk, the two depth-p ansatzes."""
     return ["kz" if problem == "max3sat" else "fl", "cbqoa_0", f"cbqoa_{depth}", f"gm_qaoa_{depth}"]
@@ -387,20 +404,8 @@ def _run_pipeline_inner(
         probs = np.abs(state) ** 2
         return {_threshold_key(x): float(probs[_good(betas_table, x)].sum()) for x in thresholds}
 
-    root = np.random.SeedSequence(config.rng_seed)
-    sdp_seq, round_seq, walk_seq, ansatz_seq, gm_seq = root.spawn(5)
-
-    assignments, costs, ratios = classical_batch(
-        instance,
-        replace(config.sdp, rng_seed=int(sdp_seq.generate_state(1)[0])),
-        np.random.default_rng(round_seq),
-        config.rounding_trials,
-        summary,
-    )
-    seed_trials = config.seed_trials or default_seed_trials(
-        instance.kind, config.rounding_trials
-    )
-    best_trial = int(np.argmin(costs[:seed_trials]))
+    assignments, costs, ratios, best_trial = _classical_seed(instance, config, summary)
+    walk_seq, ansatz_seq, gm_seq = np.random.SeedSequence(config.rng_seed).spawn(5)[2:]
     seed_bits = assignments[best_trial]
     seed_algorithm = _algorithm_order(instance.kind, depth)[0]
 

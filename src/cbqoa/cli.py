@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 usage or validation error, 3 guarded failure (the
 hard-instance generator gave up early, or bench exported the records of some
 instances and listed the others' failures), 4 internal error. All randomness
-flows from --seed; rerunning with the same seed reproduces outputs byte for
-byte, regardless of worker count.
+flows from --seed; on one machine, rerunning with the same seed reproduces
+outputs byte for byte, regardless of worker count (not regardless of the BLAS
+thread count).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from . import bench
 from .bench import BenchmarkSpec, PipelineConfig, RunRecord
 from .problems import bits_to_str, instance_id, load_instance, save_instance
-from .seeds import SdpConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,11 +56,15 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
+# Each kind's instance-shape flags; BenchmarkSpec holds their defaults.
+_SHAPES = {"max3sat": ("num_vars", "num_clauses"), "max_bisection": ("num_vertices", "edge_prob")}
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "max3sat":
-        shape = {"num_vars": args.num_vars, "num_clauses": args.num_clauses}
-    else:
-        shape = {"num_vertices": args.num_vertices, "edge_prob": args.edge_prob}
+    given = [f for flags in _SHAPES.values() for f in flags if getattr(args, f) is not None]
+    foreign = ["--" + f.replace("_", "-") for f in given if f not in _SHAPES[args.kind]]
+    if foreign:
+        raise ValueError(f"--kind {args.kind} takes no {', '.join(foreign)}")
     spec = BenchmarkSpec(
         problem=args.kind,
         count=args.count,
@@ -68,7 +72,7 @@ def cmd_gen(args) -> int:
         pogs_cutoff=args.cutoff,
         rounding_trials=args.trials,
         rng_seed=args.seed,
-        **shape,
+        **{f: getattr(args, f) for f in given},
     )
     instances, stats = bench.gen_hard_instances(spec)
     out = Path(args.out)
@@ -97,11 +101,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_seed(args) -> int:
+    """Print the seed that `solve` with the same --trials and --seed walks from."""
     instance = load_instance(args.instance)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    cfg = SdpConfig(rng_seed=_derive_seed(args.seed, 0))
-    assignments, costs, ratios = bench.classical_batch(instance, cfg, rng, args.trials)
-    best = int(np.argmin(costs))
+    config = PipelineConfig(rounding_trials=args.trials, rng_seed=args.seed)
+    assignments, costs, ratios, best = bench._classical_seed(instance, config)
     payload = {
         "instance_id": instance_id(instance),
         "seed": bits_to_str(assignments[best]),
@@ -274,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=10)
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--num-vars", type=int, default=16)
-    gen.add_argument("--num-clauses", type=int, default=200)
-    gen.add_argument("--num-vertices", type=int, default=12)
-    gen.add_argument("--edge-prob", type=float, default=0.5)
+    gen.add_argument("--num-vars", type=int)
+    gen.add_argument("--num-clauses", type=int)
+    gen.add_argument("--num-vertices", type=int)
+    gen.add_argument("--edge-prob", type=float)
     gen.add_argument("--cutoff", type=float, default=0.05)
     gen.add_argument("--threshold", type=float, default=None)
     gen.add_argument("--trials", type=int, default=10000)

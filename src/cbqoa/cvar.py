@@ -30,7 +30,7 @@ from .simulate import (
     _hypercube_adjoint,
     _hypercube_product,
     cbqoa_initial_state,  # noqa: F401 -- the traced benchmark run wraps it by this name
-    trotter_xy_sector_batch,
+    ctqw_trotter_xy,
 )
 
 
@@ -279,17 +279,16 @@ def tune_walk_params(
     if family.kind == "transposition":
         order = np.argsort(diagonal, kind="stable")
         sorted_costs = diagonal[order]
-        rank = np.argsort(order)
 
         def objective(points: np.ndarray) -> np.ndarray:
-            rows, amps = trotter_xy_sector_batch(
+            rows, amps = ctqw_trotter_xy(
                 family, points[:, 0], points[:, 1], circuit_cfg.trotter_steps
             )
-            # One full-length sorted distribution per row, zero off the sector,
-            # so _cvar_sorted sums exactly what a full-space evaluation sums.
+            # One full-length distribution per row, zero off the sector and read in
+            # cost order, so _cvar_sorted sums exactly what a full-space evaluation sums.
             probs = np.zeros((len(points), order.size))
-            probs[:, rank[rows]] = (np.abs(amps) ** 2).T
-            return np.array([_cvar_sorted(sorted_costs, row, alpha) for row in probs])
+            probs[:, rows] = (np.abs(amps) ** 2).T
+            return np.array([_cvar_sorted(sorted_costs, row, alpha, order) for row in probs])
 
         value_and_grad = _central_differences(objective)
     else:

@@ -57,14 +57,6 @@ class CircuitConfig:
             raise ValueError("trotter_steps must be >= 1")
 
 
-def basis_state(n: int, z) -> np.ndarray:
-    """One-hot state |z> on n qubits."""
-    bits = as_bits(z, n)
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[bits_to_index(bits)] = 1.0
-    return state
-
-
 def uniform_feasible_state(instance: ProblemInstance) -> np.ndarray:
     """Uniform superposition over the feasible strings."""
     feas = feasible_indices(instance)
@@ -95,24 +87,18 @@ def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, isin2: np.ndarray, steps
 
 
 @lru_cache(maxsize=8)
-def _trotter_plan(family: PermutationFamily, sector: bool) -> tuple[np.ndarray, tuple]:
-    """Rows the walk acts on, and the (i01, i10, gain index) row pairs per transposition.
-
-    With sector=False the rows are all 2^n basis indices. With sector=True they
-    are only the strings of the seed's Hamming weight, which every XY gate
-    preserves; each gate then touches C(n-2, w-1) pairs instead of 2^(n-2).
-    """
+def _trotter_plan(family: PermutationFamily) -> tuple[np.ndarray, tuple]:
+    """The seed's Hamming-weight sector, which every XY gate preserves, and its
+    (i01, i10, gain index) row pairs per transposition: C(n-2, w-1) per gate."""
     n = family.n
     rows = np.arange(1 << n, dtype=np.int64)
-    if sector:
-        rows = rows[np.bitwise_count(rows) == sum(family.seed)]
-    position = np.full(1 << n, -1, dtype=np.int64)
-    position[rows] = np.arange(rows.size)
+    rows = rows[np.bitwise_count(rows) == sum(family.seed)]
     plan = []
     for idx, tau in enumerate(family.permutations):
         place_a, place_b = (1 << (n - i) for i in sorted(tau.indices))
         i01 = rows[((rows & place_a) == 0) & ((rows & place_b) != 0)]
-        plan.append((position[i01], position[permute_indices(tau, i01, n)], idx))
+        i10 = permute_indices(tau, i01, n)
+        plan.append((np.searchsorted(rows, i01), np.searchsorted(rows, i10), idx))
     return rows, tuple(plan)
 
 
@@ -122,48 +108,20 @@ def _xy_rotations(family: PermutationFamily, sharpness: float, time: float, step
     return np.cos(2 * angles), 1j * np.sin(2 * angles)
 
 
-def _check_xy(family: PermutationFamily, steps: int) -> None:
-    if family.kind != "transposition":
-        raise ValueError("trotterized XY walk requires a transposition family")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-
-
 def ctqw_trotter_xy(
-    state: np.ndarray,
-    family: PermutationFamily,
-    sharpness: float,
-    time: float,
-    steps: int,
-) -> np.ndarray:
-    """Product-formula walk for a transposition family.
-
-    Applies the XY rotations of every transposition with angle w*t/(2N), in the
-    family's round order, repeated N times. Hamming weight sectors are
-    preserved exactly; the deviation from the exact walk scales as t^2/N.
-    """
-    _check_xy(family, steps)
-    if state.size != 1 << family.n:
-        raise ValueError("state size does not match family")
-    _, plan = _trotter_plan(family, False)
-    cos2, isin2 = _xy_rotations(family, sharpness, time, steps)
-    out = state.reshape(-1, 1).copy()
-    _xy_sweep(out, plan, cos2[:, None], isin2[:, None], steps)
-    return out.reshape(-1)
-
-
-def trotter_xy_sector_batch(
     family: PermutationFamily, times, sharpnesses, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product-formula walks from the family's seed, one column per (time, sharpness).
 
-    Returns the seed's Hamming-weight sector as basis indices, and the walk
-    amplitudes on it as a (sector, batch) array. Every amplitude outside the
-    sector is exactly zero, and each column equals ctqw_trotter_xy from the
-    seed's basis state restricted to the sector.
+    Applies the XY rotations of every transposition with angle w*t/(2N), in the
+    family's round order, repeated N times; the deviation from the exact walk
+    scales as t^2/N. Returns the seed's Hamming-weight sector as basis indices,
+    and the walk amplitudes on it as a (sector, batch) array: every amplitude
+    outside the sector is exactly zero.
     """
-    _check_xy(family, steps)
-    rows, plan = _trotter_plan(family, True)
+    if family.kind != "transposition":
+        raise ValueError("trotterized XY walk requires a transposition family")
+    rows, plan = _trotter_plan(family)
     batch = len(times)
     cos2 = np.empty((family.size, batch))
     isin2 = np.empty((family.size, batch), dtype=np.complex128)
@@ -258,7 +216,8 @@ def cbqoa_initial_state(
     family: PermutationFamily | None = None,
     config: CircuitConfig = CircuitConfig(),
 ) -> np.ndarray:
-    """Walk state e^{iAt}|z>: exact for hypercube families, trotterized for XY."""
+    """Walk state e^{iAt}|z>: exact for hypercube families, trotterized for XY. An XY
+    walk runs from its family's seed, so a transposition family must be anchored at z."""
     bits = as_bits(z, instance.n)
     if not is_feasible(instance, bits):
         raise ValueError("walk seed must be feasible")
@@ -266,9 +225,12 @@ def cbqoa_initial_state(
         family = build_family(instance, bits)
     if family.kind == "bit_flip":
         return hypercube_walk_state(bits, family.weights(walk.sharpness), walk.time)
-    return ctqw_trotter_xy(
-        basis_state(instance.n, bits), family, walk.sharpness, walk.time, config.trotter_steps
-    )
+    if not np.array_equal(family.seed, bits):
+        raise ValueError("an XY walk starts at its family's seed, not at z")
+    rows, amps = ctqw_trotter_xy(family, [walk.time], [walk.sharpness], config.trotter_steps)
+    state = np.zeros(1 << instance.n, dtype=np.complex128)
+    state[rows] = amps[:, 0]
+    return state
 
 
 def _apply_layers(

@@ -23,7 +23,15 @@ from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP, _hypercube_objectiv
 from cbqoa.errors import CapacityError
 from cbqoa.fast_sim import CostBinning
 from cbqoa.mixer import PermutationFamily, permute_indices
-from cbqoa.problems import ProblemInstance, as_bits, bits_to_str, cost_summary, feasible_indices
+from cbqoa.problems import (
+    ProblemInstance,
+    as_bits,
+    bits_to_index,
+    bits_to_str,
+    cost_summary,
+    feasible_indices,
+)
+from cbqoa.simulate import _trotter_plan, _xy_rotations, _xy_sweep
 
 MAX_DENSE_ADJACENCY_VARS = 12
 MAX_VERIFY_VARS = 14
@@ -34,6 +42,28 @@ def index_to_bits(index: int, n: int) -> np.ndarray:
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} bits")
     return ((index >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def basis_state(n: int, z) -> np.ndarray:
+    """One-hot state |z> on n qubits."""
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[bits_to_index(as_bits(z, n))] = 1.0
+    return state
+
+
+def sector_walk(
+    family: PermutationFamily, states: np.ndarray, sharpness: float, time: float, steps: int
+) -> np.ndarray:
+    """The library's product-formula sweep applied to each column of states, (2^n, k)
+    and zero outside the seed's Hamming-weight sector, as one (sector, k) array."""
+    rows, plan = _trotter_plan(family)
+    assert not np.delete(states, rows, axis=0).any(), "a start state leaves the seed's sector"
+    amps = states[rows].astype(np.complex128)
+    cos2, isin2 = _xy_rotations(family, sharpness, time, steps)
+    _xy_sweep(amps, plan, cos2[:, None], isin2[:, None], steps)
+    out = np.zeros_like(amps, shape=states.shape)
+    out[rows] = amps
+    return out
 
 
 def binned_diagonal(binning: CostBinning, size: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from cbqoa.simulate import (
     apply_phase_separator,
     apply_rank1_mixer,
     cbqoa_initial_state,
-    ctqw_trotter_xy,
 )
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     random_feasible_state,
     random_satisfiable_max3sat,
     random_state,
+    sector_walk,
 )
 
 
@@ -104,12 +104,12 @@ def test_criterion_2_trotter_scaling():
         t = 0.5
         U = dense_unitary(adjacency_dense(family, sharpness), t)
         feas = feasible_indices(inst)
-        starts = [random_feasible_state(rng, 64, feas) for _ in range(10)]
+        starts = np.stack([random_feasible_state(rng, 64, feas) for _ in range(10)], axis=1)
         err = {}
         for steps in (1, 2, 4, 8):
+            walked = sector_walk(family, starts, sharpness, t, steps)
             err[steps] = max(
-                np.linalg.norm(ctqw_trotter_xy(s, family, sharpness, t, steps) - U @ s)
-                for s in starts
+                np.linalg.norm(walked[:, k] - U @ starts[:, k]) for k in range(starts.shape[1])
             )
         ratios.extend(err[2 * steps] / err[steps] for steps in (1, 2, 4))
     elapsed = time.perf_counter() - start

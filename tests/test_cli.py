@@ -15,7 +15,7 @@ from cbqoa import (
     load_instance,
     save_instance,
 )
-from cbqoa.bench import GenerationStats
+from cbqoa.bench import GenerationStats, random_max3sat, random_max_bisection
 from cbqoa.cli import EXIT_GUARDED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import small_bisection
@@ -60,25 +60,33 @@ class TestGen:
     @pytest.mark.parametrize(
         "flags, expected",
         [
-            (["--kind", "max3sat", "--num-vertices", "10"],
-             {"problem": "max3sat", "num_vars": 16, "num_vertices": 12, "ratio_threshold": 0.7}),
+            (["--kind", "max3sat", "--num-vertices", "10"], "--num-vertices"),
             (["--kind", "max3sat", "--num-vars", "9", "--threshold", "0.8"],
              {"problem": "max3sat", "num_vars": 9, "num_vertices": 12, "ratio_threshold": 0.8}),
-            (["--kind", "max_bisection", "--num-vars", "9", "--num-vertices", "8"],
+            (["--kind", "max_bisection", "--num-vars", "9", "--num-vertices", "8"], "--num-vars"),
+            (["--kind", "max_bisection", "--num-vertices", "8"],
              {"problem": "max_bisection", "num_vars": 16, "num_vertices": 8,
               "ratio_threshold": 0.99}),
         ],
-        ids=["max3sat", "max3sat-threshold", "max_bisection"],
+        ids=["max3sat", "max3sat-threshold", "max_bisection", "max_bisection-shape"],
     )
-    def test_manifest_spec(self, tmp_path, monkeypatch, flags, expected):
-        """The spec takes the kind's shape flags only, and the kind's threshold unless set."""
+    def test_manifest_spec(self, tmp_path, monkeypatch, capsys, flags, expected):
+        """The spec takes the kind's shape flags, BenchmarkSpec's defaults for the rest,
+        and the kind's threshold unless set. A shape flag of the other kind exits 2 and
+        is named."""
         import cbqoa.bench as bench_mod
 
         monkeypatch.setattr(
             bench_mod, "gen_hard_instances", lambda spec: ([], GenerationStats(attempts=1))
         )
         out = tmp_path / "gen"
-        assert main(["gen", "--out", str(out), "--count", "2", "--seed", "5"] + flags) == EXIT_OK
+        code = main(["gen", "--out", str(out), "--count", "2", "--seed", "5"] + flags)
+        if isinstance(expected, str):
+            assert code == EXIT_USAGE
+            assert expected in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code == EXIT_OK
         spec = json.loads((out / "gen_manifest.json").read_text())["spec"]
         assert spec == {
             "count": 2, "num_clauses": 200, "edge_prob": 0.5, "pogs_cutoff": 0.05,
@@ -114,6 +122,27 @@ class TestSeed:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(payload) == {"instance_id", "seed", "cost", "beta"}
         assert sum(int(c) for c in payload["seed"]) == 3
+
+    @pytest.mark.parametrize("kind", ["max3sat", "max_bisection"])
+    def test_reports_the_seed_solve_walks_from(self, tmp_path, capsys, kind):
+        """seed and solve with the same --trials and --seed agree on the seed's bits, cost
+        and beta: both take the pipeline's seed step, its rngs and its seed_trials."""
+        rng = np.random.default_rng(21)
+        if kind == "max3sat":
+            inst = random_max3sat(rng, num_vars=10, num_clauses=40)
+        else:
+            inst = random_max_bisection(rng, num_vertices=10)
+        path, record_path = tmp_path / "inst.json", tmp_path / "record.json"
+        save_instance(inst, path)
+        flags = ["--trials", "50", "--seed", "2"]
+        assert main(["seed", str(path), *flags]) == EXIT_OK
+        seed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        args = ["solve", str(path), "--depth", "0", "--out", str(record_path), *flags]
+        assert main(args) == EXIT_OK
+        record = RunRecord.from_json(record_path.read_text())
+        assert (seed["seed"], seed["cost"], seed["beta"]) == (
+            record.seed_bits, record.seed_cost, record.seed_beta
+        )
 
     def test_missing_file_exits_2(self):
         assert main(["seed", "/nonexistent/instance.json"]) == EXIT_USAGE

@@ -17,9 +17,15 @@ from cbqoa.fast_sim import (
     evolve_binned,
 )
 from cbqoa.problems import cost_summary, feasible_indices
-from cbqoa.simulate import _apply_layers, basis_state, cbqoa_initial_state
+from cbqoa.simulate import _apply_layers, cbqoa_initial_state
 
-from conftest import binned_diagonal, random_feasible_state, small_3sat, small_bisection
+from conftest import (
+    basis_state,
+    binned_diagonal,
+    random_feasible_state,
+    small_3sat,
+    small_bisection,
+)
 
 
 def walked_state(rng, inst, seed):

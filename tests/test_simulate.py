@@ -12,23 +12,23 @@ from cbqoa.simulate import (
     _hypercube_product,
     apply_phase_separator,
     apply_rank1_mixer,
-    basis_state,
     cbqoa_ansatz,
     cbqoa_initial_state,
     ctqw_trotter_xy,
     gm_qaoa_ansatz,
     hypercube_walk_state,
-    trotter_xy_sector_batch,
 )
 
 from conftest import (
     adjacency_dense,
+    basis_state,
     dense_unitary,
     index_to_bits,
     measurement_distribution,
     oracle_walk_state,
     random_feasible_state,
     random_state,
+    sector_walk,
     small_3sat,
     small_bisection,
 )
@@ -57,16 +57,20 @@ def hypercube_walk(weights, z: int, t: float) -> np.ndarray:
     return cbqoa_initial_state(inst, index_to_bits(z, n), walk, family=hypercube_family(weights))
 
 
-def xy_gate(state: np.ndarray, a: int, b: int, phi: float) -> np.ndarray:
-    """e^{i phi (X_a X_b + Y_a Y_b)}: one product-formula step of a one-transposition walk.
+def xy_gate(n: int, seed: int, a: int, b: int, phi: float) -> np.ndarray:
+    """e^{i phi (X_a X_b + Y_a Y_b)}|seed>: one product-formula step of a one-transposition
+    walk, scattered into the 2^n vector.
 
     At sharpness 0 the edge weight is 0.5, so time 4 phi gives the angle phi exactly.
     """
-    n = int(np.log2(state.size))
+    bits = tuple(int(x) for x in index_to_bits(seed, n))
     family = PermutationFamily(
-        n=n, permutations=(transposition(a, b),), cost_gains=(0.0,), seed=(0,) * n
+        n=n, permutations=(transposition(a, b),), cost_gains=(0.0,), seed=bits
     )
-    return ctqw_trotter_xy(state, family, 0.0, 4 * phi, 1)
+    rows, amps = ctqw_trotter_xy(family, [4 * phi], [0.0], 1)
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[rows] = amps[:, 0]
+    return state
 
 
 class TestBasisAndMeasurement:
@@ -138,49 +142,51 @@ class TestHypercubeWalk:
 
 
 class TestXYGate:
-    def test_zero_angle_identity(self, rng):
-        state = random_state(rng, 8)
-        np.testing.assert_allclose(xy_gate(state, 1, 3, 0.0), state)
+    """A one-transposition walk from every basis seed: column by column, the gate itself."""
+
+    def test_zero_angle_identity(self):
+        for z in range(8):
+            want = basis_state(3, index_to_bits(z, 3))
+            np.testing.assert_allclose(xy_gate(3, z, 1, 3, 0.0), want)
 
     def test_quarter_swap(self):
-        out = xy_gate(basis_state(2, "01"), 1, 2, np.pi / 4)
+        out = xy_gate(2, 0b01, 1, 2, np.pi / 4)
         np.testing.assert_allclose(out, [0, 0, 1j, 0], atol=1e-12)
 
     def test_matches_dense_two_qubit_exponential(self, rng):
+        """Every basis seed's walk is its column of the dense exponential, so by linearity
+        the gate equals it on every state."""
         X = np.array([[0, 1], [1, 0]], dtype=complex)
         Y = np.array([[0, -1j], [1j, 0]])
         for _ in range(10):
             phi = float(rng.uniform(-2, 2))
             U = dense_unitary(np.real(np.kron(X, X) + np.kron(Y, Y)), phi)
-            state = random_state(rng, 4)
-            np.testing.assert_allclose(xy_gate(state, 1, 2, phi), U @ state, atol=1e-10)
+            for z in range(4):
+                np.testing.assert_allclose(xy_gate(2, z, 1, 2, phi), U[:, z], atol=1e-10)
 
-    def test_sector_preservation(self, rng):
-        state = random_state(rng, 16)
-        out = xy_gate(state, 2, 4, 0.8)
+    def test_sector_preservation(self):
         counts = np.bitwise_count(np.arange(16))
-        for k in range(5):
-            sector = counts == k
-            before = np.abs(state[sector]) ** 2
-            after = np.abs(out[sector]) ** 2
-            assert abs(before.sum() - after.sum()) < 1e-12
+        for z in range(16):
+            out = xy_gate(4, z, 2, 4, 0.8)
+            assert not out[counts != counts[z]].any()
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 class TestTrotterWalk:
     def test_zero_time_identity(self, rng):
         inst = small_bisection(rng, n=6)
-        family = build_family(inst, "000111")
-        state = random_state(rng, 64)
-        np.testing.assert_allclose(ctqw_trotter_xy(state, family, 0.5, 0.0, 3), state)
+        for seed in feasible_indices(inst):
+            bits = index_to_bits(int(seed), 6)
+            family = build_family(inst, bits)
+            state = cbqoa_initial_state(inst, bits, WalkParams(time=0.0, sharpness=0.5), family)
+            np.testing.assert_allclose(state, basis_state(6, bits))
 
     def test_weight_sector_confinement(self, rng):
         inst = small_bisection(rng, n=6)
         family = build_family(inst, "000111")
-        state = ctqw_trotter_xy(basis_state(6, "000111"), family, 0.9, 1.1, 3)
-        feas = feasible_indices(inst)
-        outside = np.abs(state) ** 2
-        outside[feas] = 0.0
-        assert outside.sum() <= 1e-12
+        rows, amps = ctqw_trotter_xy(family, [1.1], [0.9], 3)
+        np.testing.assert_array_equal(rows, feasible_indices(inst))
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
     def test_error_halves_when_steps_double(self, rng):
         """First-order product formula: deviation scales as t^2/N."""
@@ -189,22 +195,29 @@ class TestTrotterWalk:
         sharpness, t = 0.8, 0.5
         U = dense_unitary(adjacency_dense(family, sharpness), t)
         feas = feasible_indices(inst)
-        starts = [random_feasible_state(rng, 64, feas) for _ in range(10)]
+        starts = np.stack([random_feasible_state(rng, 64, feas) for _ in range(10)], axis=1)
         errors = {}
         for steps in (1, 2, 4, 8):
+            walked = sector_walk(family, starts, sharpness, t, steps)
             errors[steps] = max(
-                np.linalg.norm(ctqw_trotter_xy(s, family, sharpness, t, steps) - U @ s)
-                for s in starts
+                np.linalg.norm(walked[:, k] - U @ starts[:, k]) for k in range(starts.shape[1])
             )
         for steps in (1, 2, 4):
             ratio = errors[2 * steps] / errors[steps]
             assert 0.4 <= ratio <= 0.6
 
     def test_requires_transposition_family(self, rng):
-        inst = small_3sat(rng, n=4)
-        family = build_family(inst, "0000")
+        family = build_family(small_3sat(rng, n=4), "0000")
         with pytest.raises(ValueError):
-            ctqw_trotter_xy(basis_state(4, "0000"), family, 0.5, 0.3, 2)
+            ctqw_trotter_xy(family, [0.3], [0.5], 2)
+
+    def test_walk_starts_at_the_family_seed(self, rng):
+        """An XY walk state for another seed than its family's is refused, not walked from
+        the family's seed."""
+        inst = small_bisection(rng, n=4)
+        family = build_family(inst, "0011")
+        with pytest.raises(ValueError, match="family's seed"):
+            cbqoa_initial_state(inst, "0101", WalkParams(time=0.4, sharpness=0.5), family)
 
 
 class TestWalkKernelIdentity:
@@ -239,22 +252,15 @@ class TestWalkKernelIdentity:
             assert np.array_equal(product**2, np.abs(want) ** 2)
 
     def test_sector_batch_matches_full_walk(self, rng):
-        """Each column of the sector sweep is ctqw_trotter_xy from the seed, restricted."""
+        """Each column of a batched sweep is the one-column walk at its (time, sharpness)."""
         inst = small_bisection(rng, n=8)
-        seed = "01100101"
-        family = build_family(inst, seed)
+        family = build_family(inst, "01100101")
         times, sharpnesses = rng.uniform(-3, 3, 9), rng.uniform(-4, 4, 9)
-        rows, amps = trotter_xy_sector_batch(family, times, sharpnesses, 3)
+        rows, amps = ctqw_trotter_xy(family, times, sharpnesses, 3)
         np.testing.assert_array_equal(rows, feasible_indices(inst))
         for k in range(times.size):
-            full = ctqw_trotter_xy(basis_state(8, seed), family, sharpnesses[k], times[k], 3)
-            assert np.array_equal(amps[:, k], full[rows])
-            assert not np.delete(full, rows).any()
-
-    def test_sector_batch_requires_transposition_family(self, rng):
-        family = build_family(small_3sat(rng, n=4), "0000")
-        with pytest.raises(ValueError):
-            trotter_xy_sector_batch(family, [0.1], [0.2], 3)
+            _, one = ctqw_trotter_xy(family, times[k : k + 1], sharpnesses[k : k + 1], 3)
+            assert np.array_equal(amps[:, k], one[:, 0])
 
 
 class TestRank1Mixer:
