@@ -23,7 +23,6 @@ import numpy as np
 from .cvar import AdamConfig, CvarConfig, tune_ansatz_params, tune_walk_params
 from .mixer import WalkParams, build_family
 from .problems import (
-    CostSummary,
     Max3SatInstance,
     MaxBisectionInstance,
     ProblemInstance,
@@ -89,11 +88,10 @@ def pogs_exact(
     distribution: Mapping[str, float],
     instance: ProblemInstance,
     threshold: float,
-    summary: CostSummary | None = None,
 ) -> float:
     """Probability mass on solutions with approximation ratio >= threshold."""
-    summary = summary or cost_summary(instance)
-    betas = beta_values(instance, summary)
+    summary = cost_summary(instance)
+    betas = beta_values(instance)
     indices = np.array(
         [bits_to_index(as_bits(key, instance.n)) for key in distribution], dtype=np.int64
     )
@@ -178,7 +176,6 @@ def classical_batch(
     sdp_cfg: SdpConfig,
     rng: np.random.Generator,
     trials: int,
-    summary: CostSummary | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The classical algorithm: solve the relaxation once, round `trials` times.
 
@@ -187,11 +184,10 @@ def classical_batch(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    summary = summary or cost_summary(instance)
     vectors = solve_relaxation(instance, sdp_cfg)
     assignments = round_batch(instance, vectors, rng, trials)
     costs = rounding_costs(instance, assignments)
-    return assignments, costs, _quality_ratio(summary, costs)
+    return assignments, costs, _quality_ratio(cost_summary(instance), costs)
 
 
 def estimate_seed_pogs(
@@ -200,10 +196,9 @@ def estimate_seed_pogs(
     trials: int,
     rng: np.random.Generator,
     sdp_cfg: SdpConfig = SdpConfig(),
-    summary: CostSummary | None = None,
 ) -> float:
     """Empirical POGS of the classical algorithm over `trials` roundings."""
-    _, _, ratios = classical_batch(instance, sdp_cfg, rng, trials, summary)
+    _, _, ratios = classical_batch(instance, sdp_cfg, rng, trials)
     return float(_good(ratios, threshold).mean())
 
 
@@ -228,8 +223,7 @@ def gen_hard_instances(spec: BenchmarkSpec) -> tuple[list[ProblemInstance], Gene
             instance = random_max3sat(gen_rng, spec.num_vars, spec.num_clauses)
         else:
             instance = random_max_bisection(gen_rng, spec.num_vertices, spec.edge_prob)
-        summary = cost_summary(instance)
-        if summary.degenerate:
+        if cost_summary(instance).degenerate:
             continue
         estimate = estimate_seed_pogs(
             instance,
@@ -237,7 +231,6 @@ def gen_hard_instances(spec: BenchmarkSpec) -> tuple[list[ProblemInstance], Gene
             spec.rounding_trials,
             np.random.default_rng(round_seq),
             SdpConfig(rng_seed=int(sdp_seq.generate_state(1)[0])),
-            summary,
         )
         if estimate < spec.pogs_cutoff:
             accepted.append(instance)
@@ -287,6 +280,10 @@ class PipelineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        CvarConfig(alpha=self.alpha)
+        CircuitConfig(trotter_steps=self.trotter_steps)
+        if self.num_bins < 1 or self.rounding_trials < 1:
+            raise ValueError("num_bins and rounding_trials must be >= 1")
         if self.seed_trials is not None and not 1 <= self.seed_trials <= self.rounding_trials:
             raise ValueError("seed_trials must be in [1, rounding_trials]")
         if self.repetitions is not None and self.repetitions < 1:
@@ -294,7 +291,7 @@ class PipelineConfig:
 
 
 def _classical_seed(
-    instance: ProblemInstance, config: PipelineConfig, summary: CostSummary | None = None
+    instance: ProblemInstance, config: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The pipeline's seed step, seeded by the first two children of SeedSequence(rng_seed):
     the classical batch, and the index of the walk seed, its best of seed_trials roundings."""
@@ -304,7 +301,6 @@ def _classical_seed(
         replace(config.sdp, rng_seed=int(sdp_seq.generate_state(1)[0])),
         np.random.default_rng(round_seq),
         config.rounding_trials,
-        summary,
     )
     seed_trials = config.seed_trials or default_seed_trials(instance.kind, config.rounding_trials)
     return assignments, costs, ratios, int(np.argmin(costs[:seed_trials]))
@@ -396,7 +392,7 @@ def _run_pipeline_inner(
     if reps is None:
         reps = default_repetitions(instance.kind)
     summary = cost_summary(instance)
-    betas_table = beta_values(instance, summary)
+    betas_table = beta_values(instance)
     circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)
     cvar_cfg = CvarConfig(alpha=config.alpha)
 
@@ -404,7 +400,7 @@ def _run_pipeline_inner(
         probs = np.abs(state) ** 2
         return {_threshold_key(x): float(probs[_good(betas_table, x)].sum()) for x in thresholds}
 
-    assignments, costs, ratios, best_trial = _classical_seed(instance, config, summary)
+    assignments, costs, ratios, best_trial = _classical_seed(instance, config)
     walk_seq, ansatz_seq, gm_seq = np.random.SeedSequence(config.rng_seed).spawn(5)[2:]
     seed_bits = assignments[best_trial]
     seed_algorithm = _algorithm_order(instance.kind, depth)[0]
@@ -428,7 +424,7 @@ def _run_pipeline_inner(
             circuit_cfg,
         )
     walk = WalkParams(time=walk_time, sharpness=walk_sharpness)
-    psi = cbqoa_initial_state(instance, seed_bits, walk, family=family, config=circuit_cfg)
+    psi = cbqoa_initial_state(family, walk, circuit_cfg)
     pogs["cbqoa_0"] = score(psi)
 
     # The walk state and the uniform state, each under p tuned layers. At

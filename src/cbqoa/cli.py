@@ -44,36 +44,33 @@ def _derive_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
+def _given(args, fields) -> dict:
+    """The given flags among fields, each stored under its dataclass field name; the
+    dataclass holds the defaults of the flags left out."""
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+
+
+_PIPELINE_FIELDS = (
+    "alpha", "trotter_steps", "num_bins", "rounding_trials", "seed_trials", "repetitions",
+    "rng_seed",
+)
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        alpha=args.alpha,
-        trotter_steps=args.trotter_steps,
-        num_bins=args.bins,
-        rounding_trials=args.trials,
-        seed_trials=args.seed_trials,
-        repetitions=args.repetitions,
-        rng_seed=args.seed,
-    )
+    return PipelineConfig(**_given(args, _PIPELINE_FIELDS))
 
 
-# Each kind's instance-shape flags; BenchmarkSpec holds their defaults.
+# Each kind's instance-shape flags.
 _SHAPES = {"max3sat": ("num_vars", "num_clauses"), "max_bisection": ("num_vertices", "edge_prob")}
 
 
 def cmd_gen(args) -> int:
-    given = [f for flags in _SHAPES.values() for f in flags if getattr(args, f) is not None]
-    foreign = ["--" + f.replace("_", "-") for f in given if f not in _SHAPES[args.kind]]
+    shape = _given(args, [f for flags in _SHAPES.values() for f in flags])
+    foreign = ["--" + f.replace("_", "-") for f in shape if f not in _SHAPES[args.kind]]
     if foreign:
         raise ValueError(f"--kind {args.kind} takes no {', '.join(foreign)}")
-    spec = BenchmarkSpec(
-        problem=args.kind,
-        count=args.count,
-        ratio_threshold=args.threshold,
-        pogs_cutoff=args.cutoff,
-        rounding_trials=args.trials,
-        rng_seed=args.seed,
-        **{f: getattr(args, f) for f in given},
-    )
+    screen = _given(args, ("ratio_threshold", "pogs_cutoff", "rounding_trials", "rng_seed"))
+    spec = BenchmarkSpec(problem=args.kind, count=args.count, **shape, **screen)
     instances, stats = bench.gen_hard_instances(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,7 +100,7 @@ def cmd_gen(args) -> int:
 def cmd_seed(args) -> int:
     """Print the seed that `solve` with the same --trials and --seed walks from."""
     instance = load_instance(args.instance)
-    config = PipelineConfig(rounding_trials=args.trials, rng_seed=args.seed)
+    config = PipelineConfig(**_given(args, ("rounding_trials", "rng_seed")))
     assignments, costs, ratios, best = bench._classical_seed(instance, config)
     payload = {
         "instance_id": instance_id(instance),
@@ -171,6 +168,7 @@ def _claim_records(records_dir: Path, settings: dict) -> None:
 
 
 def cmd_bench(args) -> int:
+    config = _pipeline_config(args)
     paths = sorted(Path(args.instances).glob("*.json"))
     paths = [p for p in paths if not p.name.endswith("manifest.json")]
     if not paths:
@@ -178,7 +176,6 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     records_dir = out / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
-    config = _pipeline_config(args)
     # An instance's seed derives from --seed and its position in paths; the
     # record file name keys the depth.
     _claim_records(records_dir, {"instances": [p.stem for p in paths], "pipeline": asdict(config)})
@@ -186,7 +183,9 @@ def cmd_bench(args) -> int:
     record_paths = [records_dir / f"{path.stem}_p{args.depth}.json" for path in paths]
     done = {p: r for p in record_paths if (r := _read_record(p)) is not None}
     jobs = {
-        record_path: (str(path), args.depth, replace(config, rng_seed=_derive_seed(args.seed, i)))
+        record_path: (
+            str(path), args.depth, replace(config, rng_seed=_derive_seed(config.rng_seed, i))
+        )
         for i, (path, record_path) in enumerate(zip(paths, record_paths))
         if record_path not in done
     }
@@ -216,7 +215,7 @@ def cmd_bench(args) -> int:
     records = [done[p] for p in record_paths if p in done]
     if not records:
         raise failed[0][1]
-    extra = {"pipeline": asdict(config), "base_seed": args.seed}
+    extra = {"pipeline": asdict(config), "base_seed": config.rng_seed}
     if failed:
         extra["failures"] = [{"instance": path.stem, "error": str(error)} for path, error in failed]
     paths_out = bench.export_results(records, out, manifest_extra=extra)
@@ -272,36 +271,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags that set a dataclass field are stored under its name and default to None,
+    # so that BenchmarkSpec and PipelineConfig hold the defaults.
     gen = sub.add_parser("gen", help="generate hard benchmark instances")
     gen.add_argument("--kind", choices=["max3sat", "max_bisection"], required=True)
     gen.add_argument("--count", type=int, default=10)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, dest="rng_seed")
     gen.add_argument("--num-vars", type=int)
     gen.add_argument("--num-clauses", type=int)
     gen.add_argument("--num-vertices", type=int)
     gen.add_argument("--edge-prob", type=float)
-    gen.add_argument("--cutoff", type=float, default=0.05)
-    gen.add_argument("--threshold", type=float, default=None)
-    gen.add_argument("--trials", type=int, default=10000)
+    gen.add_argument("--cutoff", type=float, dest="pogs_cutoff")
+    gen.add_argument("--threshold", type=float, dest="ratio_threshold")
+    gen.add_argument("--trials", type=int, dest="rounding_trials")
     gen.set_defaults(func=cmd_gen)
 
     seed = sub.add_parser("seed", help="run the classical seed algorithm on an instance")
     seed.add_argument("instance")
-    seed.add_argument("--trials", type=int, default=10000)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--trials", type=int, dest="rounding_trials")
+    seed.add_argument("--seed", type=int, dest="rng_seed")
     seed.add_argument("--out", default=None)
     seed.set_defaults(func=cmd_seed)
 
     def add_pipeline_flags(p):
         p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--trotter-steps", type=int, default=3)
-        p.add_argument("--bins", type=int, default=1000)
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--seed-trials", type=int, default=None)
-        p.add_argument("--repetitions", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--trotter-steps", type=int)
+        p.add_argument("--bins", type=int, dest="num_bins")
+        p.add_argument("--trials", type=int, dest="rounding_trials")
+        p.add_argument("--seed-trials", type=int)
+        p.add_argument("--repetitions", type=int)
+        p.add_argument("--seed", type=int, dest="rng_seed")
 
     solve = sub.add_parser("solve", help="run the full pipeline on one instance")
     solve.add_argument("instance")

@@ -83,6 +83,8 @@ class PermutationFamily:
     def __post_init__(self):
         if len(self.permutations) != len(self.cost_gains):
             raise ValueError("one cost gain per permutation required")
+        if len(self.seed) != self.n or not set(self.seed) <= {0, 1}:
+            raise ValueError(f"seed must be {self.n} bits, each 0 or 1")
 
     @property
     def size(self) -> int:

@@ -325,7 +325,7 @@ def _quality_ratio(summary: CostSummary, costs):
     return (summary.mean_value - costs) / (summary.mean_value - summary.optimum_value)
 
 
-def approx_ratio_beta(instance: ProblemInstance, z, summary: CostSummary | None = None) -> float:
+def approx_ratio_beta(instance: ProblemInstance, z) -> float:
     """Quality of z relative to a uniform random feasible guess.
 
     Equals 1 exactly at the optimum, 0 for average quality, and is invariant
@@ -334,11 +334,11 @@ def approx_ratio_beta(instance: ProblemInstance, z, summary: CostSummary | None 
     bits = as_bits(z, instance.n)
     if not is_feasible(instance, bits):
         raise ValueError("approx_ratio_beta requires a feasible solution")
-    summary = summary or cost_summary(instance)
+    summary = cost_summary(instance)
     return _quality_ratio(summary, float(summary.diagonal[bits_to_index(bits)]))
 
 
-def beta_values(instance: ProblemInstance, summary: CostSummary | None = None) -> np.ndarray:
+def beta_values(instance: ProblemInstance) -> np.ndarray:
     """Approximation ratio of every basis state (table indexed like the diagonal)."""
-    summary = summary or cost_summary(instance)
+    summary = cost_summary(instance)
     return _quality_ratio(summary, summary.diagonal)

@@ -24,7 +24,7 @@ from .problems import (
     cost_summary,
 )
 
-S_LINEAR_DEFAULT = 0.605
+S_LINEAR = 0.605
 BALANCE_TOLERANCE = 0.05  # final |sum v_i| <= 0.05 * sqrt(n)
 STEP_SIZE = 0.1  # ascent learning rate
 BALANCE_PENALTY = 10.0  # initial coefficient of the |sum v_i|^2 penalty
@@ -241,11 +241,10 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
     )
 
 
-def s_linear(x, s: float = S_LINEAR_DEFAULT):
-    """Piecewise-linear rounding probability: 0 below -s, 1 above s, linear between."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    out = np.clip(0.5 + np.asarray(x, dtype=np.float64) / (2.0 * s), 0.0, 1.0)
+def s_linear(x):
+    """Piecewise-linear rounding probability: 0 below -s, 1 above s, linear between,
+    for s = S_LINEAR."""
+    out = np.clip(0.5 + np.asarray(x, dtype=np.float64) / (2.0 * S_LINEAR), 0.0, 1.0)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -282,7 +281,6 @@ def fl_round_batch(
     vectors: UnitVectorSet,
     rng: np.random.Generator,
     trials: int,
-    s: float = S_LINEAR_DEFAULT,
 ) -> np.ndarray:
     """Roundings as rows; every row has Hamming weight exactly n/2.
 
@@ -298,7 +296,7 @@ def fl_round_batch(
     gauss_rng, unif_rng = rng.spawn(2)
     projections = gauss_rng.standard_normal((trials, V.shape[1])) @ V.T
     draws = unif_rng.random((trials, n))
-    included = draws < s_linear(projections, s)
+    included = draws < s_linear(projections)
     return _rebalance(included, _adjacency_matrix(instance))
 
 

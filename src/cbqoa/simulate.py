@@ -15,14 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mixer import PermutationFamily, WalkParams, build_family, permute_indices
-from .problems import (
-    ProblemInstance,
-    as_bits,
-    bits_to_index,
-    cost_summary,
-    feasible_indices,
-    is_feasible,
-)
+from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary, feasible_indices
 
 @dataclass(frozen=True)
 class AnsatzParams:
@@ -210,25 +203,15 @@ def hypercube_walk_state(bits: np.ndarray, weights: np.ndarray, time: float) -> 
 
 
 def cbqoa_initial_state(
-    instance: ProblemInstance,
-    z,
-    walk: WalkParams,
-    family: PermutationFamily | None = None,
-    config: CircuitConfig = CircuitConfig(),
+    family: PermutationFamily, walk: WalkParams, config: CircuitConfig = CircuitConfig()
 ) -> np.ndarray:
-    """Walk state e^{iAt}|z>: exact for hypercube families, trotterized for XY. An XY
-    walk runs from its family's seed, so a transposition family must be anchored at z."""
-    bits = as_bits(z, instance.n)
-    if not is_feasible(instance, bits):
-        raise ValueError("walk seed must be feasible")
-    if family is None:
-        family = build_family(instance, bits)
+    """Walk state e^{iAt}|z> from the family's seed z: exact for hypercube families,
+    trotterized for XY."""
     if family.kind == "bit_flip":
+        bits = as_bits(family.seed)
         return hypercube_walk_state(bits, family.weights(walk.sharpness), walk.time)
-    if not np.array_equal(family.seed, bits):
-        raise ValueError("an XY walk starts at its family's seed, not at z")
     rows, amps = ctqw_trotter_xy(family, [walk.time], [walk.sharpness], config.trotter_steps)
-    state = np.zeros(1 << instance.n, dtype=np.complex128)
+    state = np.zeros(1 << family.n, dtype=np.complex128)
     state[rows] = amps[:, 0]
     return state
 
@@ -250,7 +233,7 @@ def cbqoa_ansatz(
     config: CircuitConfig = CircuitConfig(),
 ) -> np.ndarray:
     """Full ansatz state: walk from the seed, then alternating phase/mixing layers."""
-    psi = cbqoa_initial_state(instance, z, walk, config=config)
+    psi = cbqoa_initial_state(build_family(instance, z), walk, config)
     return _apply_layers(psi.copy(), psi, cost_summary(instance).diagonal, params)
 
 

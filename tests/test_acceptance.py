@@ -7,11 +7,12 @@ shared across criteria.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cbqoa import AnsatzParams, Max3SatInstance, PipelineConfig, SdpConfig, WalkParams, run_pipeline
+from cbqoa import AnsatzParams, PipelineConfig, SdpConfig, WalkParams, run_pipeline
 from cbqoa.bench import estimate_seed_pogs, pogs_repeated, random_max3sat, random_max_bisection
 from cbqoa.cvar import _cvar_sorted, cvar_discrete
 from cbqoa.fast_sim import bin_costs, eta_from_state, evolve_binned
@@ -80,10 +81,10 @@ def test_criterion_1_exact_hypercube_walk():
         family = hypercube_family(weights)
         U = dense_unitary(adjacency_dense(family, 1.0), t)
         # The walk from every basis seed z is column z of U.
-        inst = Max3SatInstance(num_vars=n, clauses=())
         walk = WalkParams(time=t, sharpness=1.0)
         for z in range(1 << n):
-            state = cbqoa_initial_state(inst, index_to_bits(z, n), walk, family=family)
+            seed = tuple(int(b) for b in index_to_bits(z, n))
+            state = cbqoa_initial_state(replace(family, seed=seed), walk)
             worst = max(worst, np.abs(state - U[:, z]).max())
     elapsed = time.perf_counter() - start
     report(
@@ -156,7 +157,7 @@ def test_criterion_4_feasibility_confinement():
             walk = WalkParams(
                 time=float(rng.uniform(0.1, 1.5)), sharpness=float(rng.uniform(-2, 2))
             )
-            psi = cbqoa_initial_state(inst, seed, walk)
+            psi = cbqoa_initial_state(build_family(inst, seed), walk)
             state = psi.copy()
             worst = max(worst, float((np.abs(state) ** 2)[infeasible_mask].sum()))
             for _ in range(depth):
@@ -183,7 +184,7 @@ def test_criterion_5_fast_sim_equivalence():
         summary = cost_summary(inst)
         feas = feasible_indices(inst)
         walk = WalkParams(time=float(rng.uniform(0.2, 1.0)), sharpness=float(rng.uniform(-1, 1)))
-        psi = cbqoa_initial_state(inst, seed, walk)
+        psi = cbqoa_initial_state(build_family(inst, seed), walk)
         params = AnsatzParams(
             betas=tuple(rng.uniform(-np.pi, np.pi, 3)),
             gammas=tuple(rng.uniform(-np.pi, np.pi, 3)),
@@ -224,7 +225,7 @@ def test_criterion_6_bin_count_bound():
     inst = random_max_bisection(rng, 10, 0.6)
     summary = cost_summary(inst)
     feas = feasible_indices(inst)
-    psi = cbqoa_initial_state(inst, "0000011111", WalkParams(time=0.6, sharpness=0.5))
+    psi = cbqoa_initial_state(build_family(inst, "0000011111"), WalkParams(0.6, 0.5))
     values = summary.diagonal[feas]
     order = np.argsort(values)
     alpha, depth = 0.5, 3

@@ -202,7 +202,7 @@ class TestRunPipeline:
         inst = small_bisection(rng, n=6)
         record = run_pipeline(inst, 0, FAST_PIPELINE)
         walk = WalkParams(time=record.walk_time, sharpness=record.walk_sharpness)
-        state = cbqoa_initial_state(inst, record.seed_bits, walk)
+        state = cbqoa_initial_state(build_family(inst, record.seed_bits), walk)
         expected = pogs_exact(measurement_distribution(state), inst, 0.99)
         assert record.pogs["cbqoa_0"]["0.99"] == pytest.approx(expected, abs=1e-9)
         assert "gm_qaoa_0" in record.pogs
@@ -262,7 +262,7 @@ class TestRunPipeline:
         family = build_family(inst, record.seed_bits)
         walk_time, sharpness, _ = tune_walk_params(inst, family, cvar_cfg, FAST_PIPELINE.adam)
         assert (record.walk_time, record.walk_sharpness) == (walk_time, sharpness)
-        psi = cbqoa_initial_state(inst, record.seed_bits, WalkParams(walk_time, sharpness))
+        psi = cbqoa_initial_state(family, WalkParams(walk_time, sharpness))
         betas, gammas, _ = tune_ansatz_params(
             inst, psi, 2, cvar_cfg, FAST_PIPELINE.adam, num_bins=FAST_PIPELINE.num_bins
         )

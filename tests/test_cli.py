@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, resumability, workers."""
 
+import argparse
 import json
 import multiprocessing
 from dataclasses import replace
@@ -10,13 +11,22 @@ import pytest
 from cbqoa import (
     Max3SatInstance,
     MaxBisectionInstance,
+    PipelineConfig,
     RunRecord,
     instance_id,
     load_instance,
     save_instance,
 )
 from cbqoa.bench import GenerationStats, random_max3sat, random_max_bisection
-from cbqoa.cli import EXIT_GUARDED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from cbqoa.cli import (
+    EXIT_GUARDED,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _pipeline_config,
+    build_parser,
+    main,
+)
 
 from conftest import small_bisection
 
@@ -32,6 +42,38 @@ def make_instances(tmp_path, count=2, n=6):
 
 
 PIPELINE_FLAGS = ["--trials", "300", "--bins", "60", "--seed", "9"]
+
+
+class TestFlagDefaults:
+    """Flags that set a BenchmarkSpec or PipelineConfig field take its default from the
+    dataclass, not from a second literal in the parser."""
+
+    @staticmethod
+    def defaults(command: str) -> dict:
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {
+            flag: action.default
+            for action in commands.choices[command]._actions
+            for flag in action.option_strings
+        }
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("gen", ["--cutoff", "--trials", "--seed"]),
+            ("seed", ["--trials", "--seed"]),
+            ("solve", ["--alpha", "--trotter-steps", "--bins", "--trials", "--seed"]),
+            ("bench", ["--alpha", "--trotter-steps", "--bins", "--trials", "--seed"]),
+        ],
+    )
+    def test_dataclass_flags_default_to_none(self, command, flags):
+        defaults = self.defaults(command)
+        assert {flag: defaults[flag] for flag in flags} == dict.fromkeys(flags)
+
+    def test_solve_without_flags_runs_the_default_config(self):
+        args = build_parser().parse_args(["solve", "inst.json"])
+        assert _pipeline_config(args) == PipelineConfig()
 
 
 class TestGen:
@@ -396,6 +438,21 @@ class TestBench:
         monkeypatch.setattr(bench_mod, "run_pipeline", original)
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--bins", "--alpha"])
+    def test_bad_setting_is_refused_before_any_job(self, tmp_path, monkeypatch, flag):
+        """A pipeline setting out of range exits 2 before a job runs or records/config.json
+        (or anything else under --out) is written."""
+        import cbqoa.bench as bench_mod
+
+        calls = []
+        monkeypatch.setattr(bench_mod, "run_pipeline", lambda *a, **kw: calls.append(a))
+        instances = make_instances(tmp_path, count=2)
+        out = tmp_path / "refused"
+        args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
+        assert main(args + [flag, "0"]) == EXIT_USAGE
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-1"])
     def test_bad_workers_variable_exits_2(self, tmp_path, monkeypatch, value):

@@ -326,11 +326,11 @@ class TestTuneWalkParams:
         summary = cost_summary(inst)
         order = np.argsort(summary.diagonal)
         t, sharpness, trace = tune_walk_params(inst, family, CvarConfig(alpha=0.5), FAST_ADAM)
-        state = cbqoa_initial_state(inst, seed, WalkParams(time=t, sharpness=sharpness), family=family)
+        state = cbqoa_initial_state(family, WalkParams(time=t, sharpness=sharpness))
         tuned = _cvar_sorted(
             summary.diagonal[order], (np.abs(state) ** 2)[order], 0.5
         )
-        at_zero = float(summary.diagonal[np.argmax(np.abs(cbqoa_initial_state(inst, seed, WalkParams(0.0, 0.0), family=family)))])
+        at_zero = float(summary.diagonal[np.argmax(np.abs(cbqoa_initial_state(family, WalkParams(0.0, 0.0))))])
         assert tuned <= at_zero + 1e-9
 
     def test_degenerate_instance_constant_objective(self):
@@ -351,9 +351,7 @@ class TestTuneWalkParams:
         sorted_costs = summary.diagonal[order]
 
         def objective(t, sharpness):
-            state = cbqoa_initial_state(
-                inst, "000", WalkParams(time=t, sharpness=sharpness), family=family
-            )
+            state = cbqoa_initial_state(family, WalkParams(time=t, sharpness=sharpness))
             return _cvar_sorted(sorted_costs, (np.abs(state) ** 2)[order], 0.5)
 
         t, sharpness, _ = tune_walk_params(
@@ -392,7 +390,7 @@ class TestTuneAnsatzParams:
         """Binned and dense objectives differ by at most the binning bound."""
         inst = small_bisection(rng, n=8)
         walk = WalkParams(time=0.6, sharpness=0.5)
-        psi = cbqoa_initial_state(inst, "00001111", walk)
+        psi = cbqoa_initial_state(build_family(inst, "00001111"), walk)
         summary = cost_summary(inst)
         feas = feasible_indices(inst)
         values = summary.diagonal[feas]
@@ -446,7 +444,7 @@ class TestOptimalSeed:
         family = build_family(inst, seed)
         walk_time, sharpness, _ = tune_walk_params(inst, family, cvar_cfg, adam_cfg)
         assert (walk_time, sharpness) == (0.0, 0.0)
-        psi = cbqoa_initial_state(inst, seed, WalkParams(0.0, 0.0), family=family)
+        psi = cbqoa_initial_state(family, WalkParams(0.0, 0.0))
         for depth in (1, 2, 3):
             betas, gammas, _ = tune_ansatz_params(inst, psi, depth, cvar_cfg, adam_cfg)
             assert betas == gammas == (0.0,) * depth

@@ -16,6 +16,7 @@ from cbqoa.fast_sim import (
     eta_from_state,
     evolve_binned,
 )
+from cbqoa.mixer import build_family
 from cbqoa.problems import cost_summary, feasible_indices
 from cbqoa.simulate import _apply_layers, cbqoa_initial_state
 
@@ -30,7 +31,7 @@ from conftest import (
 
 def walked_state(rng, inst, seed):
     walk = WalkParams(time=float(rng.uniform(0.2, 1.0)), sharpness=float(rng.uniform(-1, 1)))
-    return cbqoa_initial_state(inst, seed, walk)
+    return cbqoa_initial_state(build_family(inst, seed), walk)
 
 
 def random_params(rng, depth=3):

@@ -55,12 +55,12 @@ def walked_states(instances):
     for i, inst in enumerate(instances):
         summary = cost_summary(inst)
         rng = np.random.default_rng(2000 + i)
-        assignments, _, _ = classical_batch(inst, SdpConfig(rng_seed=1000 + i), rng, 1, summary)
+        assignments, _, _ = classical_batch(inst, SdpConfig(rng_seed=1000 + i), rng, 1)
         seed = assignments[0]
         family = build_family(inst, seed)
         adam = AdamConfig(rng_seed=3000 + i)
         time, sharpness, _ = tune_walk_params(inst, family, CvarConfig(ALPHA), adam)
-        psi = cbqoa_initial_state(inst, seed, WalkParams(time, sharpness), family=family)
+        psi = cbqoa_initial_state(family, WalkParams(time, sharpness))
         out.append((inst, summary, psi))
     return out
 

@@ -79,6 +79,14 @@ class TestBuildFamily:
         with pytest.raises(ValueError):
             build_family(inst, "0111")
 
+    @pytest.mark.parametrize("seed", [(0, 1, 1), (0, 1, 1, 0, 1), (0, 2, 1, 0)])
+    def test_family_seed_must_be_n_bits(self, seed):
+        """The walk starts at the family's seed, so the family refuses one that is not
+        n entries of 0 or 1."""
+        family = build_family(MaxBisectionInstance(num_vertices=4, edges=()), "0011")
+        with pytest.raises(ValueError, match="seed"):
+            PermutationFamily(family.n, family.permutations, family.cost_gains, seed)
+
     def test_transpositions_preserve_hamming_weight(self, rng):
         for n in (6, 8, 10):
             inst = small_bisection(rng, n=n)

@@ -18,6 +18,7 @@ from cbqoa import (
     save_instance,
 )
 from cbqoa.problems import (
+    _quality_ratio,
     approx_ratio_beta,
     as_bits,
     beta_values,
@@ -209,8 +210,8 @@ class TestApproxRatio:
         shift=st.floats(-10.0, 10.0),
     )
     def test_beta_values_invariant_under_affine_map(self, make, n, instance_seed, scale, shift):
-        """beta_values from the table f -> a f + b (a > 0) agree to 1e-12, relative where
-        |beta| > 1: infeasible strings of a small instance can reach |beta| ~ 100."""
+        """The ratios of the table f -> a f + b (a > 0) agree with beta_values to 1e-12,
+        relative where |beta| > 1: infeasible strings of a small instance can reach |beta| ~ 100."""
         if make is small_bisection:
             n += n % 2
         inst = make(np.random.default_rng(instance_seed), n=n)
@@ -225,7 +226,7 @@ class TestApproxRatio:
             mean_value=float(values.mean()),
         )
         np.testing.assert_allclose(
-            beta_values(inst, rescaled), beta_values(inst, summary), rtol=1e-12, atol=1e-12
+            _quality_ratio(rescaled, rescaled.diagonal), beta_values(inst), rtol=1e-12, atol=1e-12
         )
 
     def test_argmin_invariant_under_affine_map(self):

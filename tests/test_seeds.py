@@ -12,6 +12,7 @@ from cbqoa.bench import (
 from cbqoa.errors import DegenerateInstanceError
 from cbqoa.problems import approx_ratio_beta, cost_summary
 from cbqoa.seeds import (
+    S_LINEAR,
     UnitVectorSet,
     fl_round_batch,
     kz_round_batch,
@@ -146,20 +147,15 @@ class TestSolveFl:
 
 class TestSLinear:
     def test_branch_values(self):
-        s = 0.605
-        assert s_linear(-s, s) == 0.0
-        assert s_linear(0.0, s) == 0.5
-        assert s_linear(s, s) == 1.0
+        assert s_linear(-S_LINEAR) == 0.0
+        assert s_linear(0.0) == 0.5
+        assert s_linear(S_LINEAR) == 1.0
 
     def test_clamped_and_continuous(self):
         xs = np.linspace(-2, 2, 401)
-        values = s_linear(xs, 0.605)
+        values = s_linear(xs)
         assert np.all((values >= 0) & (values <= 1))
         assert np.max(np.abs(np.diff(values))) < 0.05
-
-    def test_requires_positive_s(self):
-        with pytest.raises(ValueError):
-            s_linear(0.0, 0.0)
 
 
 class TestFlRounding:

@@ -42,7 +42,7 @@ FD_BASELINE = np.array(
 def walk_ratio(instance, seed_bits, time: float, sharpness: float) -> float:
     """(E[f] - CVaR) / (E[f] - f*) of the walk state: 1 at the optimum, 0 for a random guess."""
     summary = cost_summary(instance)
-    state = cbqoa_initial_state(instance, seed_bits, WalkParams(time, sharpness))
+    state = cbqoa_initial_state(build_family(instance, seed_bits), WalkParams(time, sharpness))
     probs = np.abs(state[summary.feasible]) ** 2
     tail = cvar_discrete(list(zip(summary.diagonal[summary.feasible], probs)), ALPHA)
     return (summary.mean_value - tail) / (summary.mean_value - summary.optimum_value)
