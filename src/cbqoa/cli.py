@@ -169,6 +169,8 @@ def _claim_records(records_dir: Path, settings: dict) -> None:
 
 def cmd_bench(args) -> int:
     config = _pipeline_config(args)
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     paths = sorted(Path(args.instances).glob("*.json"))
     paths = [p for p in paths if not p.name.endswith("manifest.json")]
     if not paths:

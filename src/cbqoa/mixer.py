@@ -16,42 +16,15 @@ import numpy as np
 from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary, is_feasible
 
 
-@dataclass(frozen=True)
-class LocalPermutation:
-    """An order-2 permutation acting on one or two bit positions (1-based)."""
-
-    kind: str  # "bit_flip" | "transposition"
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind == "bit_flip":
-            if len(self.indices) != 1:
-                raise ValueError("bit_flip takes exactly one index")
-        elif self.kind == "transposition":
-            if len(self.indices) != 2 or self.indices[0] == self.indices[1]:
-                raise ValueError("transposition takes two distinct indices")
-        else:
-            raise ValueError(f"unknown permutation kind {self.kind!r}")
-        if any(i < 1 for i in self.indices):
-            raise ValueError("indices are 1-based")
-
-
-def bit_flip(i: int) -> LocalPermutation:
-    return LocalPermutation(kind="bit_flip", indices=(i,))
-
-
-def transposition(a: int, b: int) -> LocalPermutation:
-    return LocalPermutation(kind="transposition", indices=(a, b))
-
-
-def permute_indices(tau: LocalPermutation, indices: np.ndarray, n: int) -> np.ndarray:
-    """Image of basis indices under a local permutation (vectorized)."""
-    if any(i > n for i in tau.indices):
-        raise ValueError(f"permutation indices {tau.indices} out of range for n={n}")
-    if tau.kind == "bit_flip":
-        (i,) = tau.indices
+def permute_indices(tau: tuple[int, ...], indices: np.ndarray, n: int) -> np.ndarray:
+    """Image of basis indices under a local permutation (vectorized): a flip of bit i
+    for tau = (i,), a swap of bits a and b for tau = (a, b), 1-based positions."""
+    if not all(1 <= i <= n for i in tau):
+        raise ValueError(f"permutation positions {tau} out of range 1..{n}")
+    if len(tau) == 1:
+        (i,) = tau
         return indices ^ (1 << (n - i))
-    a, b = tau.indices
+    a, b = tau
     place_a = 1 << (n - a)
     place_b = 1 << (n - b)
     bit_a = (indices & place_a) != 0
@@ -73,10 +46,11 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class PermutationFamily:
-    """Permutations plus the per-permutation cost improvement on the seed."""
+    """Permutations, each the tuple of 1-based positions it acts on, plus the
+    per-permutation cost improvement on the seed."""
 
     n: int
-    permutations: tuple[LocalPermutation, ...]
+    permutations: tuple[tuple[int, ...], ...]
     cost_gains: tuple[float, ...]  # f(z) - f(tau(z)) per permutation
     seed: tuple[int, ...]
 
@@ -92,7 +66,8 @@ class PermutationFamily:
 
     @property
     def kind(self) -> str:
-        return self.permutations[0].kind if self.permutations else "bit_flip"
+        pairs = self.permutations and len(self.permutations[0]) == 2
+        return "transposition" if pairs else "bit_flip"
 
     def weights(self, sharpness: float) -> np.ndarray:
         return sigmoid_weight(np.asarray(self.cost_gains, dtype=np.float64), sharpness)
@@ -125,13 +100,13 @@ def build_family(instance: ProblemInstance, z) -> PermutationFamily:
         raise ValueError("family seed must be feasible")
     n = instance.n
     if instance.kind == "max3sat":
-        perms = [bit_flip(i) for i in range(1, n + 1)]
+        perms = [(i,) for i in range(1, n + 1)]
     else:
         inside = [int(j) + 1 for j in np.flatnonzero(bits)]
         outside = [int(j) + 1 for j in np.flatnonzero(1 - bits)]
         half = n // 2
         perms = [
-            transposition(inside[i], outside[(i + k) % half])
+            (inside[i], outside[(i + k) % half])
             for k in range(half)
             for i in range(half)
         ]

@@ -303,7 +303,7 @@ class CostSummary:
         return self.mean_value == self.optimum_value
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def cost_summary(instance: ProblemInstance) -> CostSummary:
     diag = ising_diagonal(instance)
     feas = feasible_indices(instance)

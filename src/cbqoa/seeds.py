@@ -51,7 +51,6 @@ class UnitVectorSet:
     value achieved by the solve.
     """
 
-    kind: str  # "karloff_zwick" | "feige_langberg"
     vectors: np.ndarray
     objective: float
     converged: bool
@@ -118,10 +117,6 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
     dim = n + 1
     rng = np.random.default_rng(cfg.rng_seed)
     V = _normalize_rows(rng.standard_normal((n + 1, dim)))
-    if not instance.clauses:
-        V[0] = -V[0]
-        return UnitVectorSet(kind="karloff_zwick", vectors=V, objective=0.0, converged=True)
-
     rows, signs, weights = _clause_arrays(instance)  # negated literals are -v_i
     total_weight = float(weights.sum())
     optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
@@ -160,15 +155,11 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
         or best_obj - history[-quarter] <= 1e-6 * max(1.0, abs(best_obj))
     )
     best_V[0] = -best_V[0]
-    return UnitVectorSet(
-        kind="karloff_zwick", vectors=best_V, objective=best_obj, converged=converged
-    )
+    return UnitVectorSet(vectors=best_V, objective=best_obj, converged=converged)
 
 
 def kz_round_batch(vectors: UnitVectorSet, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Vectorized hyperplane roundings, one assignment per row."""
-    if vectors.kind != "karloff_zwick":
-        raise ValueError("hyperplane rounding expects a karloff_zwick vector set")
     V = vectors.vectors
     directions = rng.standard_normal((trials, V.shape[1]))
     proj = directions @ V.T  # column 0 is v . v_0
@@ -201,8 +192,6 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
     optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
 
     def cut_objective(M: np.ndarray) -> float:
-        if weights.size == 0:
-            return 0.0
         dots = np.einsum("ed,ed->e", M[a_idx], M[b_idx])
         return float(0.5 * np.dot(weights, 1.0 - dots))
 
@@ -213,9 +202,8 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
         for _ in range(per_round):
             residual_vec = V.sum(axis=0)
             grad = np.broadcast_to(-2.0 * penalty * residual_vec, V.shape).copy()
-            if weights.size:
-                np.add.at(grad, a_idx, -0.5 * weights[:, None] * V[b_idx])
-                np.add.at(grad, b_idx, -0.5 * weights[:, None] * V[a_idx])
+            np.add.at(grad, a_idx, -0.5 * weights[:, None] * V[b_idx])
+            np.add.at(grad, b_idx, -0.5 * weights[:, None] * V[a_idx])
             V = optimizer.step(V, grad)
             residual = float(np.linalg.norm(V.sum(axis=0)))
             if residual <= target:
@@ -224,20 +212,16 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
                     best_obj = obj
                     best_V = V.copy()
                     best_residual = residual
-        if float(np.linalg.norm(V.sum(axis=0))) > 0.5 * target:
+        if residual > 0.5 * target:
             penalty *= 2.0
 
     converged = best_V is not None
     if best_V is None:
         best_V = V
         best_obj = cut_objective(V)
-        best_residual = float(np.linalg.norm(V.sum(axis=0)))
+        best_residual = residual
     return UnitVectorSet(
-        kind="feige_langberg",
-        vectors=best_V,
-        objective=best_obj,
-        converged=converged,
-        balance_residual=best_residual,
+        vectors=best_V, objective=best_obj, converged=converged, balance_residual=best_residual
     )
 
 
@@ -287,8 +271,6 @@ def fl_round_batch(
     Gaussian projections and inclusion draws come from two spawned child
     streams so that longer batches extend shorter ones from the same state.
     """
-    if vectors.kind != "feige_langberg":
-        raise ValueError("projection rounding expects a feige_langberg vector set")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     V = vectors.vectors

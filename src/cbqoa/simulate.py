@@ -88,7 +88,7 @@ def _trotter_plan(family: PermutationFamily) -> tuple[np.ndarray, tuple]:
     rows = rows[np.bitwise_count(rows) == sum(family.seed)]
     plan = []
     for idx, tau in enumerate(family.permutations):
-        place_a, place_b = (1 << (n - i) for i in sorted(tau.indices))
+        place_a, place_b = (1 << (n - i) for i in sorted(tau))
         i01 = rows[((rows & place_a) == 0) & ((rows & place_b) != 0)]
         i10 = permute_indices(tau, i01, n)
         plan.append((np.searchsorted(rows, i01), np.searchsorted(rows, i10), idx))

@@ -230,7 +230,7 @@ def oracle_walk_state(bits, family: PermutationFamily, walk: WalkParams, steps: 
     angles = weights * (walk.time / (2.0 * steps))
     cos2 = np.cos(2 * angles)
     isin2 = 1j * np.sin(2 * angles)
-    pairs = [_xy_index_pairs(family.n, *sorted(tau.indices)) for tau in family.permutations]
+    pairs = [_xy_index_pairs(family.n, *sorted(tau)) for tau in family.permutations]
     for _ in range(steps):
         for idx, (i01, i10) in enumerate(pairs):
             x01 = out[i01]

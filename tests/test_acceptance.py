@@ -16,7 +16,7 @@ from cbqoa import AnsatzParams, PipelineConfig, SdpConfig, WalkParams, run_pipel
 from cbqoa.bench import estimate_seed_pogs, pogs_repeated, random_max3sat, random_max_bisection
 from cbqoa.cvar import _cvar_sorted, cvar_discrete
 from cbqoa.fast_sim import bin_costs, eta_from_state, evolve_binned
-from cbqoa.mixer import PermutationFamily, bit_flip, build_family
+from cbqoa.mixer import PermutationFamily, build_family
 from cbqoa.problems import cost_summary, feasible_indices
 from cbqoa.seeds import kz_round_batch, rounding_costs, solve_kz_sdp
 from cbqoa.simulate import (
@@ -64,7 +64,7 @@ def hypercube_family(weights):
     n = len(weights)
     return PermutationFamily(
         n=n,
-        permutations=tuple(bit_flip(i) for i in range(1, n + 1)),
+        permutations=tuple((i,) for i in range(1, n + 1)),
         cost_gains=tuple(float(x) for x in logits),
         seed=(0,) * n,
     )

@@ -182,6 +182,17 @@ class TestGenHardInstances:
         assert len(instances) < 3
         assert stats.attempts == 6
 
+    def test_cost_table_cache_holds_one_instance(self):
+        """Screening works on one instance at a time, so the cost table cache pins only
+        the last one: a 3SAT table at the dense limit is about 256 MiB."""
+        cost_summary.cache_clear()
+        spec = BenchmarkSpec.for_max_bisection(
+            num_vertices=6, count=2, rounding_trials=200, max_attempts_factor=1, rng_seed=15
+        )
+        _, stats = gen_hard_instances(spec)
+        assert stats.attempts == 2
+        assert cost_summary.cache_info().currsize == 1
+
     def test_reestimation_stays_below_cutoff_with_slack(self):
         spec = BenchmarkSpec.for_max3sat(count=2, rounding_trials=1500, rng_seed=13)
         instances, stats = gen_hard_instances(spec)

@@ -439,8 +439,10 @@ class TestBench:
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
-    @pytest.mark.parametrize("flag", ["--bins", "--alpha"])
-    def test_bad_setting_is_refused_before_any_job(self, tmp_path, monkeypatch, flag):
+    @pytest.mark.parametrize(
+        "flag, value", [("--bins", "0"), ("--alpha", "0"), ("--depth", "-1")]
+    )
+    def test_bad_setting_is_refused_before_any_job(self, tmp_path, monkeypatch, flag, value):
         """A pipeline setting out of range exits 2 before a job runs or records/config.json
         (or anything else under --out) is written."""
         import cbqoa.bench as bench_mod
@@ -450,7 +452,7 @@ class TestBench:
         instances = make_instances(tmp_path, count=2)
         out = tmp_path / "refused"
         args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
-        assert main(args + [flag, "0"]) == EXIT_USAGE
+        assert main(args + [flag, value]) == EXIT_USAGE
         assert calls == []
         assert not out.exists()
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from cbqoa import MaxBisectionInstance
-from cbqoa.mixer import (
-    PermutationFamily,
-    bit_flip,
-    build_family,
-    permute_indices,
-    sigmoid_weight,
-    transposition,
-)
+from cbqoa.mixer import PermutationFamily, build_family, permute_indices, sigmoid_weight
 from cbqoa.problems import feasible_indices
 
 from conftest import adjacency_dense, index_to_bits, small_3sat, small_bisection, verify_assumption
@@ -20,8 +13,8 @@ from conftest import adjacency_dense, index_to_bits, small_3sat, small_bisection
 def permute_bits(tau, bits):
     """Bit-vector oracle: flip one bit, or swap two, at 1-based positions."""
     out = np.array(bits, dtype=np.uint8)
-    positions = [i - 1 for i in tau.indices]
-    out[positions] = 1 - out[positions] if tau.kind == "bit_flip" else out[positions[::-1]]
+    positions = [i - 1 for i in tau]
+    out[positions] = 1 - out[positions] if len(tau) == 1 else out[positions[::-1]]
     return out
 
 
@@ -29,35 +22,37 @@ class TestApplyPermutation:
     """permute_indices, the one permutation action, on basis indices."""
 
     def test_bit_flip(self):
-        assert permute_indices(bit_flip(2), np.array([0b000]), 3).tolist() == [0b010]
+        assert permute_indices((2,), np.array([0b000]), 3).tolist() == [0b010]
 
     def test_transposition(self):
-        assert permute_indices(transposition(1, 3), np.array([0b100]), 3).tolist() == [0b001]
+        assert permute_indices((1, 3), np.array([0b100]), 3).tolist() == [0b001]
 
     def test_order_two(self, rng):
         for _ in range(1000):
             n = int(rng.integers(2, 10))
             indices = rng.integers(0, 1 << n, size=4)
             if rng.random() < 0.5:
-                tau = bit_flip(int(rng.integers(1, n + 1)))
+                tau = (int(rng.integers(1, n + 1)),)
             else:
                 a, b = rng.choice(n, size=2, replace=False) + 1
-                tau = transposition(int(a), int(b))
+                tau = (int(a), int(b))
             twice = permute_indices(tau, permute_indices(tau, indices, n), n)
             assert np.array_equal(twice, indices)
 
     def test_index_map_matches_bit_map(self, rng):
         n = 6
         indices = np.arange(1 << n)
-        for tau in (bit_flip(3), transposition(2, 5)):
+        for tau in ((3,), (2, 5)):
             mapped = permute_indices(tau, indices, n)
             for i in range(1 << n):
                 expected = permute_bits(tau, index_to_bits(i, n))
                 assert np.array_equal(index_to_bits(int(mapped[i]), n), expected)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            permute_indices(bit_flip(4), np.array([0]), 3)
+        """Positions are 1-based: 0 and n + 1 are both refused."""
+        for tau in ((4,), (0,), (0, 2), (1, 4)):
+            with pytest.raises(ValueError, match="out of range"):
+                permute_indices(tau, np.array([0]), 3)
 
 
 class TestBuildFamily:
@@ -65,14 +60,14 @@ class TestBuildFamily:
         inst = MaxBisectionInstance(num_vertices=6, edges=((1, 4, 1.0),))
         family = build_family(inst, "000111")
         assert family.size == 9
-        pairs = {tuple(sorted(t.indices)) for t in family.permutations}
+        pairs = {tuple(sorted(t)) for t in family.permutations}
         assert pairs == {(a, b) for a in (1, 2, 3) for b in (4, 5, 6)}
 
     def test_3sat_n16_bit_flips(self, rng):
         inst = small_3sat(rng, n=16, num_clauses=10)
         family = build_family(inst, "0" * 16)
         assert family.size == 16
-        assert all(t.kind == "bit_flip" for t in family.permutations)
+        assert all(len(t) == 1 for t in family.permutations)
 
     def test_infeasible_seed_rejected(self):
         inst = MaxBisectionInstance(num_vertices=4, edges=((1, 2, 1.0),))
@@ -137,7 +132,7 @@ class TestSigmoidWeight:
 class TestAdjacencyDense:
     def test_single_flip_n1(self):
         family = PermutationFamily(
-            n=1, permutations=(bit_flip(1),), cost_gains=(0.0,), seed=(0,)
+            n=1, permutations=((1,),), cost_gains=(0.0,), seed=(0,)
         )
         np.testing.assert_allclose(
             adjacency_dense(family, 0.0), [[0.0, 0.5], [0.5, 0.0]]

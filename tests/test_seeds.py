@@ -78,7 +78,6 @@ class TestKzRounding:
         v0 = np.zeros(5)
         v0[0] = 1.0
         vectors = UnitVectorSet(
-            kind="karloff_zwick",
             vectors=np.tile(v0, (5, 1)),
             objective=0.0,
             converged=True,
@@ -91,7 +90,6 @@ class TestKzRounding:
         base = np.zeros(5)
         base[0] = 1.0
         vectors = UnitVectorSet(
-            kind="karloff_zwick",
             vectors=np.vstack([base, -np.tile(base, (4, 1))]),
             objective=0.0,
             converged=True,
@@ -126,6 +124,14 @@ class TestSolveFl:
         inst = MaxBisectionInstance(num_vertices=6, edges=((1, 2, 0.0),))
         result = solve_fl_sdp(inst, SdpConfig(rng_seed=0))
         assert result.objective == 0.0
+        assert result.balance_residual <= 0.05 * np.sqrt(6)
+
+    def test_edgeless_graph(self):
+        """No edges: the cut is 0 and the rows are still unit and balanced."""
+        inst = MaxBisectionInstance(num_vertices=6, edges=())
+        result = solve_fl_sdp(inst, QUICK)
+        assert result.objective == 0.0
+        np.testing.assert_allclose(np.linalg.norm(result.vectors, axis=1), 1.0, atol=1e-8)
         assert result.balance_residual <= 0.05 * np.sqrt(6)
 
     def test_balance_and_norms(self):

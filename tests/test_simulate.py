@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbqoa import AnsatzParams, WalkParams
-from cbqoa.mixer import PermutationFamily, bit_flip, build_family, transposition
+from cbqoa.mixer import PermutationFamily, build_family
 from cbqoa.problems import cost_summary, feasible_indices, ising_diagonal
 from cbqoa.simulate import (
     _hypercube_product,
@@ -45,7 +45,7 @@ def hypercube_family(weights):
     n = len(weights)
     return PermutationFamily(
         n=n,
-        permutations=tuple(bit_flip(i) for i in range(1, n + 1)),
+        permutations=tuple((i,) for i in range(1, n + 1)),
         cost_gains=tuple(float(logit(w)) for w in weights),
         seed=(0,) * n,
     )
@@ -66,7 +66,7 @@ def xy_gate(n: int, seed: int, a: int, b: int, phi: float) -> np.ndarray:
     """
     bits = tuple(int(x) for x in index_to_bits(seed, n))
     family = PermutationFamily(
-        n=n, permutations=(transposition(a, b),), cost_gains=(0.0,), seed=bits
+        n=n, permutations=((a, b),), cost_gains=(0.0,), seed=bits
     )
     rows, amps = ctqw_trotter_xy(family, [4 * phi], [0.0], 1)
     state = np.zeros(1 << n, dtype=np.complex128)

@@ -16,7 +16,7 @@ PERFBENCH = ROOT / "perfbench"
 MAX_PUBLIC_NAMES = 20
 # Lines of src/cbqoa/*.py as `wc -l` counts them. A change that grows src/ past
 # this raises it and states by how much and why.
-MAX_SRC_LINES = 2438
+MAX_SRC_LINES = 2397
 
 
 def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
@@ -91,8 +91,9 @@ def _callers(modules: dict[str, ast.Module], callee: str) -> list[str]:
 
 def test_each_fact_has_one_source():
     """Costs are evaluated only to fill the cost table, which is looked up, not passed in;
-    clause labels are decoded in one place; the walk seed is the family's; and the XY walk
-    has one product-formula path, on the seed's Hamming-weight sector."""
+    clause labels are decoded in one place; the walk seed is the family's; the XY walk
+    has one product-formula path, on the seed's Hamming-weight sector; and no permutation
+    or vector set carries a kind beside what it holds."""
     modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     evaluators = [name for name, tree in modules.items() if "_cost_block" in _referenced_names(tree)]
     assert evaluators == ["problems.py"]
@@ -121,6 +122,17 @@ def test_each_fact_has_one_source():
         <= {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
     )
     assert not takes_summary, f"cost table passed in beside its instance: {takes_summary}"
+    kind_fields = sorted(
+        f"{name}:{node.name}"
+        for name in ("mixer.py", "seeds.py")
+        for node in ast.walk(modules[name])
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "kind"
+            for item in node.body
+        )
+    )
+    assert not kind_fields, f"kind stored beside the data it names: {kind_fields}"
 
 
 def test_every_public_definition_has_a_caller():
