@@ -7,6 +7,11 @@ also exactly the form the rounding procedures consume. The Max 3SAT path is
 the clause-relaxation / random-hyperplane scheme; the Max Bisection path is
 the balanced relaxation with the random-projection, randomized-rounding
 procedure and its greedy rebalancing step.
+
+Each ascent step sums its gradient with one ``np.bincount`` (``_scatter``), which
+adds every entry's terms one by one in the order they are listed. The order is
+part of the result: the relaxations are invariant under a common rotation, so
+summing in another order sends the iterates elsewhere.
 """
 
 from __future__ import annotations
@@ -16,13 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import (
-    Max3SatInstance,
-    MaxBisectionInstance,
-    ProblemInstance,
-    _clause_arrays,
-    cost_summary,
-)
+from .problems import Max3SatInstance, MaxBisectionInstance, ProblemInstance
+from .problems import _clause_arrays, cost_summary
 
 S_LINEAR = 0.605
 BALANCE_TOLERANCE = 0.05  # final |sum v_i| <= 0.05 * sqrt(n)
@@ -65,32 +65,28 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 # Max 3SAT relaxation
 
 
-# Literal slots (f, g, h) of the three pairing expressions (v0 + l_f) . (l_g + l_h).
-_PAIRINGS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+# Literal slots (f, g, h) of the pairing expressions (v0 + l_f) . (l_g + l_h), a column each.
+_SLOTS = np.array(((0, 1, 2), (1, 0, 2), (2, 0, 1))).T
 
 
-def _kz_relaxed_values(V: np.ndarray, rows, signs):
-    """Per-clause relaxed values min(1, r1, r2, r3), the stacked candidates, and
-    each pairing's (v0 + l_f, l_g + l_h) rows."""
-    lit = signs[:, :, None] * V[rows]  # (clauses, 3, dim)
-    r = np.empty((3, rows.shape[0]), dtype=np.float64)
-    sums = []
-    for m, (f, g, h) in enumerate(_PAIRINGS):
-        sums.append((V[0] + lit[:, f], lit[:, g] + lit[:, h]))
-        r[m] = (4.0 - np.einsum("cd,cd->c", *sums[-1])) / 4.0
-    candidates = np.vstack([np.ones(rows.shape[0]), r])
-    return candidates.min(axis=0), candidates, sums
+def _scatter(positions: list, terms: list, shape) -> np.ndarray:
+    """Sum terms (a list of arrays, read flat in order) into np.zeros(shape) at the
+    flat positions listed alike.
+
+    bincount adds each position's terms one after another from +0.0, as
+    ``np.add.at`` does. That running sum is never -0.0, so a row summed
+    beforehand and listed as one term adds as it would onto the array.
+    """
+    flat = [np.concatenate(parts, axis=None) for parts in (positions, terms)]
+    return np.bincount(*flat, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 class _AdamAscent:
-    """Adam-style ascent step with a late small-step polish phase."""
+    """Adam-style ascent step of size STEP_SIZE with a late small-step polish phase."""
 
-    def __init__(self, shape, learning_rate: float, total_steps: int):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.lr = learning_rate
-        self.total = total_steps
-        self.t = 0
+    def __init__(self, shape, total_steps: int):
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self.total, self.t = total_steps, 0
 
     def step(self, V: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
@@ -98,7 +94,7 @@ class _AdamAscent:
         self.v = 0.999 * self.v + 0.001 * grad * grad
         m_hat = self.m / (1 - 0.9**self.t)
         v_hat = self.v / (1 - 0.999**self.t)
-        lr = self.lr if self.t < 0.7 * self.total else 0.05 * self.lr
+        lr = STEP_SIZE if self.t < 0.7 * self.total else 0.05 * STEP_SIZE
         return _normalize_rows(V + lr * m_hat / (np.sqrt(v_hat) + 1e-8))
 
 
@@ -112,48 +108,57 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
     solve so that same-side hyperplane rounding recovers satisfying
     assignments (the relaxation expressions pin satisfied literal vectors to
     the opposite pole of v_0).
+
+    At pairing m a clause adds -w (l_g + l_h) / 4 at v_0 and l_f and -w (v_0 + l_f) / 4
+    at l_g and l_h. Pairing by pairing, the gradient lists v_0's sum of its first
+    terms, then the l_f, l_g and l_h terms, each in clause order.
     """
-    n = instance.num_vars
-    dim = n + 1
-    rng = np.random.default_rng(cfg.rng_seed)
-    V = _normalize_rows(rng.standard_normal((n + 1, dim)))
+    dim = instance.num_vars + 1
+    V = _normalize_rows(np.random.default_rng(cfg.rng_seed).standard_normal((dim, dim)))
     rows, signs, weights = _clause_arrays(instance)  # negated literals are -v_i
     total_weight = float(weights.sum())
-    optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
+    optimizer = _AdamAscent(V.shape, cfg.iterations)
 
-    best_obj = -np.inf
-    best_V = V.copy()
-    history = []
+    lit_rows, lit_signs = rows.T[_SLOTS], signs.T[_SLOTS]  # (f/g/h, pairing, clause)
+    signed = lit_rows + dim * (lit_signs < 0)  # rows of [V, -V, v_0 + V, v_0 - V]
+    gather = np.stack([signed[1], signed[0] + 2 * dim, signed[2]])  # l_g, v_0 + l_f, l_h
+    # Per (pairing, clause), repeated along the row: -w times 1, s_f, s_g and s_h.
+    coef = -weights * np.stack([np.ones_like(lit_signs[0]), *lit_signs])
+    coef = np.repeat(coef.reshape(2, 2, -1, 1), dim, axis=3)
+    cols = np.arange(dim)  # the flat positions of v_0
+    at = lit_rows.reshape(3, -1, 1) * dim + cols
+    candidates = np.ones((4, rows.shape[0]))  # row 0: the clamp at 1
+
+    best_obj, best_V, history = -np.inf, V.copy(), []
     for _ in range(cfg.iterations):
-        values, candidates, sums = _kz_relaxed_values(V, rows, signs)
-        obj = float(np.dot(weights, values))
+        table = np.concatenate([V, -V])
+        lits = np.take(np.concatenate([table, V[0] + table]), gather, axis=0)
+        pair = lits[:2]  # l_g + l_h, written over l_g, and v_0 + l_f
+        np.add(lits[0], lits[2], out=pair[0])
+        r = np.einsum("mcd,mcd->mc", pair[1], pair[0], out=candidates[1:])
+        np.divide(np.subtract(4.0, r, out=r), 4.0, out=r)
+        obj = float(np.dot(weights, candidates.min(axis=0)))
         if obj > best_obj:
-            best_obj = obj
-            best_V = V.copy()
+            best_obj, best_V = obj, V.copy()
         history.append(best_obj)
         if best_obj >= total_weight * (1.0 - 1e-9):
             break
 
-        active = np.argmin(candidates, axis=0)  # 0 = clamped at 1, zero gradient
-        grad = np.zeros_like(V)
-        for m, ((f, g, h), (first, second)) in enumerate(zip(_PAIRINGS, sums), start=1):
-            mask = active == m
-            if not mask.any():
-                continue
-            w = weights[mask, None]
-            d_first = -w * second[mask] / 4.0
-            d_second = -w * first[mask] / 4.0
-            grad[0] += d_first.sum(axis=0)
-            np.add.at(grad, rows[mask, f], signs[mask, f, None] * d_first)
-            np.add.at(grad, rows[mask, g], signs[mask, g, None] * d_second)
-            np.add.at(grad, rows[mask, h], signs[mask, h, None] * d_second)
-        V = optimizer.step(V, grad)
+        # Flat (pairing, clause) positions of the clauses off the clamp, by pairing.
+        active = np.flatnonzero(candidates.argmin(axis=0) == np.arange(1, 4)[:, None])
+        bounds = np.searchsorted(active, np.arange(4) * len(weights))
+        operands = np.take(pair.reshape(2, -1, dim), active, axis=1)[:, None]
+        terms = (np.take(coef, active, axis=2) * operands * 0.25).reshape(4, -1, dim)  # as / 4
+        positions = np.take(at, active, axis=1)
+        listed, where = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            listed += [terms[0, lo:hi].sum(axis=0), terms[1:, lo:hi]]
+            where += [cols, positions[:, lo:hi]]
+        V = optimizer.step(V, _scatter(where, listed, V.shape))
 
     quarter = max(1, len(history) // 4)
-    converged = (
-        best_obj >= total_weight * (1.0 - 1e-9)
-        or best_obj - history[-quarter] <= 1e-6 * max(1.0, abs(best_obj))
-    )
+    stalled = best_obj - history[-quarter] <= 1e-6 * max(1.0, abs(best_obj))
+    converged = best_obj >= total_weight * (1.0 - 1e-9) or stalled
     best_V[0] = -best_V[0]
     return UnitVectorSet(vectors=best_V, objective=best_obj, converged=converged)
 
@@ -174,55 +179,50 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
     """Maximize the relaxed cut subject to the balance constraint sum v_i = 0.
 
     The balance constraint is enforced as a quadratic penalty on |sum v_i|^2
-    whose coefficient doubles whenever a round of iterations ends off target.
-    The best balanced-enough iterate is returned, along with the residual.
+    whose coefficient doubles whenever a round of iterations ends with the
+    residual |sum v_i| above half the target; the solve takes 5 rounds of
+    max(1, iterations // 5) steps. The best balanced-enough iterate is
+    returned, along with the residual. The gradient lists every row's penalty
+    term, then each edge's term at its a end, then at its b end.
     """
     n = instance.num_vertices
     dim = n + 1
-    rng = np.random.default_rng(cfg.rng_seed)
-    V = _normalize_rows(rng.standard_normal((n, dim)))
+    V = _normalize_rows(np.random.default_rng(cfg.rng_seed).standard_normal((n, dim)))
     a_idx = np.array([a - 1 for a, _, _ in instance.edges], dtype=np.int64)
     b_idx = np.array([b - 1 for _, b, _ in instance.edges], dtype=np.int64)
     weights = np.array([w for _, _, w in instance.edges], dtype=np.float64)
 
-    target = BALANCE_TOLERANCE * np.sqrt(n)
-    penalty = BALANCE_PENALTY
+    target, penalty = BALANCE_TOLERANCE * np.sqrt(n), BALANCE_PENALTY
     rounds = 5
     per_round = max(1, cfg.iterations // rounds)
-    optimizer = _AdamAscent(V.shape, STEP_SIZE, cfg.iterations)
+    optimizer = _AdamAscent(V.shape, cfg.iterations)
 
     def cut_objective(M: np.ndarray) -> float:
         dots = np.einsum("ed,ed->e", M[a_idx], M[b_idx])
         return float(0.5 * np.dot(weights, 1.0 - dots))
 
-    best_obj = -np.inf
-    best_V = None
-    best_residual = np.inf
+    positions = [np.arange(V.size)] + [e[:, None] * dim + np.arange(dim) for e in (a_idx, b_idx)]
+    half_weights, every_row = -0.5 * weights[:, None], np.ones((n, 1))
+
+    best_obj, best_V, best_residual = -np.inf, None, np.inf
+    residual_vec = V.sum(axis=0)
     for _ in range(rounds):
         for _ in range(per_round):
+            terms = [every_row * (-2.0 * penalty * residual_vec)]
+            terms += [half_weights * V[b_idx], half_weights * V[a_idx]]
+            V = optimizer.step(V, _scatter(positions, terms, V.shape))
             residual_vec = V.sum(axis=0)
-            grad = np.broadcast_to(-2.0 * penalty * residual_vec, V.shape).copy()
-            np.add.at(grad, a_idx, -0.5 * weights[:, None] * V[b_idx])
-            np.add.at(grad, b_idx, -0.5 * weights[:, None] * V[a_idx])
-            V = optimizer.step(V, grad)
-            residual = float(np.linalg.norm(V.sum(axis=0)))
+            residual = float(np.linalg.norm(residual_vec))
             if residual <= target:
                 obj = cut_objective(V)
                 if obj > best_obj:
-                    best_obj = obj
-                    best_V = V.copy()
-                    best_residual = residual
+                    best_obj, best_V, best_residual = obj, V.copy(), residual
         if residual > 0.5 * target:
             penalty *= 2.0
 
-    converged = best_V is not None
-    if best_V is None:
-        best_V = V
-        best_obj = cut_objective(V)
-        best_residual = residual
-    return UnitVectorSet(
-        vectors=best_V, objective=best_obj, converged=converged, balance_residual=best_residual
-    )
+    if best_V is None:  # never balanced enough: the last iterate, not converged
+        return UnitVectorSet(V, cut_objective(V), False, residual)
+    return UnitVectorSet(best_V, best_obj, True, best_residual)
 
 
 def s_linear(x):

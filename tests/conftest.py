@@ -15,6 +15,7 @@ from cbqoa import (
     Max3SatInstance,
     MaxBisectionInstance,
     PipelineConfig,
+    SdpConfig,
     WalkParams,
     gen_hard_instances,
     run_pipeline,
@@ -25,11 +26,19 @@ from cbqoa.fast_sim import CostBinning
 from cbqoa.mixer import PermutationFamily, permute_indices
 from cbqoa.problems import (
     ProblemInstance,
+    _clause_arrays,
     as_bits,
     bits_to_index,
     bits_to_str,
     cost_summary,
     feasible_indices,
+)
+from cbqoa.seeds import (
+    BALANCE_PENALTY,
+    BALANCE_TOLERANCE,
+    STEP_SIZE,
+    UnitVectorSet,
+    _normalize_rows,
 )
 from cbqoa.simulate import _trotter_plan, _xy_rotations, _xy_sweep
 
@@ -372,6 +381,151 @@ def oracle_tune_walk_params(
         inits.append(np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]))
     best, _, trace = oracle_run_restarts(objective, inits, adam_cfg, gradient)
     return float(best[0]), float(best[1]), trace
+
+
+# ---------------------------------------------------------------------------
+# Relaxation oracles: both solvers written with per-pairing masks and one
+# np.add.at per term kind. They fix the order in which each gradient entry is
+# summed; the library's single-scatter solvers must reproduce them byte for byte:
+# the same vectors, objective, converged flag and balance residual.
+
+
+# Literal slots (f, g, h) of the three pairing expressions (v0 + l_f) . (l_g + l_h).
+_ORACLE_PAIRINGS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _oracle_kz_relaxed_values(V: np.ndarray, rows, signs):
+    """Per-clause relaxed values min(1, r1, r2, r3), the stacked candidates, and
+    each pairing's (v0 + l_f, l_g + l_h) rows."""
+    lit = signs[:, :, None] * V[rows]  # (clauses, 3, dim)
+    r = np.empty((3, rows.shape[0]), dtype=np.float64)
+    sums = []
+    for m, (f, g, h) in enumerate(_ORACLE_PAIRINGS):
+        sums.append((V[0] + lit[:, f], lit[:, g] + lit[:, h]))
+        r[m] = (4.0 - np.einsum("cd,cd->c", *sums[-1])) / 4.0
+    candidates = np.vstack([np.ones(rows.shape[0]), r])
+    return candidates.min(axis=0), candidates, sums
+
+
+class _OracleAdamAscent:
+    """Adam-style ascent step with a late small-step polish phase."""
+
+    def __init__(self, shape, learning_rate: float, total_steps: int):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.lr = learning_rate
+        self.total = total_steps
+        self.t = 0
+
+    def step(self, V: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.t += 1
+        self.m = 0.9 * self.m + 0.1 * grad
+        self.v = 0.999 * self.v + 0.001 * grad * grad
+        m_hat = self.m / (1 - 0.9**self.t)
+        v_hat = self.v / (1 - 0.999**self.t)
+        lr = self.lr if self.t < 0.7 * self.total else 0.05 * self.lr
+        return _normalize_rows(V + lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+
+
+def oracle_solve_kz_sdp(
+    instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()
+) -> UnitVectorSet:
+    """``seeds.solve_kz_sdp`` with per-pairing masks and three ``np.add.at`` each."""
+    n = instance.num_vars
+    dim = n + 1
+    rng = np.random.default_rng(cfg.rng_seed)
+    V = _normalize_rows(rng.standard_normal((n + 1, dim)))
+    rows, signs, weights = _clause_arrays(instance)  # negated literals are -v_i
+    total_weight = float(weights.sum())
+    optimizer = _OracleAdamAscent(V.shape, STEP_SIZE, cfg.iterations)
+
+    best_obj = -np.inf
+    best_V = V.copy()
+    history = []
+    for _ in range(cfg.iterations):
+        values, candidates, sums = _oracle_kz_relaxed_values(V, rows, signs)
+        obj = float(np.dot(weights, values))
+        if obj > best_obj:
+            best_obj = obj
+            best_V = V.copy()
+        history.append(best_obj)
+        if best_obj >= total_weight * (1.0 - 1e-9):
+            break
+
+        active = np.argmin(candidates, axis=0)  # 0 = clamped at 1, zero gradient
+        grad = np.zeros_like(V)
+        for m, ((f, g, h), (first, second)) in enumerate(zip(_ORACLE_PAIRINGS, sums), start=1):
+            mask = active == m
+            if not mask.any():
+                continue
+            w = weights[mask, None]
+            d_first = -w * second[mask] / 4.0
+            d_second = -w * first[mask] / 4.0
+            grad[0] += d_first.sum(axis=0)
+            np.add.at(grad, rows[mask, f], signs[mask, f, None] * d_first)
+            np.add.at(grad, rows[mask, g], signs[mask, g, None] * d_second)
+            np.add.at(grad, rows[mask, h], signs[mask, h, None] * d_second)
+        V = optimizer.step(V, grad)
+
+    quarter = max(1, len(history) // 4)
+    converged = (
+        best_obj >= total_weight * (1.0 - 1e-9)
+        or best_obj - history[-quarter] <= 1e-6 * max(1.0, abs(best_obj))
+    )
+    best_V[0] = -best_V[0]
+    return UnitVectorSet(vectors=best_V, objective=best_obj, converged=converged)
+
+
+def oracle_solve_fl_sdp(
+    instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()
+) -> UnitVectorSet:
+    """``seeds.solve_fl_sdp`` with the penalty row copied and two ``np.add.at``."""
+    n = instance.num_vertices
+    dim = n + 1
+    rng = np.random.default_rng(cfg.rng_seed)
+    V = _normalize_rows(rng.standard_normal((n, dim)))
+    a_idx = np.array([a - 1 for a, _, _ in instance.edges], dtype=np.int64)
+    b_idx = np.array([b - 1 for _, b, _ in instance.edges], dtype=np.int64)
+    weights = np.array([w for _, _, w in instance.edges], dtype=np.float64)
+
+    target = BALANCE_TOLERANCE * np.sqrt(n)
+    penalty = BALANCE_PENALTY
+    rounds = 5
+    per_round = max(1, cfg.iterations // rounds)
+    optimizer = _OracleAdamAscent(V.shape, STEP_SIZE, cfg.iterations)
+
+    def cut_objective(M: np.ndarray) -> float:
+        dots = np.einsum("ed,ed->e", M[a_idx], M[b_idx])
+        return float(0.5 * np.dot(weights, 1.0 - dots))
+
+    best_obj = -np.inf
+    best_V = None
+    best_residual = np.inf
+    for _ in range(rounds):
+        for _ in range(per_round):
+            residual_vec = V.sum(axis=0)
+            grad = np.broadcast_to(-2.0 * penalty * residual_vec, V.shape).copy()
+            np.add.at(grad, a_idx, -0.5 * weights[:, None] * V[b_idx])
+            np.add.at(grad, b_idx, -0.5 * weights[:, None] * V[a_idx])
+            V = optimizer.step(V, grad)
+            residual = float(np.linalg.norm(V.sum(axis=0)))
+            if residual <= target:
+                obj = cut_objective(V)
+                if obj > best_obj:
+                    best_obj = obj
+                    best_V = V.copy()
+                    best_residual = residual
+        if residual > 0.5 * target:
+            penalty *= 2.0
+
+    converged = best_V is not None
+    if best_V is None:
+        best_V = V
+        best_obj = cut_objective(V)
+        best_residual = residual
+    return UnitVectorSet(
+        vectors=best_V, objective=best_obj, converged=converged, balance_residual=best_residual
+    )
 
 
 # ---------------------------------------------------------------------------

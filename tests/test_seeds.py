@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbqoa import Max3SatInstance, MaxBisectionInstance, SdpConfig
 from cbqoa.bench import (
@@ -24,7 +26,7 @@ from cbqoa.seeds import (
     solve_relaxation,
 )
 
-from conftest import random_satisfiable_max3sat
+from conftest import oracle_solve_fl_sdp, oracle_solve_kz_sdp, random_satisfiable_max3sat
 
 QUICK = SdpConfig(iterations=800, rng_seed=0)
 
@@ -149,6 +151,108 @@ class TestSolveFl:
             optimum_cost = cost_summary(inst).optimum_value
             result = solve_fl_sdp(inst, SdpConfig(rng_seed=1))
             assert result.objective >= -optimum_cost
+
+
+def assert_same_solve(result: UnitVectorSet, expected: UnitVectorSet):
+    assert result.vectors.tobytes() == expected.vectors.tobytes()
+    assert result.objective == expected.objective
+    assert result.converged == expected.converged
+    assert result.balance_residual == expected.balance_residual
+
+
+class TestScatterMatchesOracle:
+    """Each solve sums its gradient with one bincount in the order the per-term
+    np.add.at oracles in conftest add the terms, so every output is the same bytes."""
+
+    @pytest.mark.parametrize(
+        "inst, cfg",
+        [
+            (random_max3sat(np.random.default_rng(21), 16, 200), SdpConfig(rng_seed=3)),
+            # Label 0 is v_0 itself, so row 0 takes literal terms between the
+            # per-pairing sums; repeated labels put two terms of a clause on one row.
+            (
+                Max3SatInstance(
+                    num_vars=4,
+                    clauses=((0, 0, 3, 0.7), (0, 1, 5, 0.3), (0, 2, 2, 1.0), (0, 6, 7, 0.5)),
+                ),
+                SdpConfig(iterations=400, rng_seed=1),
+            ),
+            (Max3SatInstance(num_vars=4, clauses=()), QUICK),
+        ],
+        ids=["random_16x200", "label_zero_and_repeats", "no_clauses"],
+    )
+    def test_kz(self, inst, cfg):
+        assert_same_solve(solve_kz_sdp(inst, cfg), oracle_solve_kz_sdp(inst, cfg))
+
+    def test_kz_early_stop(self):
+        """A satisfiable instance whose relaxation reaches its total weight stops early."""
+        inst = random_satisfiable_max3sat(np.random.default_rng(0), num_vars=6, num_clauses=8)
+        result = solve_kz_sdp(inst)
+        assert result.objective >= sum(c[3] for c in inst.clauses) * (1 - 1e-9)
+        assert_same_solve(result, oracle_solve_kz_sdp(inst))
+
+    @pytest.mark.parametrize(
+        "inst, cfg, converged",
+        [
+            (random_max_bisection(np.random.default_rng(22), 12), SdpConfig(rng_seed=2), True),
+            (MaxBisectionInstance(num_vertices=6, edges=()), QUICK, True),
+            # Five steps never balance: the last iterate is returned, not converged.
+            (random_max_bisection(np.random.default_rng(0), 12), SdpConfig(iterations=5), False),
+        ],
+        ids=["random_12", "edgeless", "unbalanced"],
+    )
+    def test_fl(self, inst, cfg, converged):
+        result = solve_fl_sdp(inst, cfg)
+        assert result.converged == converged
+        assert_same_solve(result, oracle_solve_fl_sdp(inst, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 2 * n),
+                        st.integers(0, 2 * n),
+                        st.integers(0, 2 * n),
+                        st.floats(0.0, 2.0),
+                    ),
+                    max_size=30,
+                ),
+            )
+        ),
+        st.integers(1, 50),
+        st.integers(0, 2**16),
+    )
+    def test_kz_property(self, shape, iterations, seed):
+        inst = Max3SatInstance(num_vars=shape[0], clauses=tuple(shape[1]))
+        cfg = SdpConfig(iterations=iterations, rng_seed=seed)
+        assert_same_solve(solve_kz_sdp(inst, cfg), oracle_solve_kz_sdp(inst, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda half: st.tuples(
+                st.just(2 * half),
+                st.lists(
+                    st.tuples(st.integers(1, 2 * half), st.integers(1, 2 * half)),
+                    max_size=30,
+                ),
+                st.lists(st.floats(-2.0, 2.0), min_size=30, max_size=30),
+            )
+        ),
+        st.integers(1, 50),
+        st.integers(0, 2**16),
+    )
+    def test_fl_property(self, graph, iterations, seed):
+        n, pairs, weights = graph
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        inst = MaxBisectionInstance(
+            num_vertices=n, edges=tuple((a, b, w) for (a, b), w in zip(edges, weights))
+        )
+        cfg = SdpConfig(iterations=iterations, rng_seed=seed)
+        assert_same_solve(solve_fl_sdp(inst, cfg), oracle_solve_fl_sdp(inst, cfg))
 
 
 class TestSLinear:

@@ -135,6 +135,21 @@ def test_each_fact_has_one_source():
     assert not kind_fields, f"kind stored beside the data it names: {kind_fields}"
 
 
+def test_relaxation_gradients_scatter_once():
+    """Both relaxation solvers sum each gradient with one order-preserving bincount
+    (seeds._scatter); seeds.py makes no np.add.at scatter."""
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert _callers(modules, "_scatter") == ["seeds.py:solve_fl_sdp", "seeds.py:solve_kz_sdp"]
+    add_at = [
+        node.lineno
+        for node in ast.walk(modules["seeds.py"])
+        if isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and getattr(node.value, "attr", None) == "add"
+    ]
+    assert not add_at, f"seeds.py calls np.add.at at lines {add_at}"
+
+
 def test_every_public_definition_has_a_caller():
     """Test-only code lives in tests/: every public function or class of a package
     module is used by the package or by the benchmark, not only re-exported."""
