@@ -149,6 +149,10 @@ class BenchmarkSpec:
             raise ValueError("ratio_threshold must be <= 1")
         if self.count < 1 or self.rounding_trials < 1:
             raise ValueError("count and rounding_trials must be >= 1")
+        if self.num_vars < 3 or self.num_clauses < 1:
+            raise ValueError("num_vars must be >= 3 and num_clauses >= 1")
+        if not 0 < self.edge_prob <= 1:
+            raise ValueError("edge_prob must be in (0, 1]")
 
     @classmethod
     def for_max3sat(cls, **overrides) -> "BenchmarkSpec":

@@ -333,8 +333,8 @@ def tune_ansatz_params(
 ) -> tuple[tuple[float, ...], tuple[float, ...], list[tuple[int, int, float]]]:
     """Tune p layers of (beta, gamma) on top of a fixed initial state psi.
 
-    The objective is the binned simulator's CVaR, with its exact gradient. The all-zero
-    layers are the first restart, so the tuned tail cost never exceeds that of psi.
+    The objective is the binned CVaR on at most num_bins bins (exact if the distinct
+    costs fit), with its exact gradient. The all-zero first restart bounds it by psi's.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -1,9 +1,10 @@
 """Accelerated ansatz simulation by cost binning.
 
 The layer unitaries depend on the cost only through the phase it applies, so
-after rounding every cost to the midpoint of one of M uniform bins, the state
-stays inside the span of M fixed unit vectors (one per bin) for the whole
-circuit. The simulation then reduces to a recursion on the M complex
+with every cost phased by that of its bin, the state stays inside the span of M
+fixed unit vectors (one per bin) for the whole circuit. The bins are the
+distinct costs when at most M occur, which is exact, and M uniform bins
+otherwise. The simulation then reduces to a recursion on the M complex
 coefficients: each layer applies the binned phases and adds the rank-1 mixing
 correction through a single shared inner product, costing O(M) per layer.
 """
@@ -19,25 +20,27 @@ from .simulate import AnsatzParams
 
 @dataclass(frozen=True)
 class CostBinning:
-    """Uniform binning of the cost values on a fixed support."""
+    """Cost bins on a fixed support: one per distinct cost (level bins, of width 0),
+    or num_bins uniform bins of width (upper - lower) / num_bins."""
 
     lower: float  # inclusive lower edge (min cost on the support)
-    upper: float  # exclusive upper edge
-    num_bins: int
+    upper: float  # max cost for level bins; exclusive upper edge for uniform ones
+    width: float
     support: np.ndarray  # basis indices covered by the binning
     bin_index: np.ndarray  # bin of each support element
-    bin_costs: np.ndarray  # midpoint cost per bin
+    bin_costs: np.ndarray  # the cost each bin phases with: its level or its midpoint
 
     @property
-    def width(self) -> float:
-        return (self.upper - self.lower) / self.num_bins
+    def num_bins(self) -> int:
+        return self.bin_costs.size
 
 
 def bin_costs(cost_diagonal: np.ndarray, support: np.ndarray, num_bins: int) -> CostBinning:
-    """Partition the support's cost values into num_bins uniform bins.
-
-    The upper edge gets a tiny margin so the maximum cost falls strictly below
-    it; every cost then sits within half a bin width of its bin midpoint.
+    """Bin the support's costs: one level bin per distinct cost if at most num_bins
+    occur, else num_bins uniform bins. Level bins are exact up to float rounding,
+    so criterion 6's error bound p * width * span / alpha reads 0. Uniform bins get
+    a tiny margin above the maximum cost, which then falls strictly below the upper
+    edge; every cost sits within half a bin width of its bin midpoint.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
@@ -45,20 +48,17 @@ def bin_costs(cost_diagonal: np.ndarray, support: np.ndarray, num_bins: int) -> 
     if support.size == 0:
         raise ValueError("support must be non-empty")
     values = np.asarray(cost_diagonal, dtype=np.float64)[support]
-    lower = float(values.min())
-    span = float(values.max()) - lower
-    upper = float(values.max()) + max(span, 1.0) * 1e-12
+    ordered = np.sort(values)
+    lower, top = float(ordered[0]), float(ordered[-1])
+    fresh = np.r_[True, ordered[1:] != ordered[:-1]]
+    if np.count_nonzero(fresh) <= num_bins:
+        levels = ordered[fresh]
+        return CostBinning(lower, top, 0.0, support, np.searchsorted(levels, values), levels)
+    upper = top + max(top - lower, 1.0) * 1e-12
     width = (upper - lower) / num_bins
     index = np.minimum((values - lower) // width, num_bins - 1).astype(np.int64)
     midpoints = lower + (np.arange(num_bins) + 0.5) * width
-    return CostBinning(
-        lower=lower,
-        upper=upper,
-        num_bins=num_bins,
-        support=support,
-        bin_index=index,
-        bin_costs=midpoints,
-    )
+    return CostBinning(lower, upper, width, support, index, midpoints)
 
 
 def eta_from_state(psi: np.ndarray, binning: CostBinning) -> np.ndarray:
@@ -118,7 +118,7 @@ def _evolve_rows_adjoint(base: np.ndarray, costs: np.ndarray, tape: list, lam: n
 
 
 def binned_distribution(coeffs: np.ndarray, binning: CostBinning) -> list[tuple[float, float]]:
-    """Probability of each bin midpoint cost: (cost, |coeff|^2) pairs."""
+    """Probability of each bin's cost: (cost, |coeff|^2) pairs."""
     probs = np.abs(coeffs) ** 2
     return [(float(c), float(p)) for c, p in zip(binning.bin_costs, probs)]
 

@@ -76,10 +76,57 @@ def sector_walk(
 
 
 def binned_diagonal(binning: CostBinning, size: int) -> np.ndarray:
-    """Dense diagonal with every support cost replaced by its bin midpoint."""
+    """Dense diagonal with every support cost replaced by its bin's cost (level or midpoint)."""
     diag = np.zeros(size, dtype=np.float64)
     diag[binning.support] = binning.bin_costs[binning.bin_index]
     return diag
+
+
+@dataclass(frozen=True)
+class OracleCostBinning:
+    """Uniform binning of the cost values on a fixed support."""
+
+    lower: float  # inclusive lower edge (min cost on the support)
+    upper: float  # exclusive upper edge
+    num_bins: int
+    support: np.ndarray  # basis indices covered by the binning
+    bin_index: np.ndarray  # bin of each support element
+    bin_costs: np.ndarray  # midpoint cost per bin
+
+    @property
+    def width(self) -> float:
+        return (self.upper - self.lower) / self.num_bins
+
+
+def oracle_bin_costs(
+    cost_diagonal: np.ndarray, support: np.ndarray, num_bins: int
+) -> OracleCostBinning:
+    """Partition the support's cost values into num_bins uniform bins: the library's
+    binning before it took the distinct costs as bins whenever they fit.
+
+    The upper edge gets a tiny margin so the maximum cost falls strictly below
+    it; every cost then sits within half a bin width of its bin midpoint.
+    """
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
+    support = np.asarray(support, dtype=np.int64)
+    if support.size == 0:
+        raise ValueError("support must be non-empty")
+    values = np.asarray(cost_diagonal, dtype=np.float64)[support]
+    lower = float(values.min())
+    span = float(values.max()) - lower
+    upper = float(values.max()) + max(span, 1.0) * 1e-12
+    width = (upper - lower) / num_bins
+    index = np.minimum((values - lower) // width, num_bins - 1).astype(np.int64)
+    midpoints = lower + (np.arange(num_bins) + 0.5) * width
+    return OracleCostBinning(
+        lower=lower,
+        upper=upper,
+        num_bins=num_bins,
+        support=support,
+        bin_index=index,
+        bin_costs=midpoints,
+    )
 
 
 def dense_unitary(hermitian: np.ndarray, t: float) -> np.ndarray:

@@ -221,13 +221,17 @@ def test_criterion_5_fast_sim_equivalence():
 
 
 def test_criterion_6_bin_count_bound():
+    """Uniform bins on an instance with more distinct costs than the largest M (n = 14
+    has up to 1,716), and level bins, exact up to float rounding, once M reaches them."""
     rng = np.random.default_rng(106)
-    inst = random_max_bisection(rng, 10, 0.6)
+    inst = random_max_bisection(rng, 14, 0.6)
     summary = cost_summary(inst)
     feas = feasible_indices(inst)
-    psi = cbqoa_initial_state(build_family(inst, "0000011111"), WalkParams(0.6, 0.5))
+    psi = cbqoa_initial_state(build_family(inst, "00000001111111"), WalkParams(0.6, 0.5))
     values = summary.diagonal[feas]
     order = np.argsort(values)
+    levels = np.unique(values).size
+    assert levels > 1000
     alpha, depth = 0.5, 3
     points = [
         AnsatzParams(
@@ -241,30 +245,37 @@ def test_criterion_6_bin_count_bound():
         dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
         dense_cvars.append(_cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha))
 
-    mean_err = {}
-    fitted_c = 0.0
-    for M in (125, 250, 500, 1000):
+    def binned_errors(M):
         binning = bin_costs(summary.diagonal, feas, M)
         base = eta_from_state(psi, binning)
-        span = binning.upper - binning.lower
         errors = []
         for params, dense_cvar in zip(points, dense_cvars):
             fast = evolve_binned(base, binning, params)
             cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
             errors.append(abs(cvar_fast - dense_cvar))
+        return binning, errors
+
+    mean_err = {}
+    fitted_c = 0.0
+    for M in (125, 250, 500, 1000):
+        binning, errors = binned_errors(M)
         mean_err[M] = float(np.mean(errors))
+        span = binning.upper - binning.lower
         bound_unit = depth * binning.width * span / alpha  # error bound at c = 1
         fitted_c = max(fitted_c, max(errors) / bound_unit)
+    binning, errors = binned_errors(levels)
+    level_err = max(errors) if binning.width == 0 else np.inf
 
     decreasing = all(
         mean_err[2 * M] <= mean_err[M] * 1.05 + 1e-15 for M in (125, 250, 500)
     ) and mean_err[1000] < mean_err[125]
-    ok = decreasing and fitted_c <= 10.0
+    ok = decreasing and fitted_c <= 10.0 and level_err <= 1e-9
     report(
         6,
         ok,
         f"mean errors {[f'{mean_err[M]:.2e}' for M in (125, 250, 500, 1000)]} decreasing, "
-        f"fitted c {fitted_c:.2f} (<= 10)",
+        f"fitted c {fitted_c:.2f} (<= 10), error {level_err:.1e} on {levels} level bins "
+        f"(<= 1e-9)",
     )
 
 

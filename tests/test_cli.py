@@ -109,13 +109,18 @@ class TestGen:
             (["--kind", "max_bisection", "--num-vertices", "8"],
              {"problem": "max_bisection", "num_vars": 16, "num_vertices": 8,
               "ratio_threshold": 0.99}),
+            (["--kind", "max_bisection", "--edge-prob", "1.5"], "edge_prob"),
+            (["--kind", "max_bisection", "--edge-prob", "-0.5"], "edge_prob"),
+            (["--kind", "max3sat", "--num-clauses", "0"], "num_clauses"),
+            (["--kind", "max3sat", "--num-vars", "2"], "num_vars"),
         ],
-        ids=["max3sat", "max3sat-threshold", "max_bisection", "max_bisection-shape"],
+        ids=["max3sat", "max3sat-threshold", "max_bisection", "max_bisection-shape",
+             "edge-prob-above-1", "edge-prob-negative", "no-clauses", "two-vars"],
     )
     def test_manifest_spec(self, tmp_path, monkeypatch, capsys, flags, expected):
         """The spec takes the kind's shape flags, BenchmarkSpec's defaults for the rest,
-        and the kind's threshold unless set. A shape flag of the other kind exits 2 and
-        is named."""
+        and the kind's threshold unless set. A shape flag of the other kind, or a shape
+        no instance can take, exits 2 and is named."""
         import cbqoa.bench as bench_mod
 
         monkeypatch.setattr(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbqoa import AnsatzParams, WalkParams
@@ -23,6 +23,7 @@ from cbqoa.simulate import _apply_layers, cbqoa_initial_state
 from conftest import (
     basis_state,
     binned_diagonal,
+    oracle_bin_costs,
     random_feasible_state,
     small_3sat,
     small_bisection,
@@ -67,6 +68,27 @@ class TestBinCosts:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             bin_costs(np.zeros(4), np.array([], dtype=np.int64), 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 300),
+        levels=st.integers(2, 400),
+        data=st.data(),
+    )
+    def test_uniform_bins_match_the_oracle_above_the_cap(self, seed, size, levels, data):
+        """With more distinct costs than num_bins, the binning is the uniform one, bit
+        for bit."""
+        rng = np.random.default_rng(seed)
+        diag = rng.integers(0, levels, size) * rng.uniform(1e-3, 10) + rng.uniform(-50, 50)
+        support = rng.permutation(size)[: int(rng.integers(2, size + 1))]
+        distinct = np.unique(diag[support]).size
+        assume(distinct > 1)
+        num_bins = data.draw(st.integers(1, distinct - 1))
+        binning = bin_costs(diag, support, num_bins)
+        oracle = oracle_bin_costs(diag, support, num_bins)
+        for name in ("lower", "upper", "width", "num_bins", "support", "bin_index", "bin_costs"):
+            assert np.array_equal(getattr(binning, name), getattr(oracle, name)), name
 
 
 class TestEtaFromState:
@@ -209,13 +231,44 @@ class TestEvolveBinned:
         dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, psi.size), params)
         # The projection of dense onto psi_j = (psi on bin j) / base_j, times base_j.
         overlap = np.conj(psi[binning.support]) * dense[binning.support]
-        projected = np.bincount(binning.bin_index, overlap.real, num_bins) + 1j * np.bincount(
-            binning.bin_index, overlap.imag, num_bins
+        bins = binning.num_bins
+        projected = np.bincount(binning.bin_index, overlap.real, bins) + 1j * np.bincount(
+            binning.bin_index, overlap.imag, bins
         )
         base = eta_from_state(psi, binning)
         np.testing.assert_allclose(projected, base * fast, rtol=0, atol=1e-10)
         # Equal norms and matching projections: dense has no part outside the span.
         assert np.linalg.norm(dense) == pytest.approx(np.linalg.norm(fast), abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bisection=st.booleans(),
+        n=st.integers(3, 8),
+        depth=st.integers(1, 3),
+        spare=st.integers(0, 50),
+    )
+    def test_level_bins_match_dense_run_on_true_costs(self, seed, bisection, n, depth, spare):
+        """Once num_bins reaches the distinct feasible costs, each is a bin and the
+        binned run gives the dense run's probability of every cost value."""
+        rng = np.random.default_rng(seed)
+        if bisection:
+            inst = small_bisection(rng, n=n - n % 2)
+        else:
+            inst = small_3sat(rng, n=n, num_clauses=int(rng.integers(1, 15)))
+        summary = cost_summary(inst)
+        values = summary.diagonal[summary.feasible]
+        levels = np.unique(values)
+        binning = bin_costs(summary.diagonal, summary.feasible, levels.size + spare)
+        assert binning.width == 0 and np.array_equal(binning.bin_costs, levels)
+        psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
+        params = random_params(rng, depth)
+        fast = evolve_binned(eta_from_state(psi, binning), binning, params)
+        dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+        per_cost = np.bincount(
+            np.searchsorted(levels, values), np.abs(dense[summary.feasible]) ** 2, levels.size
+        )
+        np.testing.assert_allclose(np.abs(fast) ** 2, per_cost, rtol=0, atol=1e-10)
 
     def test_exact_when_bins_separate_costs(self, rng):
         """With one cost value per bin, the per-cost distribution of the binned
@@ -313,7 +366,7 @@ class TestChooseNumBins:
                 dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
                 dense_probs = np.abs(dense[feas]) ** 2
                 dense_binned = np.bincount(
-                    binning.bin_index, weights=dense_probs, minlength=M
+                    binning.bin_index, weights=dense_probs, minlength=binning.num_bins
                 )
                 total += 0.5 * np.abs(dense_binned - np.abs(fast) ** 2).sum()
             tv_by_m.append(total / len(points))

@@ -77,7 +77,8 @@ def ratio(summary, cvar_value: float) -> float:
 
 def gate_rows(walked):
     """Per instance and depth: the walk state's and the tuned layers' exact CVaR
-    ratios, and the binned-vs-dense CVaR gap of the tuned layers with its bound."""
+    ratios, and the binned-vs-dense CVaR gap of the tuned layers with its bound
+    (1e-9 on level bins)."""
     rows = []
     for i, (inst, summary, psi) in enumerate(walked):
         binning = bin_costs(summary.diagonal, summary.feasible, NUM_BINS)
@@ -98,7 +99,8 @@ def gate_rows(walked):
                     "walk": ratio(summary, dense_cvar(summary, psi)),
                     "tuned": ratio(summary, dense),
                     "gap": abs(binned - dense),
-                    "bound": 10.0 * depth * binning.width * span / ALPHA,  # criterion 6
+                    # criterion 6; level bins (width 0) are exact up to float rounding
+                    "bound": 10.0 * depth * binning.width * span / ALPHA if binning.width else 1e-9,
                 }
             )
     return rows

@@ -16,7 +16,7 @@ PERFBENCH = ROOT / "perfbench"
 MAX_PUBLIC_NAMES = 20
 # Lines of src/cbqoa/*.py as `wc -l` counts them. A change that grows src/ past
 # this raises it and states by how much and why.
-MAX_SRC_LINES = 2397
+MAX_SRC_LINES = 2401
 
 
 def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
