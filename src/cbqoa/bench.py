@@ -392,9 +392,7 @@ def _run_pipeline_inner(
         raise ValueError("depth must be >= 0")
     start = time.perf_counter()
     thresholds = default_thresholds(instance.kind)
-    reps = config.repetitions
-    if reps is None:
-        reps = default_repetitions(instance.kind)
+    reps = config.repetitions or default_repetitions(instance.kind)
     summary = cost_summary(instance)
     betas_table = beta_values(instance)
     circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)
@@ -403,6 +401,9 @@ def _run_pipeline_inner(
     def score(state: np.ndarray) -> dict[str, float]:
         probs = np.abs(state) ** 2
         return {_threshold_key(x): float(probs[_good(betas_table, x)].sum()) for x in thresholds}
+
+    def adam(seq: np.random.SeedSequence) -> AdamConfig:
+        return replace(config.adam, rng_seed=int(seq.generate_state(1)[0]))
 
     assignments, costs, ratios, best_trial = _classical_seed(instance, config)
     walk_seq, ansatz_seq, gm_seq = np.random.SeedSequence(config.rng_seed).spawn(5)[2:]
@@ -421,11 +422,7 @@ def _run_pipeline_inner(
     walk_time, walk_sharpness = 0.0, 0.0
     if not seed_optimal:
         walk_time, walk_sharpness, _ = tune_walk_params(
-            instance,
-            family,
-            cvar_cfg,
-            replace(config.adam, rng_seed=int(walk_seq.generate_state(1)[0])),
-            circuit_cfg,
+            instance, family, cvar_cfg, adam(walk_seq), circuit_cfg
         )
     walk = WalkParams(time=walk_time, sharpness=walk_sharpness)
     psi = cbqoa_initial_state(family, walk, circuit_cfg)
@@ -443,12 +440,7 @@ def _run_pipeline_inner(
         if depth >= 1:
             if not (label == "cbqoa" and seed_optimal):
                 betas, gammas, _ = tune_ansatz_params(
-                    instance,
-                    initial,
-                    depth,
-                    cvar_cfg,
-                    replace(config.adam, rng_seed=int(seq.generate_state(1)[0])),
-                    num_bins=config.num_bins,
+                    instance, initial, depth, cvar_cfg, adam(seq), num_bins=config.num_bins
                 )
                 params = AnsatzParams(betas=betas, gammas=gammas)
             final = _apply_layers(initial.copy(), initial, summary.diagonal, params)

@@ -3,15 +3,15 @@
 The tuning objective is the mean of the lower alpha-tail of the simulated cost
 distribution (the conditional value at risk of the cost, minimized). ADAM runs
 every random restart in lockstep over a (restarts, params) array, with one
-(value, gradient) call per step, and returns the best point ever evaluated, so
-the result is never worse than any restart's initialization. For a fixed order
-of the costs the CVaR is piecewise linear in the probabilities, so a tuner can
-back-propagate its exact gradient: the layer tuner through the binned layer
-recursion, the hypercube walk tuner through the stages of the walk's real
-product state, point by point. The transposition walk tuner takes central
-differences from one batched product-formula sweep per step in the seed's
-Hamming-weight sector. Each point's arithmetic is that of a one-point run, so
-the tuned parameters do not depend on the batching.
+(value, gradient) call per step on the restarts that moved (a stationary start
+is evaluated once), and returns the best point ever evaluated, so the result is
+never worse than any restart's initialization. For a fixed order of the costs
+the CVaR is piecewise linear in the probabilities, so a tuner can back-propagate
+its exact gradient: the layer tuner through the binned layer recursion, the
+hypercube walk tuner through the walk's real product state, point by point. The
+transposition walk tuner takes central differences from one batched
+product-formula sweep per step in the seed's Hamming-weight sector. Each point's
+arithmetic is that of a one-point run, so no result depends on the batching.
 """
 
 from __future__ import annotations
@@ -176,19 +176,23 @@ def _adam_lockstep(
 ) -> tuple[np.ndarray, float, list[tuple[int, int, float]]]:
     """Run ADAM from every row of inits at once; keep the best point seen.
 
-    Each step makes one (value, gradient) call on every restart's current point;
-    the last step asks for the values of the final points alone. The arithmetic
-    per restart is that of a sequential run. Returns the best point over all
-    restarts (an earlier restart wins ties), its value, and the (restart,
-    iteration, value) trace in restart-major order.
+    Each step makes one (value, gradient) call on the restarts whose point's float64
+    bits changed since their last call (0.0 to -0.0 counts), and none if no point did;
+    the last asks for values alone. A restart that did not move, such as a stationary
+    all-zero start, keeps its value and gradient. The arithmetic per restart is that of
+    a sequential run. Returns the best point over all restarts (an earlier restart wins
+    ties), its value, and the (restart, iteration, value) trace in restart-major order.
     """
     params = np.array(inits, dtype=np.float64)
     restarts = len(params)
-    m, v = np.zeros((2, *params.shape))
+    m, v, grad = np.zeros((3, *params.shape))
+    value, moved = np.empty(restarts), np.ones(restarts, dtype=bool)
     values = np.empty((cfg.iterations + 1, restarts))
     best_params = params.copy()
     for t in range(cfg.iterations + 1):
-        value, grad = value_and_grad(params, t < cfg.iterations)
+        if moved.any():
+            value[moved], fresh = value_and_grad(params[moved], t < cfg.iterations)
+            grad[moved] = 0.0 if fresh is None else fresh
         if not np.isfinite(value).all():
             raise RuntimeError(f"objective not finite at iteration {t}, params {params}")
         values[t] = value
@@ -206,7 +210,9 @@ def _adam_lockstep(
         v = BETA2 * v + (1 - BETA2) * grad * grad
         m_hat = m / (1 - BETA1 ** (t + 1))
         v_hat = v / (1 - BETA2 ** (t + 1))
-        params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILITY)
+        step = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILITY)
+        moved = (step.view(np.int64) != params.view(np.int64)).any(axis=1)
+        params = step
     winner = 0
     for r in range(1, restarts):
         if _improves(best_values[r], best_values[winner]):
@@ -255,6 +261,23 @@ def _hypercube_objective(
     return value_and_grad
 
 
+def _xy_objective(family: PermutationFamily, costs: np.ndarray, alpha: float, steps: int):
+    """CVaR of the XY product-formula walk at (time, sharpness) rows, and its central
+    differences: one batched sweep over the rows and their probes per call."""
+    order = np.argsort(costs, kind="stable")
+    sorted_costs = costs[order]
+
+    def objective(points: np.ndarray) -> np.ndarray:
+        rows, amps = ctqw_trotter_xy(family, points[:, 0], points[:, 1], steps)
+        # One full-length distribution per row, zero off the sector and read in
+        # cost order, so _cvar_sorted sums exactly what a full-space evaluation sums.
+        probs = np.zeros((len(points), order.size))
+        probs[:, rows] = (np.abs(amps) ** 2).T
+        return np.array([_cvar_sorted(sorted_costs, row, alpha, order) for row in probs])
+
+    return _central_differences(objective)
+
+
 def tune_walk_params(
     instance: ProblemInstance,
     family: PermutationFamily,
@@ -265,40 +288,22 @@ def tune_walk_params(
     """Tune the walk's (time, sharpness) against the lower-tail cost of its output.
 
     The walk starts at the family's seed. The first restart starts at (0, 0) --
-    the point mass at the seed -- so the tuned objective never exceeds the seed's
-    own tail cost. A hypercube walk's squared real product equals |amplitude|^2
-    bit for bit, and its gradient is exact (_hypercube_objective); a
-    transposition walk's is central differences.
+    the point mass at the seed, a stationary point evaluated once -- so the tuned
+    objective never exceeds the seed's own tail cost. A hypercube walk's gradient is
+    exact (_hypercube_objective); a transposition walk's is central differences
+    (_xy_objective).
     """
     bits = as_bits(family.seed, instance.n)
     if not is_feasible(instance, bits):
         raise ValueError("walk seed must be feasible")
-    diagonal = cost_summary(instance).diagonal
-    alpha = cvar_cfg.alpha
-
+    diagonal, alpha = cost_summary(instance).diagonal, cvar_cfg.alpha
     if family.kind == "transposition":
-        order = np.argsort(diagonal, kind="stable")
-        sorted_costs = diagonal[order]
-
-        def objective(points: np.ndarray) -> np.ndarray:
-            rows, amps = ctqw_trotter_xy(
-                family, points[:, 0], points[:, 1], circuit_cfg.trotter_steps
-            )
-            # One full-length distribution per row, zero off the sector and read in
-            # cost order, so _cvar_sorted sums exactly what a full-space evaluation sums.
-            probs = np.zeros((len(points), order.size))
-            probs[:, rows] = (np.abs(amps) ** 2).T
-            return np.array([_cvar_sorted(sorted_costs, row, alpha, order) for row in probs])
-
-        value_and_grad = _central_differences(objective)
+        value_and_grad = _xy_objective(family, diagonal, alpha, circuit_cfg.trotter_steps)
     else:
         value_and_grad = _hypercube_objective(bits, family, diagonal, alpha)
-
     rng = np.random.default_rng(adam_cfg.rng_seed)
-    inits = [np.zeros(2)]
-    for _ in range(adam_cfg.restarts - 1):
-        inits.append(np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]))
-    best, _, trace = _adam_lockstep(value_and_grad, np.array(inits), adam_cfg)
+    draws = [(rng.uniform(0, np.pi), rng.uniform(-2, 2)) for _ in range(adam_cfg.restarts - 1)]
+    best, _, trace = _adam_lockstep(value_and_grad, np.array([(0.0, 0.0), *draws]), adam_cfg)
     return float(best[0]), float(best[1]), trace
 
 
@@ -343,8 +348,6 @@ def tune_ansatz_params(
     base = eta_from_state(psi, binning)
     value_and_grad = _layer_objective(base, binning.bin_costs, depth, cvar_cfg.alpha)
     rng = np.random.default_rng(adam_cfg.rng_seed)
-    inits = [np.zeros(2 * depth)]
-    for _ in range(adam_cfg.restarts - 1):
-        inits.append(rng.uniform(-np.pi, np.pi, size=2 * depth))
-    best, _, trace = _adam_lockstep(value_and_grad, np.array(inits), adam_cfg)
+    draws = [rng.uniform(-np.pi, np.pi, 2 * depth) for _ in range(adam_cfg.restarts - 1)]
+    best, _, trace = _adam_lockstep(value_and_grad, np.array([[0.0] * 2 * depth, *draws]), adam_cfg)
     return tuple(best[:depth]), tuple(best[depth:]), trace

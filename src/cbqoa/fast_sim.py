@@ -83,6 +83,11 @@ def evolve_binned(base: np.ndarray, binning: CostBinning, params: AnsatzParams) 
     return _evolve_rows(base, binning.bin_costs, *rows)[0][0]
 
 
+def _matvec(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """rows @ vector by gemv even for one row, which numpy hands to dot (another sum order)."""
+    return rows @ vector if len(rows) > 1 else (np.concatenate([rows, rows]) @ vector)[:1]
+
+
 def _evolve_rows(base: np.ndarray, costs: np.ndarray, betas: np.ndarray, gammas: np.ndarray):
     """The layer recursion from x_0 = base on R rows of (betas, gammas), each (R, p):
     phi_l = D_l x_{l-1} with D_l = e^{-i gamma_l c}, S_l = base . phi_l shared across
@@ -94,7 +99,7 @@ def _evolve_rows(base: np.ndarray, costs: np.ndarray, betas: np.ndarray, gammas:
     for beta, gamma in zip(betas.T, gammas.T):
         phases = np.exp(-1j * gamma[:, None] * costs)
         phi = coeffs * phases
-        shared = phi @ base
+        shared = _matvec(phi, base)
         mix = np.exp(-1j * beta) - 1.0
         coeffs = phi + (mix * shared)[:, None] * base
         tape.append((phases, phi, shared, mix))
@@ -109,7 +114,7 @@ def _evolve_rows_adjoint(base: np.ndarray, costs: np.ndarray, tape: list, lam: n
     dbetas, dgammas = np.empty((2, len(lam), len(tape)))
     for layer in reversed(range(len(tape))):
         phases, phi, shared, mix = tape[layer]
-        t = lam @ base
+        t = _matvec(lam, base)
         dbetas[:, layer] = (np.conj(t) * (-1j * (mix + 1.0)) * shared).real
         mu = lam + (np.conj(mix) * t)[:, None] * base
         dgammas[:, layer] = (np.conj(mu) * (-1j * costs) * phi).real.sum(axis=1)

@@ -1,11 +1,13 @@
 """Lower-tail objective, the ADAM loop, and the two tuning entry points."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cbqoa import AdamConfig, CvarConfig, Max3SatInstance, WalkParams
+from cbqoa import AdamConfig, CvarConfig, Max3SatInstance, WalkParams, cvar
 from cbqoa.cvar import (
     _CVAR_CHUNK,
     FD_STEP,
@@ -15,6 +17,7 @@ from cbqoa.cvar import (
     _cvar_sorted,
     _hypercube_objective,
     _layer_objective,
+    _xy_objective,
     cvar_discrete,
     tune_ansatz_params,
     tune_walk_params,
@@ -213,6 +216,28 @@ def _bumpy(x: np.ndarray) -> float:
     return float(np.sum(np.sin(3 * x) + 0.1 * (x - 0.5) ** 2) + 0.2 * x[0] * x[-1])
 
 
+def _even(x: np.ndarray) -> float:
+    """Even in each coordinate, so its central differences at 0 are exactly zero."""
+    return float(np.sum(np.cos(3 * x) + 0.1 * x**2))
+
+
+def counting(value_and_grad, rows: list):
+    """value_and_grad that appends the number of points of each call to rows."""
+
+    def counted(points, with_grad):
+        rows.append(len(points))
+        return value_and_grad(points, with_grad)
+
+    return counted
+
+
+def count_rows(monkeypatch, factory: str) -> list:
+    """Patch the objective factory cvar.<factory> to count the points of every call."""
+    rows, make = [], getattr(cvar, factory)
+    monkeypatch.setattr(cvar, factory, lambda *args: counting(make(*args), rows))
+    return rows
+
+
 class TestLockstepAdam:
     """Lockstep restarts reproduce sequential ADAM runs exactly."""
 
@@ -252,6 +277,36 @@ class TestLockstepAdam:
 
         _adam_lockstep(_central_differences(objective), np.zeros((4, 2)), AdamConfig(iterations=7))
         assert rows == [4 * 5] * 7 + [4]
+
+    @pytest.mark.parametrize("cfg", [AdamConfig(iterations=40), AdamConfig(iterations=0)])
+    def test_stationary_restart_is_evaluated_once(self, rng, cfg):
+        """A restart at a stationary point keeps its first value and gradient: 4 rows
+        at step 0 and 3 after, with the sequential runs' params, value and trace."""
+        inits = [np.zeros(3)] + [rng.uniform(-2, 2, size=3) for _ in range(3)]
+        rows = []
+        params, value, trace = _adam_lockstep(
+            counting(_central_differences(row_by_row(_even)), rows), np.array(inits), cfg
+        )
+        assert rows == [4] + [3] * cfg.iterations
+        want_params, want_value, want_trace = oracle_run_restarts(_even, inits, cfg)
+        assert np.array_equal(params, want_params)
+        assert value == want_value
+        assert trace == want_trace
+
+    def test_no_call_when_every_restart_is_stationary(self):
+        """A constant objective: one call at step 0, none with zero rows after it,
+        and the first restart wins the ties."""
+        rows = []
+
+        def value_and_grad(points, with_grad):
+            return np.full(len(points), 2.5), np.zeros_like(points) if with_grad else None
+
+        inits = np.array([[0.0, 0.0], [0.3, -1.0], [1.2, 0.4]])
+        cfg = AdamConfig(iterations=6)
+        params, value, trace = _adam_lockstep(counting(value_and_grad, rows), inits, cfg)
+        assert rows == [3]
+        assert params.tolist() == [0.0, 0.0] and value == 2.5
+        assert trace == [(r, it, 2.5) for r in range(3) for it in range(7)]
 
     def test_non_finite_row_raises(self):
         """One restart walking into a NaN region aborts the whole batch."""
@@ -333,7 +388,9 @@ class TestTuneWalkParams:
         at_zero = float(summary.diagonal[np.argmax(np.abs(cbqoa_initial_state(family, WalkParams(0.0, 0.0))))])
         assert tuned <= at_zero + 1e-9
 
-    def test_degenerate_instance_constant_objective(self):
+    def test_degenerate_instance_constant_objective(self, monkeypatch):
+        """Every restart is stationary: one call at step 0, and the first restart wins."""
+        rows = count_rows(monkeypatch, "_hypercube_objective")
         inst = Max3SatInstance(num_vars=4, clauses=((1, 2, 3, 0.0),))
         family = build_family(inst, "0000")
         t, sharpness, trace = tune_walk_params(
@@ -341,6 +398,31 @@ class TestTuneWalkParams:
         )
         values = {round(v, 12) for _, _, v in trace}
         assert values == {0.0}
+        assert rows == [2]
+        assert (t, sharpness) == (0.0, 0.0)
+
+    def test_default_tuning_skips_the_stationary_start(self, rng, monkeypatch):
+        """With the default AdamConfig the all-zero first restart is evaluated once: a
+        hypercube walk tuning evaluates 4 + 3 * 200 = 604 rows, not 804."""
+        rows = count_rows(monkeypatch, "_hypercube_objective")
+        inst = small_3sat(rng, n=6)
+        worst = index_to_bits(int(np.argmax(cost_summary(inst).diagonal)), 6)
+        tune_walk_params(inst, build_family(inst, worst))
+        assert rows == [4] + [3] * 200
+
+    def test_xy_tuning_skips_the_stationary_start(self, rng, monkeypatch):
+        """An XY walk tuning sweeps 3 * 5 rows per gradient step instead of 4 * 5."""
+        batches = []
+        sweep = cvar.ctqw_trotter_xy
+
+        def counted(family, times, sharpnesses, steps):
+            batches.append(len(times))
+            return sweep(family, times, sharpnesses, steps)
+
+        monkeypatch.setattr(cvar, "ctqw_trotter_xy", counted)
+        inst = small_bisection(rng, n=6)
+        tune_walk_params(inst, build_family(inst, "010011"), adam_cfg=AdamConfig(iterations=20))
+        assert batches == [4 * 5] + [3 * 5] * 19 + [3]
 
     def test_grid_search_finds_nothing_much_better(self, rng):
         """Coarse sweep over the search box as an independent check."""
@@ -419,6 +501,19 @@ class TestTuneAnsatzParams:
         inst = small_bisection(rng, n=6)
         with pytest.raises(ValueError):
             tune_ansatz_params(inst, uniform_feasible_state(inst), 0)
+
+    @pytest.mark.parametrize("walked", [False, True])
+    def test_default_tuning_skips_the_stationary_start(self, rng, monkeypatch, walked):
+        """GM-QAOA (uniform start) and cbqoa (walk start) layer tunings with the
+        default AdamConfig evaluate 604 rows: the all-zero first restart once."""
+        rows = count_rows(monkeypatch, "_layer_objective")
+        inst = small_bisection(rng, n=6)
+        if walked:
+            psi = cbqoa_initial_state(build_family(inst, "010011"), WalkParams(0.7, 0.3))
+        else:
+            psi = uniform_feasible_state(inst)
+        tune_ansatz_params(inst, psi, 3)
+        assert rows == [4] + [3] * 200
 
 
 class TestOptimalSeed:
@@ -537,3 +632,85 @@ class TestWalkGradient:
             assert value == _cvar_sorted(sorted_costs, np.abs(state) ** 2, alpha, order)
         assert grads[[0, 3]].tolist() == [[0.0, 0.0]] * 2
         assert np.all(grads[1:3] != 0.0)
+
+
+def assert_batch_independent(value_and_grad, points: np.ndarray):
+    """Each row's value and gradient in the batch equal, bit for bit, those of every
+    sub-batch holding it, from a single row up; so do values asked for alone."""
+    values, grads = value_and_grad(points, True)
+    for size in range(1, len(points)):
+        for rows in map(list, itertools.combinations(range(len(points)), size)):
+            sub_values, sub_grads = value_and_grad(points[rows], True)
+            assert sub_values.tobytes() == values[rows].tobytes()
+            assert sub_grads.tobytes() == grads[rows].tobytes()
+            assert value_and_grad(points[rows], False)[0].tobytes() == values[rows].tobytes()
+
+
+def four_points(rng, low, high, zero_first: bool) -> np.ndarray:
+    """Four points drawn uniformly from the box; the first is all-zero if asked."""
+    points = rng.uniform(low, high, size=(4, len(low)))
+    if zero_first:
+        points[0] = 0.0
+    return points
+
+
+class TestBatchIndependence:
+    """The lockstep tuner evaluates only the restarts that moved, so each objective
+    must give a row the same bits whichever rows share its batch."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 9),
+        alpha=st.sampled_from([0.5, 1.0, 0.37, 1e-3]),
+        zero_first=st.booleans(),
+    )
+    def test_hypercube_walk(self, seed, n, alpha, zero_first):
+        rng = np.random.default_rng(seed)
+        inst = small_3sat(rng, n=n, num_clauses=4 * n)
+        bits = rng.integers(0, 2, n)
+        costs = cost_summary(inst).diagonal
+        value_and_grad = _hypercube_objective(bits, build_family(inst, bits), costs, alpha)
+        assert_batch_independent(value_and_grad, four_points(rng, [0, -2], [np.pi, 2], zero_first))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        half=st.integers(2, 4),
+        steps=st.integers(1, 3),
+        alpha=st.sampled_from([0.5, 1.0, 0.37]),
+        zero_first=st.booleans(),
+    )
+    def test_xy_walk(self, seed, half, steps, alpha, zero_first):
+        rng = np.random.default_rng(seed)
+        inst = small_bisection(rng, n=2 * half)
+        bits = rng.permutation(np.arange(2 * half) % 2)
+        value_and_grad = _xy_objective(
+            build_family(inst, bits), cost_summary(inst).diagonal, alpha, steps
+        )
+        assert_batch_independent(value_and_grad, four_points(rng, [0, -2], [np.pi, 2], zero_first))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        level=st.booleans(),
+        num_bins=st.integers(1, 1000),
+        depth=st.integers(1, 4),
+        alpha=st.sampled_from([0.5, 1.0, 0.37]),
+        zero_first=st.booleans(),
+    )
+    def test_layers(self, seed, level, num_bins, depth, alpha, zero_first):
+        """Level bins (bisection, n = 8: at most 70 costs) and uniform bins, up to
+        M = 1000, on Max 3SAT with real weights (n = 11: about 1,500 distinct costs).
+        The shared sums phi @ base and lam @ base run through BLAS."""
+        rng = np.random.default_rng(seed)
+        inst = small_bisection(rng, n=8) if level else small_3sat(rng, n=11, num_clauses=44)
+        summary = cost_summary(inst)
+        binning = bin_costs(summary.diagonal, summary.feasible, num_bins)
+        assume((binning.width == 0) == level)
+        psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
+        value_and_grad = _layer_objective(
+            eta_from_state(psi, binning), binning.bin_costs, depth, alpha
+        )
+        box = np.full(2 * depth, np.pi)
+        assert_batch_independent(value_and_grad, four_points(rng, -box, box, zero_first))

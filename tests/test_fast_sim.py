@@ -160,7 +160,7 @@ class TestEvolveBinned:
             assert coeffs.shape == (7, 64) and len(tape) == depth
             for row, beta, gamma in zip(coeffs, betas, gammas):
                 one = evolve_binned(base, binning, AnsatzParams(betas=beta, gammas=gamma))
-                np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
+                assert row.tobytes() == one.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -327,18 +327,21 @@ class TestChooseNumBins:
             bin_costs(np.arange(4.0), np.arange(4), -3)
 
     def test_cvar_error_within_epsilon(self, rng):
-        """CVaR from the binned run lands within epsilon of the dense run."""
+        """CVaR from the formula's M uniform bins lands within epsilon of the dense run.
+        Max 3SAT with real weights at n = 12 has more distinct costs than that M, so
+        the bins are uniform, not one per cost."""
         alpha = 0.5
         for _ in range(3):
-            inst = small_bisection(rng, n=10, edge_prob=0.6)
+            inst = small_3sat(rng, n=12, num_clauses=60)
             summary = cost_summary(inst)
             feas = feasible_indices(inst)
-            psi = walked_state(rng, inst, "0000011111")
+            psi = walked_state(rng, inst, "000000111111")
             params = random_params(rng)
             span = summary.diagonal[feas].max() - summary.diagonal[feas].min()
             epsilon = 0.02 * span
             M = math.ceil(3 * span * span / (alpha * epsilon))  # p (b - a)^2 / (alpha eps)
             binning = bin_costs(summary.diagonal, feas, M)
+            assert binning.width > 0
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
             cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
 
