@@ -12,6 +12,7 @@ benchmark sets.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -27,6 +28,7 @@ from .problems import (
     MaxBisectionInstance,
     ProblemInstance,
     _quality_ratio,
+    _write_atomic,
     as_bits,
     beta_values,
     bits_to_index,
@@ -92,9 +94,8 @@ def pogs_exact(
     """Probability mass on solutions with approximation ratio >= threshold."""
     summary = cost_summary(instance)
     betas = beta_values(instance)
-    indices = np.array(
-        [bits_to_index(as_bits(key, instance.n)) for key in distribution], dtype=np.int64
-    )
+    keys = np.array([as_bits(key, instance.n) for key in distribution])
+    indices = bits_to_index(keys.reshape(-1, instance.n))
     probs = np.array(list(distribution.values()), dtype=np.float64)
     feasible = np.zeros(summary.diagonal.size, dtype=bool)
     feasible[summary.feasible] = True
@@ -436,16 +437,13 @@ def _run_pipeline_inner(
         ("gm_qaoa", uniform_feasible_state(instance), gm_seq),
     ):
         params = AnsatzParams.zeros(depth)
-        final = initial
-        if depth >= 1:
-            if not (label == "cbqoa" and seed_optimal):
-                betas, gammas, _ = tune_ansatz_params(
-                    instance, initial, depth, cvar_cfg, adam(seq), num_bins=config.num_bins
-                )
-                params = AnsatzParams(betas=betas, gammas=gammas)
-            final = _apply_layers(initial.copy(), initial, summary.diagonal, params)
+        if depth >= 1 and not (label == "cbqoa" and seed_optimal):
+            betas, gammas, _ = tune_ansatz_params(
+                instance, initial, depth, cvar_cfg, adam(seq), num_bins=config.num_bins
+            )
+            params = AnsatzParams(betas=betas, gammas=gammas)
         layers[label] = params
-        pogs[f"{label}_{depth}"] = score(final)
+        pogs[f"{label}_{depth}"] = score(_apply_layers(initial, summary.diagonal, params))
 
     pogs_boosted = {
         algorithm: {key: pogs_repeated(value, reps) for key, value in per.items()}
@@ -491,16 +489,17 @@ def export_results(records: list[RunRecord], out_dir, manifest_extra: dict | Non
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: (r.instance_id, r.depth))
-    csv_path = out / "results.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_COLUMNS)
-        for record in ordered:
-            for algorithm, per in record.pogs.items():
-                for key, value in per.items():
-                    writer.writerow(
-                        [record.instance_id, record.problem, record.depth, algorithm, key, repr(value)]
-                    )
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(RESULTS_COLUMNS)
+    for record in ordered:
+        for algorithm, per in record.pogs.items():
+            for key, value in per.items():
+                writer.writerow(
+                    [record.instance_id, record.problem, record.depth, algorithm, key, repr(value)]
+                )
+    paths = {"csv": out / "results.csv", "manifest": out / "manifest.json"}
+    _write_atomic(paths["csv"], rows.getvalue())
     manifest = {
         "format_version": 1,
         "columns": RESULTS_COLUMNS,
@@ -508,9 +507,8 @@ def export_results(records: list[RunRecord], out_dir, manifest_extra: dict | Non
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8")
-    return {"csv": csv_path, "manifest": manifest_path}
+    _write_atomic(paths["manifest"], json.dumps(manifest, sort_keys=True, indent=1))
+    return paths
 
 
 def import_results(out_dir) -> list[RunRecord]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bench
 from .bench import BenchmarkSpec, PipelineConfig, RunRecord
-from .problems import bits_to_str, instance_id, load_instance, save_instance
+from .problems import _write_atomic, bits_to_str, instance_id, load_instance, save_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,11 +74,9 @@ def cmd_gen(args) -> int:
     instances, stats = bench.gen_hard_instances(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ids = []
-    for instance in instances:
-        iid = instance_id(instance)
+    ids = [instance_id(instance) for instance in instances]
+    for iid, instance in zip(ids, instances):
         save_instance(instance, out / f"{iid}.json")
-        ids.append(iid)
     manifest = {
         "spec": asdict(spec),
         "instances": ids,
@@ -87,14 +85,19 @@ def cmd_gen(args) -> int:
         "rejection_rate": stats.rejection_rate,
         "guard_tripped": stats.guard_tripped,
     }
-    (out / "gen_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8"
-    )
+    _write_atomic(out / "gen_manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
     print(f"generated {len(ids)} instance(s) in {out} ({stats.attempts} attempts)")
     if stats.guard_tripped:
         print("warning: attempt guard tripped; set is partial", file=sys.stderr)
         return EXIT_GUARDED
     return EXIT_OK
+
+
+def _emit(text: str, out) -> None:
+    """Write text and a newline to the file out, when given, and print text."""
+    if out:
+        _write_atomic(out, text + "\n")
+    print(text)
 
 
 def cmd_seed(args) -> int:
@@ -108,20 +111,14 @@ def cmd_seed(args) -> int:
         "cost": float(costs[best]),
         "beta": float(ratios[best]),
     }
-    text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     record = bench.run_pipeline(instance, args.depth, _pipeline_config(args))
-    text = record.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit(record.to_json(), args.out)
     return EXIT_OK
 
 
@@ -136,13 +133,6 @@ def _read_record(path: Path) -> RunRecord | None:
         return RunRecord.from_json(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file, so the file is either whole or absent."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _claim_records(records_dir: Path, settings: dict) -> None:

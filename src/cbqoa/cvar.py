@@ -78,8 +78,7 @@ def cvar_discrete(pairs: Sequence[tuple[float, float]], alpha: float) -> float:
     Values are sorted ascending; probability mass is consumed up to alpha with
     a fractional weight on the boundary value. alpha = 1 recovers the mean.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+    CvarConfig(alpha=alpha)
     if len(pairs) == 0:
         raise ValueError("distribution must be non-empty")
     values = np.array([v for v, _ in pairs], dtype=np.float64)

@@ -75,13 +75,13 @@ class PermutationFamily:
 
 def sigmoid_weight(cost_gain, sharpness):
     """Edge weight 1 / (1 + exp(-gain * sharpness)), overflow-safe."""
-    x = np.asarray(cost_gain, dtype=np.float64) * float(sharpness)
+    x = np.asarray(cost_gain, dtype=np.float64) * np.asarray(sharpness, dtype=np.float64)
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     expx = np.exp(x[~pos])
     out[~pos] = expx / (1.0 + expx)
-    if np.ndim(cost_gain) == 0:
+    if x.ndim == 0:
         return float(out)
     return out
 

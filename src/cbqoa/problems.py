@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -59,13 +59,13 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def bits_to_index(bits) -> int:
-    """Basis index of a bit string (bit 1 = most significant)."""
-    arr = as_bits(bits)
-    index = 0
-    for b in arr:
-        index = (index << 1) | int(b)
-    return index
+def bits_to_index(bits):
+    """Basis index of a bit string (bit 1 = most significant), or for 2-D rows of bits
+    an int64 array of the rows' indices."""
+    rows = np.asarray(bits) if np.ndim(bits) == 2 else as_bits(bits)[None]
+    places = 1 << np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    indices = rows.astype(np.int64) @ places
+    return indices if np.ndim(bits) == 2 else int(indices[0])
 
 
 def bits_to_str(bits) -> str:
@@ -84,10 +84,29 @@ def _integral(value, what: str) -> int:
     return number
 
 
+class ProblemInstance:
+    """Base of the instance kinds. Each names its ``kind`` and its ``_fields``, the
+    (size, items) fields its size and JSON form are read from."""
+
+    kind: str
+    _fields: tuple[str, str]
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self._fields[0])
+
+    def to_dict(self) -> dict:
+        size, items = self._fields
+        rows = [list(item) for item in getattr(self, items)]
+        return {"type": self.kind, size: self.n, items: rows}
+
+
 @dataclass(frozen=True)
-class Max3SatInstance:
+class Max3SatInstance(ProblemInstance):
     """Weighted Max 3SAT instance with label-encoded clauses."""
 
+    kind = "max3sat"
+    _fields = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[tuple[int, int, int, float], ...]
 
@@ -109,26 +128,13 @@ class Max3SatInstance:
             normalized.append((labels[0], labels[1], labels[2], w))
         object.__setattr__(self, "clauses", tuple(normalized))
 
-    @property
-    def n(self) -> int:
-        return self.num_vars
-
-    @property
-    def kind(self) -> str:
-        return "max3sat"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "max3sat",
-            "num_vars": self.num_vars,
-            "clauses": [[i, j, k, w] for i, j, k, w in self.clauses],
-        }
-
 
 @dataclass(frozen=True)
-class MaxBisectionInstance:
+class MaxBisectionInstance(ProblemInstance):
     """Weighted Max Bisection instance on an even number of vertices."""
 
+    kind = "max_bisection"
+    _fields = ("num_vertices", "edges")
     num_vertices: int
     edges: tuple[tuple[int, int, float], ...]
 
@@ -155,23 +161,8 @@ class MaxBisectionInstance:
             normalized.append((a, b, w))
         object.__setattr__(self, "edges", tuple(normalized))
 
-    @property
-    def n(self) -> int:
-        return self.num_vertices
 
-    @property
-    def kind(self) -> str:
-        return "max_bisection"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "max_bisection",
-            "num_vertices": self.num_vertices,
-            "edges": [[a, b, w] for a, b, w in self.edges],
-        }
-
-
-ProblemInstance = Union[Max3SatInstance, MaxBisectionInstance]
+_KINDS = {cls.kind: cls for cls in (Max3SatInstance, MaxBisectionInstance)}
 
 
 def instance_from_dict(data) -> ProblemInstance:
@@ -179,22 +170,15 @@ def instance_from_dict(data) -> ProblemInstance:
     if not isinstance(data, dict):
         raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown instance type {kind!r}")
+    size, items = _KINDS[kind]._fields
     try:
-        if kind == "max3sat":
-            return Max3SatInstance(
-                num_vars=data["num_vars"],
-                clauses=tuple(tuple(c) for c in data["clauses"]),
-            )
-        if kind == "max_bisection":
-            return MaxBisectionInstance(
-                num_vertices=data["num_vertices"],
-                edges=tuple(tuple(e) for e in data["edges"]),
-            )
+        return _KINDS[kind](data[size], tuple(tuple(item) for item in data[items]))
     except KeyError as exc:
         raise ValueError(f"{kind} instance lacks the key {exc}") from exc
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} instance: {exc}") from exc
-    raise ValueError(f"unknown instance type {kind!r}")
 
 
 def load_instance(path) -> ProblemInstance:
@@ -202,8 +186,15 @@ def load_instance(path) -> ProblemInstance:
         return instance_from_dict(json.load(fh))
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write text through a temporary file, so the file at path is either whole or absent."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(text, encoding="utf-8", newline="")
+    os.replace(tmp, path)
+
+
 def save_instance(instance: ProblemInstance, path) -> None:
-    Path(path).write_text(canonical_json(instance) + "\n", encoding="utf-8")
+    _write_atomic(path, canonical_json(instance) + "\n")
 
 
 def canonical_json(instance: ProblemInstance) -> str:

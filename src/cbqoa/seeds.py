@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import Max3SatInstance, MaxBisectionInstance, ProblemInstance
-from .problems import _clause_arrays, cost_summary
+from .problems import _clause_arrays, bits_to_index, cost_summary
 
 S_LINEAR = 0.605
 BALANCE_TOLERANCE = 0.05  # final |sum v_i| <= 0.05 * sqrt(n)
@@ -305,6 +305,5 @@ def round_batch(
 
 def rounding_costs(instance: ProblemInstance, assignments: np.ndarray) -> np.ndarray:
     """Cost of each rounded assignment (rows of bits), read from the cost table."""
-    places = 1 << np.arange(instance.n - 1, -1, -1, dtype=np.int64)
-    return cost_summary(instance).diagonal[assignments.astype(np.int64) @ places]
+    return cost_summary(instance).diagonal[bits_to_index(assignments)]
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mixer import PermutationFamily, WalkParams, build_family, permute_indices
+from .mixer import PermutationFamily, WalkParams, build_family, permute_indices, sigmoid_weight
 from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary, feasible_indices
 
 @dataclass(frozen=True)
@@ -95,9 +95,11 @@ def _trotter_plan(family: PermutationFamily) -> tuple[np.ndarray, tuple]:
     return rows, tuple(plan)
 
 
-def _xy_rotations(family: PermutationFamily, sharpness: float, time: float, steps: int):
-    """Per-gate cos(2 theta) and i sin(2 theta) for one product-formula step."""
-    angles = family.weights(sharpness) * (time / (2.0 * steps))
+def _xy_rotations(family: PermutationFamily, sharpnesses, times, steps: int):
+    """Per-gate cos(2 theta) and i sin(2 theta) of one product-formula step, as (gates,
+    batch) tables with one column per (sharpness, time)."""
+    gains = np.asarray(family.cost_gains, dtype=np.float64)[:, None]
+    angles = sigmoid_weight(gains, sharpnesses) * (np.asarray(times) / (2.0 * steps))
     return np.cos(2 * angles), 1j * np.sin(2 * angles)
 
 
@@ -115,14 +117,9 @@ def ctqw_trotter_xy(
     if family.kind != "transposition":
         raise ValueError("trotterized XY walk requires a transposition family")
     rows, plan = _trotter_plan(family)
-    batch = len(times)
-    cos2 = np.empty((family.size, batch))
-    isin2 = np.empty((family.size, batch), dtype=np.complex128)
-    for k in range(batch):
-        cos2[:, k], isin2[:, k] = _xy_rotations(family, sharpnesses[k], times[k], steps)
-    amps = np.zeros((rows.size, batch), dtype=np.complex128)
+    amps = np.zeros((rows.size, len(times)), dtype=np.complex128)
     amps[np.searchsorted(rows, bits_to_index(family.seed))] = 1.0
-    _xy_sweep(amps, plan, cos2, isin2, steps)
+    _xy_sweep(amps, plan, *_xy_rotations(family, sharpnesses, times, steps), steps)
     return rows, amps
 
 
@@ -135,6 +132,14 @@ def apply_rank1_mixer(state: np.ndarray, psi: np.ndarray, beta: float) -> np.nda
         raise ValueError(f"psi must be normalized, got norm {norm}")
     overlap = np.vdot(psi, state)
     return state + (np.exp(-1j * beta) - 1.0) * overlap * psi
+
+
+def _hypercube_factors(bits: np.ndarray, weights: np.ndarray, time: float):
+    """Each qubit's (lo, hi) walk factors (cos(w_j t), sin(w_j t)), swapped where z_j = 1,
+    as two lists of floats."""
+    angles = weights * time
+    cos, sin = np.cos(angles), np.sin(angles)
+    return np.where(bits == 0, cos, sin).tolist(), np.where(bits == 0, sin, cos).tolist()
 
 
 def _hypercube_product(
@@ -150,10 +155,7 @@ def _hypercube_product(
     tape[1]. Returns the last stage, tape[2^n:].
     """
     tape[1] = 1.0
-    for j, b in enumerate(bits):
-        angle = weights[j] * time
-        cos, sin = np.cos(angle), np.sin(angle)
-        lo, hi = (cos, sin) if b == 0 else (sin, cos)
+    for j, (lo, hi) in enumerate(zip(*_hypercube_factors(bits, weights, time))):
         size = 1 << j
         np.multiply(tape[size : 2 * size], lo, out=tape[2 * size : 4 * size : 2])
         np.multiply(tape[size : 2 * size], hi, out=tape[2 * size + 1 : 4 * size : 2])
@@ -170,17 +172,16 @@ def _hypercube_adjoint(
     pairs dot the stage before it for dF/dlo_j and dF/dhi_j, then fold into that
     stage's adjoint; the earlier stages of adj are overwritten.
     """
+    lows, highs = _hypercube_factors(bits, weights, time)
     grad = np.empty(len(bits))
     for j in range(len(bits) - 1, -1, -1):
-        angle = weights[j] * time
-        cos, sin = np.cos(angle), np.sin(angle)
-        lo, hi = (cos, sin) if bits[j] == 0 else (sin, cos)
+        lo, hi = lows[j], highs[j]
         size = 1 << j
         lam = adj[2 * size : 4 * size].reshape(size, 2)
         dlo, dhi = tape[size : 2 * size] @ lam
         np.dot(lam, np.array([lo, hi]), out=adj[size : 2 * size])
-        # cos' = -sin and sin' = cos, with the factors swapped where z_j = 1.
-        grad[j] = -sin * dlo + cos * dhi if bits[j] == 0 else cos * dlo - sin * dhi
+        # cos' = -sin and sin' = cos: (lo, hi)' is (-hi, lo), or (hi, -lo) where z_j = 1.
+        grad[j] = lo * dhi - hi * dlo if bits[j] == 0 else hi * dlo - lo * dhi
     return grad
 
 
@@ -216,9 +217,9 @@ def cbqoa_initial_state(
     return state
 
 
-def _apply_layers(
-    state: np.ndarray, psi: np.ndarray, cost_diagonal: np.ndarray, params: AnsatzParams
-) -> np.ndarray:
+def _apply_layers(psi: np.ndarray, cost_diagonal: np.ndarray, params: AnsatzParams) -> np.ndarray:
+    """psi under the layers of params, each a phase separation then a reflection about psi."""
+    state = psi
     for beta, gamma in zip(params.betas, params.gammas):
         state = apply_phase_separator(state, cost_diagonal, gamma)
         state = apply_rank1_mixer(state, psi, beta)
@@ -234,11 +235,11 @@ def cbqoa_ansatz(
 ) -> np.ndarray:
     """Full ansatz state: walk from the seed, then alternating phase/mixing layers."""
     psi = cbqoa_initial_state(build_family(instance, z), walk, config)
-    return _apply_layers(psi.copy(), psi, cost_summary(instance).diagonal, params)
+    return _apply_layers(psi, cost_summary(instance).diagonal, params)
 
 
 def gm_qaoa_ansatz(instance: ProblemInstance, params: AnsatzParams) -> np.ndarray:
     """Baseline ansatz: uniform feasible start, reflections about that start."""
     psi = uniform_feasible_state(instance)
-    return _apply_layers(psi.copy(), psi, cost_summary(instance).diagonal, params)
+    return _apply_layers(psi, cost_summary(instance).diagonal, params)
 

@@ -68,8 +68,7 @@ def sector_walk(
     rows, plan = _trotter_plan(family)
     assert not np.delete(states, rows, axis=0).any(), "a start state leaves the seed's sector"
     amps = states[rows].astype(np.complex128)
-    cos2, isin2 = _xy_rotations(family, sharpness, time, steps)
-    _xy_sweep(amps, plan, cos2[:, None], isin2[:, None], steps)
+    _xy_sweep(amps, plan, *_xy_rotations(family, [sharpness], [time], steps), steps)
     out = np.zeros_like(amps, shape=states.shape)
     out[rows] = amps
     return out

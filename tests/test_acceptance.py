@@ -193,7 +193,7 @@ def test_criterion_5_fast_sim_equivalence():
         # substituted-cost regime: binned run must match the dense run exactly
         binning = bin_costs(summary.diagonal, feas, 750)
         fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-        dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, summary.diagonal.size), params)
+        dense = _apply_layers(psi, binned_diagonal(binning, summary.diagonal.size), params)
         aggregated = np.bincount(
             binning.bin_index, weights=np.abs(dense[feas]) ** 2, minlength=binning.num_bins
         )
@@ -204,7 +204,7 @@ def test_criterion_5_fast_sim_equivalence():
         binning2 = bin_costs(summary.diagonal, feas, 1000)
         fast2 = evolve_binned(eta_from_state(psi, binning2), binning2, params)
         cvar_fast = _cvar_sorted(binning2.bin_costs, np.abs(fast2) ** 2, 0.5)
-        dense2 = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+        dense2 = _apply_layers(psi, summary.diagonal, params)
         values = summary.diagonal[feas]
         order = np.argsort(values)
         cvar_dense = _cvar_sorted(values[order], (np.abs(dense2[feas]) ** 2)[order], 0.5)
@@ -242,7 +242,7 @@ def test_criterion_6_bin_count_bound():
     ]
     dense_cvars = []
     for params in points:
-        dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+        dense = _apply_layers(psi, summary.diagonal, params)
         dense_cvars.append(_cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha))
 
     def binned_errors(M):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -73,11 +74,14 @@ class TestPogsExact:
         inst = small_bisection(rng, n=6)
         best = index_to_bits(cost_summary(inst).optimum_index, inst.n)
         assert pogs_exact({bits_to_str(best): 1.0}, inst, 1.5) == 0.0
+        assert pogs_exact({}, inst, 0.3) == 0.0
 
     def test_infeasible_support_rejected(self, rng):
         inst = small_bisection(rng, n=6)
         with pytest.raises(ValueError):
             pogs_exact({"000111": 0.5, "011111": 0.5}, inst, 0.5)
+        with pytest.raises(ValueError, match="expected 6 bits"):
+            pogs_exact({"000111": 0.5, "0111": 0.5}, inst, 0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -309,6 +313,21 @@ class TestExportResults:
             r.instance_id for r in records
         )
         assert all(a == b for a, b in zip(restored, sorted(records, key=lambda r: (r.instance_id, r.depth))))
+
+    def test_failed_export_leaves_the_last_one_whole(self, rng, tmp_path, monkeypatch):
+        """A write that fails before its rename leaves the earlier results.csv and
+        manifest.json as they were, not truncated or half rewritten."""
+        records = self._records(rng)
+        paths = export_results(records[:1], tmp_path / "out")
+        before = {key: path.read_bytes() for key, path in paths.items()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            export_results(records, tmp_path / "out")
+        assert {key: path.read_bytes() for key, path in paths.items()} == before
 
     def test_csv_columns_fixed(self, rng, tmp_path):
         records = self._records(rng, n=1)

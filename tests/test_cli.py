@@ -203,9 +203,11 @@ class TestSeed:
             '{"type": "max3sat", "num_vars": null, "clauses": []}',
             '{"type": "max3sat", "num_vars": 3.9, "clauses": [[1, 2, 3, 1.0]]}',
             '{"type": "max_bisection", "num_vertices": 4, "edges": [[1.7, 2, 1.0]]}',
+            '{"type": ["max3sat"], "num_vars": 3, "clauses": []}',
+            '{"type": null, "num_vars": 3, "clauses": []}',
         ],
         ids=["missing-key", "not-an-object", "clause-not-a-list", "null-num-vars",
-             "fractional-num-vars", "fractional-edge-end"],
+             "fractional-num-vars", "fractional-edge-end", "list-type", "null-type"],
     )
     def test_malformed_instance_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "inst.json"

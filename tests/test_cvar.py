@@ -462,9 +462,7 @@ class TestTuneAnsatzParams:
         betas, gammas, _ = tune_ansatz_params(
             inst, psi, 2, CvarConfig(alpha=0.5), FAST_ADAM, num_bins=200
         )
-        final = _apply_layers(
-            psi.copy(), psi, summary.diagonal, AnsatzParams(betas=betas, gammas=gammas)
-        )
+        final = _apply_layers(psi, summary.diagonal, AnsatzParams(betas=betas, gammas=gammas))
         tuned = _cvar_sorted(values[order], (np.abs(final[feas]) ** 2)[order], 0.5)
         assert tuned <= base + 1e-6
 
@@ -493,7 +491,7 @@ class TestTuneAnsatzParams:
             )
             fast = evolve_binned(base, binning, params)
             cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
-            dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+            dense = _apply_layers(psi, summary.diagonal, params)
             cvar_dense = _cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)
             assert abs(cvar_fast - cvar_dense) <= bound
 

@@ -198,7 +198,7 @@ class TestEvolveBinned:
             psi = walked_state(rng, inst, seed)
             params = random_params(rng)
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-            dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, 1 << 8), params)
+            dense = _apply_layers(psi, binned_diagonal(binning, 1 << 8), params)
             aggregated = np.bincount(
                 binning.bin_index,
                 weights=np.abs(dense[feas]) ** 2,
@@ -228,7 +228,7 @@ class TestEvolveBinned:
         psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
         params = random_params(rng, depth)
         fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-        dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, psi.size), params)
+        dense = _apply_layers(psi, binned_diagonal(binning, psi.size), params)
         # The projection of dense onto psi_j = (psi on bin j) / base_j, times base_j.
         overlap = np.conj(psi[binning.support]) * dense[binning.support]
         bins = binning.num_bins
@@ -264,7 +264,7 @@ class TestEvolveBinned:
         psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
         params = random_params(rng, depth)
         fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-        dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+        dense = _apply_layers(psi, summary.diagonal, params)
         per_cost = np.bincount(
             np.searchsorted(levels, values), np.abs(dense[summary.feasible]) ** 2, levels.size
         )
@@ -296,7 +296,7 @@ class TestEvolveBinned:
         psi = walked_state(rng, inst, "00001111")
         params = random_params(rng)
         fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-        dense = _apply_layers(psi.copy(), psi, binned_diagonal(binning, 1 << 8), params)
+        dense = _apply_layers(psi, binned_diagonal(binning, 1 << 8), params)
         dense_probs = np.abs(dense[feas]) ** 2
         fast_probs = np.abs(fast) ** 2
         # each occupied bin holds one cost, so the per-cost comparison is exact
@@ -345,7 +345,7 @@ class TestChooseNumBins:
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
             cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
 
-            dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+            dense = _apply_layers(psi, summary.diagonal, params)
             values = summary.diagonal[feas]
             order = np.argsort(values)
             cvar_dense = _cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)
@@ -366,7 +366,7 @@ class TestChooseNumBins:
             total = 0.0
             for params in points:
                 fast = evolve_binned(base, binning, params)
-                dense = _apply_layers(psi.copy(), psi, summary.diagonal, params)
+                dense = _apply_layers(psi, summary.diagonal, params)
                 dense_probs = np.abs(dense[feas]) ** 2
                 dense_binned = np.bincount(
                     binning.bin_index, weights=dense_probs, minlength=binning.num_bins

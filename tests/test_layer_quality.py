@@ -88,7 +88,7 @@ def gate_rows(walked):
             adam = AdamConfig(rng_seed=4000 + 10 * i + depth)
             betas, gammas, _ = cvar.tune_ansatz_params(inst, psi, depth, CvarConfig(ALPHA), adam)
             params = AnsatzParams(betas=betas, gammas=gammas)
-            dense = dense_cvar(summary, _apply_layers(psi.copy(), psi, summary.diagonal, params))
+            dense = dense_cvar(summary, _apply_layers(psi, summary.diagonal, params))
             binned = cvar_discrete(
                 binned_distribution(evolve_binned(base, binning, params), binning), ALPHA
             )

@@ -269,6 +269,10 @@ class TestIsingDiagonal:
         diag = ising_diagonal(single_clause)
         for bits in all_bitstrings(3):
             assert diag[bits_to_index(bits)] == cost(single_clause, bits)
+        rows = np.array(list(all_bitstrings(3)))
+        indices = bits_to_index(rows)
+        assert indices.dtype == np.int64
+        assert indices.tolist() == [bits_to_index(bits) for bits in rows]
 
     def test_3sat_pauli_decomposition(self):
         """Diagonal of sum_C w [ (I+B_i)(I+B_j)(I+B_k)/8 - I ] with B from Z's."""
