@@ -187,8 +187,6 @@ def classical_batch(
     Returns the roundings (one assignment per row), their costs and their
     approximation ratios.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     vectors = solve_relaxation(instance, sdp_cfg)
     assignments = round_batch(instance, vectors, rng, trials)
     costs = rounding_costs(instance, assignments)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import sys
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -44,33 +45,27 @@ def _derive_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _given(args, fields) -> dict:
-    """The given flags among fields, each stored under its dataclass field name; the
-    dataclass holds the defaults of the flags left out."""
-    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
-
-
-_PIPELINE_FIELDS = (
-    "alpha", "trotter_steps", "num_bins", "rounding_trials", "seed_trials", "repetitions",
-    "rng_seed",
-)
+def _given(args, cls) -> dict:
+    """The given flags that set a field of the dataclass cls, each stored under the
+    field's name; cls holds the defaults of the flags left out."""
+    names = [f.name for f in fields(cls)]
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(**_given(args, _PIPELINE_FIELDS))
+    return PipelineConfig(**_given(args, PipelineConfig))
 
 
-# Each kind's instance-shape flags.
-_SHAPES = {"max3sat": ("num_vars", "num_clauses"), "max_bisection": ("num_vertices", "edge_prob")}
+# The instance-shape flags that each kind refuses.
+_SHAPES = {"max3sat": ("num_vertices", "edge_prob"), "max_bisection": ("num_vars", "num_clauses")}
 
 
 def cmd_gen(args) -> int:
-    shape = _given(args, [f for flags in _SHAPES.values() for f in flags])
-    foreign = ["--" + f.replace("_", "-") for f in shape if f not in _SHAPES[args.kind]]
+    given = _given(args, BenchmarkSpec)
+    foreign = ["--" + f.replace("_", "-") for f in given if f in _SHAPES[args.problem]]
     if foreign:
-        raise ValueError(f"--kind {args.kind} takes no {', '.join(foreign)}")
-    screen = _given(args, ("ratio_threshold", "pogs_cutoff", "rounding_trials", "rng_seed"))
-    spec = BenchmarkSpec(problem=args.kind, count=args.count, **shape, **screen)
+        raise ValueError(f"--kind {args.problem} takes no {', '.join(foreign)}")
+    spec = BenchmarkSpec(**given)
     instances, stats = bench.gen_hard_instances(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,8 +98,7 @@ def _emit(text: str, out) -> None:
 def cmd_seed(args) -> int:
     """Print the seed that `solve` with the same --trials and --seed walks from."""
     instance = load_instance(args.instance)
-    config = PipelineConfig(**_given(args, ("rounding_trials", "rng_seed")))
-    assignments, costs, ratios, best = bench._classical_seed(instance, config)
+    assignments, costs, ratios, best = bench._classical_seed(instance, _pipeline_config(args))
     payload = {
         "instance_id": instance_id(instance),
         "seed": bits_to_str(assignments[best]),
@@ -222,10 +216,8 @@ def cmd_compare(args) -> int:
     for results in args.results:
         path = Path(results)
         csv_path = path / "results.csv" if path.is_dir() else path
-        with open(csv_path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            for line in fh:
-                rows.append(dict(zip(header, line.strip().split(","))))
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            rows.extend(csv.DictReader(fh))
     if not rows:
         raise ValueError("no result rows found")
     grouped: dict[tuple[str, str], list[float]] = {}
@@ -266,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags that set a dataclass field are stored under its name and default to None,
     # so that BenchmarkSpec and PipelineConfig hold the defaults.
     gen = sub.add_parser("gen", help="generate hard benchmark instances")
-    gen.add_argument("--kind", choices=["max3sat", "max_bisection"], required=True)
+    gen.add_argument("--kind", choices=["max3sat", "max_bisection"], required=True, dest="problem")
     gen.add_argument("--count", type=int, default=10)
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, dest="rng_seed")

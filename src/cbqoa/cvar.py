@@ -98,10 +98,13 @@ def cvar_discrete(pairs: Sequence[tuple[float, float]], alpha: float) -> float:
 _CVAR_CHUNK = 4096
 
 
-def _cvar_boundary(probs: np.ndarray, alpha: float, order: np.ndarray | None = None):
-    """(j, mass before j, contiguous sorted prefix read) for the alpha boundary j; probs
-    is sorted, or probs[order] is. The running mass is a sequential cumsum taken one
-    chunk at a time up to the boundary, summed as a full-length one."""
+def _cvar_boundary(
+    values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
+) -> tuple[float, int]:
+    """(CVaR, alpha boundary j) for values sorted ascending, probs in their order (or
+    probs[order] so). Only the prefix up to j is read: the running mass is a sequential
+    cumsum taken one chunk at a time, summed as a full-length one, and np.dot runs on
+    the contiguous prefix read (on a strided view BLAS may sum in another order)."""
     target = alpha - 1e-12
     chunks, before = [], 0.0  # before: the mass of every chunk already read
     for start in range(0, probs.size, _CVAR_CHUNK):
@@ -119,24 +122,15 @@ def _cvar_boundary(probs: np.ndarray, alpha: float, order: np.ndarray | None = N
             break
         before = float(cum[-1])
     head = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return j, before, head
-
-
-def _cvar_from_boundary(
-    values: np.ndarray, j: int, before: float, head: np.ndarray, alpha: float
-) -> float:
-    """CVaR for values sorted ascending, from _cvar_boundary's (j, before, head)."""
     below = float(np.dot(head[:j], values[:j]))
-    return (below + (alpha - before) * float(values[j])) / alpha
+    return (below + (alpha - before) * float(values[j])) / alpha, j
 
 
 def _cvar_sorted(
     values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
 ) -> float:
-    """CVaR for values sorted ascending, probs in their order (or probs[order] so). Only
-    the prefix up to the alpha boundary is read, and np.dot runs on a contiguous
-    copy (on a strided view BLAS may sum in another order)."""
-    return _cvar_from_boundary(values, *_cvar_boundary(probs, alpha, order), alpha)
+    """CVaR for values sorted ascending, probs in their order (or probs[order] so)."""
+    return _cvar_boundary(values, probs, alpha, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +236,7 @@ def _hypercube_objective(
             weights = family.weights(sharpness)
             product = _hypercube_product(bits, weights, time, tape)
             lam = np.square(product, out=adj[order.size :])  # the probabilities, until lam
-            j, before, head = _cvar_boundary(lam, alpha, order)
-            values[k] = _cvar_from_boundary(sorted_costs, j, before, head, alpha)
+            values[k], j = _cvar_boundary(sorted_costs, lam, alpha, order)
             if not with_grad:
                 continue
             # dF/dR = 2 g R with g_k = (c_k - c_j) / alpha below the boundary j and 0 from
@@ -316,8 +309,7 @@ def _layer_objective(base: np.ndarray, costs: np.ndarray, depth: int, alpha: flo
         values = np.empty(len(points))
         lam = np.zeros_like(coeffs)
         for k, (row, x) in enumerate(zip(probs, coeffs)):
-            j, before, head = _cvar_boundary(row, alpha)
-            values[k] = _cvar_from_boundary(costs, j, before, head, alpha)
+            values[k], j = _cvar_boundary(costs, row, alpha)
             # lam = 2 g x, g_k = (c_k - c_j) / alpha below the boundary bin j, 0 from j on.
             lam[k, :j] = 2 * (costs[:j] - costs[j]) / alpha * x[:j]
         if not with_grad:

@@ -61,10 +61,6 @@ class PermutationFamily:
             raise ValueError(f"seed must be {self.n} bits, each 0 or 1")
 
     @property
-    def size(self) -> int:
-        return len(self.permutations)
-
-    @property
     def kind(self) -> str:
         pairs = self.permutations and len(self.permutations[0]) == 2
         return "transposition" if pairs else "bit_flip"
@@ -81,8 +77,6 @@ def sigmoid_weight(cost_gain, sharpness):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     expx = np.exp(x[~pos])
     out[~pos] = expx / (1.0 + expx)
-    if x.ndim == 0:
-        return float(out)
     return out
 
 

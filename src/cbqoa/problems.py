@@ -187,10 +187,14 @@ def load_instance(path) -> ProblemInstance:
 
 
 def _write_atomic(path, text: str) -> None:
-    """Write text through a temporary file, so the file at path is either whole or absent."""
+    """Write text through a temporary file (removed on failure), so path is whole or absent."""
     tmp = Path(f"{path}.tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
@@ -248,6 +252,13 @@ def _clause_arrays(instance: Max3SatInstance):
     return np.where(negated, labels - n, labels), np.where(negated, -1.0, 1.0), table[:, 3].copy()
 
 
+def _edge_arrays(instance: MaxBisectionInstance):
+    """Edges decoded to 0-based (a, b) int64 ends and float64 weights, one entry per edge."""
+    table = np.array(instance.edges, dtype=np.float64).reshape(-1, 3)
+    a, b = (table[:, :2].astype(np.int64) - 1).T
+    return a, b, table[:, 2].copy()
+
+
 def _cost_block(instance: ProblemInstance, indices: np.ndarray) -> np.ndarray:
     n = instance.n
     # value[v]: the bit of variable v at each index (bit 1 = most significant; v = 0 gives 0).
@@ -259,8 +270,9 @@ def _cost_block(instance: ProblemInstance, indices: np.ndarray) -> np.ndarray:
         for (i, j, k), (a, b, c), w in zip(variables, signs < 0, weights):
             total += w * (((value[i] == a) & (value[j] == b) & (value[k] == c)) - 1.0)
     else:
-        for a, b, w in instance.edges:
-            total += w * (2.0 * value[a] * value[b] - value[a] - value[b])
+        ends = value[1:]  # the bits of the 0-based vertices
+        for a, b, w in zip(*_edge_arrays(instance)):
+            total += w * (2.0 * ends[a] * ends[b] - ends[a] - ends[b])
     return total
 
 

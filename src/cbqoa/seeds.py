@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import Max3SatInstance, MaxBisectionInstance, ProblemInstance
-from .problems import _clause_arrays, bits_to_index, cost_summary
+from .problems import _clause_arrays, _edge_arrays, bits_to_index, cost_summary
 
 S_LINEAR = 0.605
 BALANCE_TOLERANCE = 0.05  # final |sum v_i| <= 0.05 * sqrt(n)
@@ -188,9 +188,7 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
     n = instance.num_vertices
     dim = n + 1
     V = _normalize_rows(np.random.default_rng(cfg.rng_seed).standard_normal((n, dim)))
-    a_idx = np.array([a - 1 for a, _, _ in instance.edges], dtype=np.int64)
-    b_idx = np.array([b - 1 for _, b, _ in instance.edges], dtype=np.int64)
-    weights = np.array([w for _, _, w in instance.edges], dtype=np.float64)
+    a_idx, b_idx, weights = _edge_arrays(instance)
 
     target, penalty = BALANCE_TOLERANCE * np.sqrt(n), BALANCE_PENALTY
     rounds = 5
@@ -228,18 +226,13 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
 def s_linear(x):
     """Piecewise-linear rounding probability: 0 below -s, 1 above s, linear between,
     for s = S_LINEAR."""
-    out = np.clip(0.5 + np.asarray(x, dtype=np.float64) / (2.0 * S_LINEAR), 0.0, 1.0)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return np.clip(0.5 + np.asarray(x, dtype=np.float64) / (2.0 * S_LINEAR), 0.0, 1.0)
 
 
 def _adjacency_matrix(instance: MaxBisectionInstance) -> np.ndarray:
-    n = instance.num_vertices
-    W = np.zeros((n, n), dtype=np.float64)
-    for a, b, w in instance.edges:
-        W[a - 1, b - 1] = w
-        W[b - 1, a - 1] = w
+    a, b, weights = _edge_arrays(instance)
+    W = np.zeros((instance.num_vertices,) * 2, dtype=np.float64)
+    W[a, b] = W[b, a] = weights
     return W
 
 
@@ -271,8 +264,6 @@ def fl_round_batch(
     Gaussian projections and inclusion draws come from two spawned child
     streams so that longer batches extend shorter ones from the same state.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     V = vectors.vectors
     n = instance.num_vertices
     gauss_rng, unif_rng = rng.spawn(2)
@@ -298,6 +289,8 @@ def round_batch(
     rng: np.random.Generator,
     trials: int,
 ) -> np.ndarray:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if instance.kind == "max3sat":
         return kz_round_batch(vectors, rng, trials)
     return fl_round_batch(instance, vectors, rng, trials)

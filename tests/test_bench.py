@@ -316,7 +316,8 @@ class TestExportResults:
 
     def test_failed_export_leaves_the_last_one_whole(self, rng, tmp_path, monkeypatch):
         """A write that fails before its rename leaves the earlier results.csv and
-        manifest.json as they were, not truncated or half rewritten."""
+        manifest.json as they were, not truncated or half rewritten, and no temporary
+        file beside them."""
         records = self._records(rng)
         paths = export_results(records[:1], tmp_path / "out")
         before = {key: path.read_bytes() for key, path in paths.items()}
@@ -328,6 +329,7 @@ class TestExportResults:
         with pytest.raises(OSError, match="disk full"):
             export_results(records, tmp_path / "out")
         assert {key: path.read_bytes() for key, path in paths.items()} == before
+        assert not list((tmp_path / "out").glob("*.tmp"))
 
     def test_csv_columns_fixed(self, rng, tmp_path):
         records = self._records(rng, n=1)

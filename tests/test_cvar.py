@@ -567,7 +567,7 @@ class TestLayerGradient:
             point = rng.uniform(-np.pi, np.pi, 2 * depth) + stencil
             coeffs = _evolve_rows(base, costs, point[:, :depth], point[:, depth:])[0]
             # On one boundary bin the CVaR is smooth; a stencil across a kink is rejected.
-            if len({_cvar_boundary(np.abs(row) ** 2, alpha)[0] for row in coeffs}) > 1:
+            if len({_cvar_boundary(costs, np.abs(row) ** 2, alpha)[1] for row in coeffs}) > 1:
                 continue
             grad = value_and_grad(point[:1], True)[1][0]
             up, down = value_and_grad(point[1:], False)[0].reshape(2, -1)
@@ -597,7 +597,7 @@ class TestWalkGradient:
     @pytest.mark.parametrize("n", [8, 10])
     def test_matches_central_differences_away_from_kinks(self, n, alpha):
         rng = np.random.default_rng(10 * n + int(100 * alpha))
-        seed, family, _, order, value_and_grad = walk_setup(rng, n, alpha)
+        seed, family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
         h = FD_STEP / 100
         stencil = np.concatenate([np.zeros((1, 2)), h * np.eye(2), -h * np.eye(2)])
         checked = 0
@@ -605,7 +605,8 @@ class TestWalkGradient:
             point = np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]) + stencil
             states = [hypercube_walk_state(seed, family.weights(s), t) for t, s in point]
             # On one boundary j the CVaR is smooth; a stencil across a kink is rejected.
-            if len({_cvar_boundary(np.abs(x) ** 2, alpha, order)[0] for x in states}) > 1:
+            js = {_cvar_boundary(sorted_costs, np.abs(x) ** 2, alpha, order)[1] for x in states}
+            if len(js) > 1:
                 continue
             grad = value_and_grad(point[:1], True)[1][0]
             up, down = value_and_grad(point[1:], False)[0].reshape(2, -1)

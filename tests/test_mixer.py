@@ -59,14 +59,14 @@ class TestBuildFamily:
     def test_bisection_n6_complete_bipartite(self):
         inst = MaxBisectionInstance(num_vertices=6, edges=((1, 4, 1.0),))
         family = build_family(inst, "000111")
-        assert family.size == 9
+        assert len(family.permutations) == 9
         pairs = {tuple(sorted(t)) for t in family.permutations}
         assert pairs == {(a, b) for a in (1, 2, 3) for b in (4, 5, 6)}
 
     def test_3sat_n16_bit_flips(self, rng):
         inst = small_3sat(rng, n=16, num_clauses=10)
         family = build_family(inst, "0" * 16)
-        assert family.size == 16
+        assert len(family.permutations) == 16
         assert all(len(t) == 1 for t in family.permutations)
 
     def test_infeasible_seed_rejected(self):
