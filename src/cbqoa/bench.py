@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -364,109 +364,115 @@ def _threshold_key(x: float) -> str:
 def run_pipeline(
     instance: ProblemInstance, depth: int, config: PipelineConfig = PipelineConfig()
 ) -> RunRecord:
-    """Seed, tune the walk, tune the layers, and score every algorithm exactly.
+    """The record of run_depths at one depth."""
+    return run_depths(instance, (depth,), config)[0]
 
-    Records POGS for the classical seed algorithm (empirical over the rounding
-    batch), the bare walk state, the depth-p ansatz, and the uniform-start
-    baseline at the same depth, at every configured threshold. A seed whose
-    cost equals the feasible optimum skips walk and cbqoa layer tuning and
-    keeps the walk (0, 0) and all-zero layers: its point mass already has the
-    least CVaR, so the tuners would return exactly those. A ValueError
-    (invalid settings, degenerate or oversized instance) is re-raised as its
-    own class, any other failure as RuntimeError; both name the instance.
+
+def run_depths(
+    instance: ProblemInstance, depths: Sequence[int], config: PipelineConfig = PipelineConfig()
+) -> list[RunRecord]:
+    """Seed, tune the walk, tune the layers at each depth, and score every algorithm exactly.
+
+    Only the layers depend on the depth, so the seed step, the walk and the
+    uniform state are made once, and each record equals a run at its depth
+    alone but for `wall_time_s`: the time of those shared stages plus that
+    depth's layers and scoring. Records come back in the order of `depths`.
+    Each records POGS for the classical seed algorithm (empirical over the
+    rounding batch), the bare walk state, the depth-p ansatz, and the
+    uniform-start baseline at the same depth, at every configured threshold.
+    A seed whose cost equals the feasible optimum skips walk and cbqoa layer
+    tuning and keeps the walk (0, 0) and all-zero layers: its point mass
+    already has the least CVaR, so the tuners would return exactly those. A
+    ValueError (no depth or a negative one, invalid settings, degenerate or
+    oversized instance) is re-raised as its own class, any other failure as
+    RuntimeError; both name the instance.
     """
     iid = instance_id(instance)
     try:
-        return _run_pipeline_inner(instance, depth, config, iid)
+        if not depths or min(depths) < 0:
+            raise ValueError(f"depths must be one or more values >= 0, got {list(depths)}")
+        start = time.perf_counter()
+        thresholds = default_thresholds(instance.kind)
+        reps = config.repetitions or default_repetitions(instance.kind)
+        summary = cost_summary(instance)
+        beta_table = beta_values(instance)
+        circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)
+        cvar_cfg = CvarConfig(alpha=config.alpha)
+
+        def score(state: np.ndarray) -> dict[str, float]:
+            probs = np.abs(state) ** 2
+            return {_threshold_key(x): float(probs[_good(beta_table, x)].sum()) for x in thresholds}
+
+        def adam(seq: np.random.SeedSequence) -> AdamConfig:
+            return replace(config.adam, rng_seed=int(seq.generate_state(1)[0]))
+
+        assignments, costs, ratios, best_trial = _classical_seed(instance, config)
+        walk_seq, ansatz_seq, gm_seq = np.random.SeedSequence(config.rng_seed).spawn(5)[2:]
+        seed_bits = assignments[best_trial]
+        seed_algorithm = _algorithm_order(instance.kind, 0)[0]
+        shared_pogs = {
+            seed_algorithm: {_threshold_key(x): float(_good(ratios, x).mean()) for x in thresholds}
+        }
+
+        # At an optimal seed both tuners can only return their all-zero first restart.
+        seed_optimal = float(costs[best_trial]) == summary.optimum_value
+
+        # Walk tuning and the bare walk state.
+        family = build_family(instance, seed_bits)
+        walk_time, walk_sharpness = 0.0, 0.0
+        if not seed_optimal:
+            walk_time, walk_sharpness, _ = tune_walk_params(
+                instance, family, cvar_cfg, adam(walk_seq), circuit_cfg
+            )
+        psi = cbqoa_initial_state(family, WalkParams(walk_time, walk_sharpness), circuit_cfg)
+        shared_pogs["cbqoa_0"] = score(psi)
+        uniform = uniform_feasible_state(instance)
+        shared_s = time.perf_counter() - start
+
+        records = []
+        for depth in depths:
+            depth_start = time.perf_counter()
+            pogs = {algorithm: dict(per) for algorithm, per in shared_pogs.items()}
+            # The walk state and the uniform state, each under p tuned layers. At
+            # depth 0 the first pass rewrites cbqoa_0 with the same value.
+            layers = {}
+            for label, initial, seq in (("cbqoa", psi, ansatz_seq), ("gm_qaoa", uniform, gm_seq)):
+                params = AnsatzParams.zeros(depth)
+                if depth >= 1 and not (label == "cbqoa" and seed_optimal):
+                    betas, gammas, _ = tune_ansatz_params(
+                        instance, initial, depth, cvar_cfg, adam(seq), num_bins=config.num_bins
+                    )
+                    params = AnsatzParams(betas=betas, gammas=gammas)
+                layers[label] = params
+                pogs[f"{label}_{depth}"] = score(_apply_layers(initial, summary.diagonal, params))
+
+            records.append(RunRecord(
+                instance_id=iid,
+                problem=instance.kind,
+                n=instance.n,
+                depth=depth,
+                seed_bits=bits_to_str(seed_bits),
+                seed_cost=float(costs[best_trial]),
+                seed_beta=float(ratios[best_trial]),
+                walk_time=walk_time,
+                walk_sharpness=walk_sharpness,
+                betas=layers["cbqoa"].betas,
+                gammas=layers["cbqoa"].gammas,
+                gm_betas=layers["gm_qaoa"].betas,
+                gm_gammas=layers["gm_qaoa"].gammas,
+                pogs=pogs,
+                pogs_boosted={
+                    algorithm: {key: pogs_repeated(value, reps) for key, value in per.items()}
+                    for algorithm, per in pogs.items()
+                },
+                repetitions=reps,
+                wall_time_s=shared_s + time.perf_counter() - depth_start,
+            ))
+        return records
     except ValueError as exc:
         raise type(exc)(f"pipeline failed for instance {iid}: {exc}") from exc
     except Exception as exc:
         raise RuntimeError(f"pipeline failed for instance {iid}: {exc}") from exc
-
-
-def _run_pipeline_inner(
-    instance: ProblemInstance, depth: int, config: PipelineConfig, iid: str
-) -> RunRecord:
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    start = time.perf_counter()
-    thresholds = default_thresholds(instance.kind)
-    reps = config.repetitions or default_repetitions(instance.kind)
-    summary = cost_summary(instance)
-    betas_table = beta_values(instance)
-    circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)
-    cvar_cfg = CvarConfig(alpha=config.alpha)
-
-    def score(state: np.ndarray) -> dict[str, float]:
-        probs = np.abs(state) ** 2
-        return {_threshold_key(x): float(probs[_good(betas_table, x)].sum()) for x in thresholds}
-
-    def adam(seq: np.random.SeedSequence) -> AdamConfig:
-        return replace(config.adam, rng_seed=int(seq.generate_state(1)[0]))
-
-    assignments, costs, ratios, best_trial = _classical_seed(instance, config)
-    walk_seq, ansatz_seq, gm_seq = np.random.SeedSequence(config.rng_seed).spawn(5)[2:]
-    seed_bits = assignments[best_trial]
-    seed_algorithm = _algorithm_order(instance.kind, depth)[0]
-
-    pogs: dict[str, dict[str, float]] = {
-        seed_algorithm: {_threshold_key(x): float(_good(ratios, x).mean()) for x in thresholds}
-    }
-
-    # At an optimal seed both tuners can only return their all-zero first restart.
-    seed_optimal = float(costs[best_trial]) == summary.optimum_value
-
-    # Walk tuning and the bare walk state.
-    family = build_family(instance, seed_bits)
-    walk_time, walk_sharpness = 0.0, 0.0
-    if not seed_optimal:
-        walk_time, walk_sharpness, _ = tune_walk_params(
-            instance, family, cvar_cfg, adam(walk_seq), circuit_cfg
-        )
-    walk = WalkParams(time=walk_time, sharpness=walk_sharpness)
-    psi = cbqoa_initial_state(family, walk, circuit_cfg)
-    pogs["cbqoa_0"] = score(psi)
-
-    # The walk state and the uniform state, each under p tuned layers. At
-    # depth 0 the first pass rewrites cbqoa_0 with the same value.
-    layers = {}
-    for label, initial, seq in (
-        ("cbqoa", psi, ansatz_seq),
-        ("gm_qaoa", uniform_feasible_state(instance), gm_seq),
-    ):
-        params = AnsatzParams.zeros(depth)
-        if depth >= 1 and not (label == "cbqoa" and seed_optimal):
-            betas, gammas, _ = tune_ansatz_params(
-                instance, initial, depth, cvar_cfg, adam(seq), num_bins=config.num_bins
-            )
-            params = AnsatzParams(betas=betas, gammas=gammas)
-        layers[label] = params
-        pogs[f"{label}_{depth}"] = score(_apply_layers(initial, summary.diagonal, params))
-
-    pogs_boosted = {
-        algorithm: {key: pogs_repeated(value, reps) for key, value in per.items()}
-        for algorithm, per in pogs.items()
-    }
-
-    return RunRecord(
-        instance_id=iid,
-        problem=instance.kind,
-        n=instance.n,
-        depth=depth,
-        seed_bits=bits_to_str(seed_bits),
-        seed_cost=float(costs[best_trial]),
-        seed_beta=float(ratios[best_trial]),
-        walk_time=walk_time,
-        walk_sharpness=walk_sharpness,
-        betas=layers["cbqoa"].betas,
-        gammas=layers["cbqoa"].gammas,
-        gm_betas=layers["gm_qaoa"].betas,
-        gm_gammas=layers["gm_qaoa"].gammas,
-        pogs=pogs,
-        pogs_boosted=pogs_boosted,
-        repetitions=reps,
-        wall_time_s=time.perf_counter() - start,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(job: tuple[str, int, PipelineConfig]) -> RunRecord:
-    path, depth, config = job
-    return bench.run_pipeline(load_instance(path), depth, config)
+def _bench_one(job: tuple[str, tuple[int, ...], PipelineConfig]) -> list[RunRecord]:
+    path, depths, config = job
+    return bench.run_depths(load_instance(path), depths, config)
 
 
 def _read_record(path: Path) -> RunRecord | None:
@@ -153,7 +153,8 @@ def _claim_records(records_dir: Path, settings: dict) -> None:
 
 def cmd_bench(args) -> int:
     config = _pipeline_config(args)
-    if args.depth < 0:
+    depths = tuple(dict.fromkeys(args.depth))
+    if min(depths) < 0:
         raise ValueError("depth must be >= 0")
     paths = sorted(Path(args.instances).glob("*.json"))
     paths = [p for p in paths if not p.name.endswith("manifest.json")]
@@ -166,39 +167,41 @@ def cmd_bench(args) -> int:
     # record file name keys the depth.
     _claim_records(records_dir, {"instances": [p.stem for p in paths], "pipeline": asdict(config)})
 
-    record_paths = [records_dir / f"{path.stem}_p{args.depth}.json" for path in paths]
-    done = {p: r for p in record_paths if (r := _read_record(p)) is not None}
+    record_paths = {
+        (path, d): records_dir / f"{path.stem}_p{d}.json" for path in paths for d in depths
+    }
+    done = {p: r for p in record_paths.values() if (r := _read_record(p)) is not None}
+    # One job per instance, over its depths that have no record yet.
     jobs = {
-        record_path: (
-            str(path), args.depth, replace(config, rng_seed=_derive_seed(config.rng_seed, i))
-        )
-        for i, (path, record_path) in enumerate(zip(paths, record_paths))
-        if record_path not in done
+        path: (str(path), missing, replace(config, rng_seed=_derive_seed(config.rng_seed, i)))
+        for i, path in enumerate(paths)
+        if (missing := tuple(d for d in depths if record_paths[path, d] not in done))
     }
 
-    # Every job runs and every finished record is written as it finishes.
+    # Every job runs and every finished record is written as its job finishes.
     failures: dict[Path, Exception] = {}
 
-    def finish(record_path: Path, result: Callable[[], RunRecord]) -> None:
+    def finish(path: Path, result: Callable[[], list[RunRecord]]) -> None:
         try:
-            record = result()
+            records = result()
         except Exception as error:
-            failures[record_path] = error
+            failures[path] = error
         else:
-            _write_atomic(record_path, record.to_json() + "\n")
-            done[record_path] = record
+            for record in records:
+                _write_atomic(record_paths[path, record.depth], record.to_json() + "\n")
+                done[record_paths[path, record.depth]] = record
 
     if args.workers > 1 and jobs:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = {pool.submit(_bench_one, job): p for p, job in jobs.items()}
+            futures = {pool.submit(_bench_one, job): path for path, job in jobs.items()}
             for future in concurrent.futures.as_completed(futures):
                 finish(futures[future], future.result)
     else:
-        for record_path, job in jobs.items():
-            finish(record_path, lambda: _bench_one(job))
+        for path, job in jobs.items():
+            finish(path, lambda: _bench_one(job))
     # The records that exist are exported, and the failures listed with them.
-    failed = [(path, failures[p]) for path, p in zip(paths, record_paths) if p in failures]
-    records = [done[p] for p in record_paths if p in done]
+    failed = [(path, failures[path]) for path in paths if path in failures]
+    records = [done[p] for p in record_paths.values() if p in done]
     if not records:
         raise failed[0][1]
     extra = {"pipeline": asdict(config), "base_seed": config.rng_seed}
@@ -279,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed.set_defaults(func=cmd_seed)
 
     def add_pipeline_flags(p):
-        p.add_argument("--depth", type=int, default=3)
         p.add_argument("--alpha", type=float)
         p.add_argument("--trotter-steps", type=int)
         p.add_argument("--bins", type=int, dest="num_bins")
@@ -291,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the full pipeline on one instance")
     solve.add_argument("instance")
     solve.add_argument("--out", default=None)
+    solve.add_argument("--depth", type=int, default=3)
     add_pipeline_flags(solve)
     solve.set_defaults(func=cmd_solve)
 
     benchp = sub.add_parser("bench", help="run the pipeline over a directory of instances")
     benchp.add_argument("instances")
     benchp.add_argument("--out", required=True)
+    benchp.add_argument("--depth", type=int, nargs="+", default=[3])
     # argparse converts a string default with `type`, so a bad CBQOA_WORKERS is a usage error.
     benchp.add_argument(
         "--workers", type=_worker_count, default=os.environ.get("CBQOA_WORKERS", "1")

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cbqoa import PipelineConfig, export_results, run_pipeline
-from cbqoa.bench import random_max3sat, random_max_bisection
+from cbqoa import PipelineConfig, export_results
+from cbqoa.bench import random_max3sat, random_max_bisection, run_depths
 from cbqoa.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -48,20 +48,20 @@ def fingerprint() -> dict:
     }
 
 
-def pipeline_cases():
-    """(name, instance, depth, config) of every stored record."""
+def pipeline_runs():
+    """(instance, config, {depth: record name}) of every pipeline run; one run makes
+    the records of all its depths."""
     base = PipelineConfig(rng_seed=11)
     for r in (100, 101):
-        for depth in (0, 2):
-            instance = random_max3sat(np.random.default_rng(r), 10, 42)
-            yield f"max3sat_r{r}_p{depth}", instance, depth, base
-            instance = random_max_bisection(np.random.default_rng(r), 10, 0.5)
-            for seed_trials in (None, 1):
-                config = replace(base, seed_trials=seed_trials)
-                yield f"max_bisection_r{r}_p{depth}_seeds{seed_trials}", instance, depth, config
+        instance = random_max3sat(np.random.default_rng(r), 10, 42)
+        yield instance, base, {depth: f"max3sat_r{r}_p{depth}" for depth in (0, 2)}
+        instance = random_max_bisection(np.random.default_rng(r), 10, 0.5)
+        for seed_trials in (None, 1):
+            names = {depth: f"max_bisection_r{r}_p{depth}_seeds{seed_trials}" for depth in (0, 2)}
+            yield instance, replace(base, seed_trials=seed_trials), names
     instance = random_max3sat(np.random.default_rng(7), 10, 42)
     config = PipelineConfig(num_bins=200, seed_trials=1, rng_seed=5)
-    yield "max3sat_r7_p2_bins200", instance, 2, config
+    yield instance, config, {2: "max3sat_r7_p2_bins200"}
 
 
 def canonical(data: dict) -> str:
@@ -72,12 +72,14 @@ def generate(out: Path) -> None:
     """Write every golden file but the fingerprint under out."""
     records = []
     (out / "records").mkdir(parents=True, exist_ok=True)
-    for name, instance, depth, config in pipeline_cases():
-        record = replace(run_pipeline(instance, depth, config), wall_time_s=0.0)
-        data = record.to_dict()
-        del data["wall_time_s"]
-        (out / "records" / f"{name}.json").write_text(canonical(data), encoding="utf-8")
-        records.append(record)
+    for instance, config, names in pipeline_runs():
+        for record in run_depths(instance, tuple(names), config):
+            record = replace(record, wall_time_s=0.0)
+            data = record.to_dict()
+            del data["wall_time_s"]
+            path = out / "records" / f"{names[record.depth]}.json"
+            path.write_text(canonical(data), encoding="utf-8")
+            records.append(record)
     export_results(records, out / "export")
     for name, flags in GEN_RUNS.items():
         with contextlib.redirect_stdout(io.StringIO()):

@@ -29,7 +29,7 @@ from cbqoa.bench import estimate_seed_pogs, pogs_exact, pogs_repeated
 from cbqoa.cvar import tune_ansatz_params, tune_walk_params
 from cbqoa.errors import DegenerateInstanceError
 from cbqoa.mixer import build_family
-from cbqoa.problems import beta_values, bits_to_str, cost_summary
+from cbqoa.problems import beta_values, bits_to_str, cost_summary, instance_id
 from cbqoa.simulate import cbqoa_initial_state
 
 from conftest import (
@@ -293,6 +293,47 @@ class TestRunPipeline:
         inst = Max3SatInstance(num_vars=3, clauses=())  # degenerate: no cost spread
         with pytest.raises(DegenerateInstanceError, match="pipeline failed for instance"):
             run_pipeline(inst, 1, FAST_PIPELINE)
+
+
+class TestRunDepths:
+    """One run over several depths shares the seed step and the walk, and gives the
+    records of runs at each depth alone."""
+
+    @pytest.mark.parametrize(
+        "make, n, config",
+        [(small_bisection, 8, FAST_PIPELINE), (small_bisection, 8, ONE_ROUNDING),
+         (small_3sat, 6, FAST_PIPELINE)],
+        ids=["bisection", "bisection-one-rounding", "max3sat"],
+    )
+    def test_records_equal_single_depth_runs(self, rng, make, n, config):
+        inst = make(rng, n=n)
+        records = bench.run_depths(inst, (0, 1, 2), config)
+        assert [r.depth for r in records] == [0, 1, 2]
+        for record in records:
+            alone = run_pipeline(inst, record.depth, config)
+            assert replace(record, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
+            assert record.wall_time_s > 0.0
+
+    def _spied_calls(self, monkeypatch, inst, config, depths):
+        spies = {name: Spy(getattr(bench, name))
+                 for name in ("classical_batch", "tune_walk_params", "tune_ansatz_params")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(bench, name, spy)
+        bench.run_depths(inst, depths, config)
+        return tuple(spy.calls for spy in spies.values())
+
+    def test_shared_stages_run_once(self, rng, monkeypatch):
+        """Seed step and walk tuning once; both layer tunings per depth >= 1."""
+        inst = small_bisection(rng, n=8)
+        assert self._spied_calls(monkeypatch, inst, ONE_ROUNDING, (0, 1, 2)) == (1, 1, 4)
+        # At an optimal seed: no walk tuning, and GM-QAOA's layers only.
+        assert self._spied_calls(monkeypatch, inst, FAST_PIPELINE, (0, 1, 2)) == (1, 0, 2)
+
+    @pytest.mark.parametrize("depths", [(), (1, -1)], ids=["empty", "negative"])
+    def test_bad_depths_name_the_instance(self, rng, depths):
+        inst = small_bisection(rng, n=6)
+        with pytest.raises(ValueError, match=f"pipeline failed for instance {instance_id(inst)}"):
+            bench.run_depths(inst, depths, FAST_PIPELINE)
 
 
 class TestExportResults:

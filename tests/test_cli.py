@@ -299,7 +299,7 @@ class TestBench:
         args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
         assert main(args + ["--out", str(tmp_path / "whole")]) == EXIT_OK
         out = tmp_path / "interrupted"
-        original, calls = bench_mod.run_pipeline, []
+        original, calls = bench_mod.run_depths, []
 
         def fail_second(*a, **kw):
             calls.append(1)
@@ -307,10 +307,10 @@ class TestBench:
                 raise RuntimeError("injected failure")
             return original(*a, **kw)
 
-        monkeypatch.setattr(bench_mod, "run_pipeline", fail_second)
+        monkeypatch.setattr(bench_mod, "run_depths", fail_second)
         assert main(args + ["--out", str(out)]) != EXIT_OK
         assert len(list((out / "records").glob("*_p0.json"))) == 1
-        monkeypatch.setattr(bench_mod, "run_pipeline", original)
+        monkeypatch.setattr(bench_mod, "run_depths", original)
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
@@ -336,7 +336,7 @@ class TestBench:
         args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
         assert main(args + ["--out", str(tmp_path / "whole")]) == EXIT_OK
         out = tmp_path / "interrupted"
-        original = bench_mod.run_pipeline
+        original = bench_mod.run_depths
         first = sorted(instances.glob("*.json"))[0].stem
 
         def fail_first(instance, *a, **kw):
@@ -344,14 +344,14 @@ class TestBench:
                 raise RuntimeError("injected failure")
             return original(instance, *a, **kw)
 
-        monkeypatch.setattr(bench_mod, "run_pipeline", fail_first)
+        monkeypatch.setattr(bench_mod, "run_depths", fail_first)
         assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_GUARDED
         written = sorted(p.name for p in (out / "records").glob("*_p0.json"))
         assert written == sorted(f"{p.stem}_p0.json" for p in instances.glob("*.json"))[1:]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"] == [{"instance": first, "error": "injected failure"}]
         assert sorted(r["instance_id"] for r in manifest["records"]) == [p[:-8] for p in written]
-        monkeypatch.setattr(bench_mod, "run_pipeline", original)
+        monkeypatch.setattr(bench_mod, "run_depths", original)
         assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
         assert "failures" not in json.loads((out / "manifest.json").read_text())
@@ -427,6 +427,42 @@ class TestBench:
         assert main(args + ["--depth", "0"]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == depth_0
 
+    def test_depths_in_one_run_write_the_single_depth_records(self, tmp_path):
+        """bench --depth 0 1 writes the record files of two single-depth runs, equal but for
+        wall_time_s."""
+        instances = make_instances(tmp_path)
+        args = ["bench", str(instances)] + PIPELINE_FLAGS
+        assert main(args + ["--out", str(tmp_path / "both"), "--depth", "0", "1"]) == EXIT_OK
+        assert main(args + ["--out", str(tmp_path / "one"), "--depth", "0"]) == EXIT_OK
+        assert main(args + ["--out", str(tmp_path / "one"), "--depth", "1"]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "one/records").iterdir())
+        assert sorted(p.name for p in (tmp_path / "both/records").iterdir()) == names
+        assert len(names) == 5  # config.json and 2 instances x 2 depths
+        for name in names:
+            both, one = (json.loads((tmp_path / d / "records" / name).read_text())
+                         for d in ("both", "one"))
+            assert both | {"wall_time_s": 0} == one | {"wall_time_s": 0}, name
+
+    def test_rerun_runs_only_the_missing_depths(self, tmp_path, monkeypatch):
+        """After --depth 0 1, a rerun with --depth 0 1 2 makes one job per instance, at
+        depth 2 only; a repeated depth counts once."""
+        import cbqoa.bench as bench_mod
+
+        instances = make_instances(tmp_path)
+        out = tmp_path / "grow"
+        args = ["bench", str(instances), "--out", str(out)] + PIPELINE_FLAGS
+        assert main(args + ["--depth", "0", "1", "0"]) == EXIT_OK
+        original, calls = bench_mod.run_depths, []
+
+        def spy(instance, depths, config):
+            calls.append((instance_id(instance), depths))
+            return original(instance, depths, config)
+
+        monkeypatch.setattr(bench_mod, "run_depths", spy)
+        assert main(args + ["--depth", "0", "1", "2"]) == EXIT_OK
+        assert sorted(calls) == [(p.stem, (2,)) for p in sorted(instances.glob("*.json"))]
+        assert len(list((out / "records").glob("*_p[012].json"))) == 6
+
     def test_settings_change_without_records_is_accepted(self, tmp_path, monkeypatch):
         """A run whose every job failed leaves no record, so a rerun may change settings."""
         import cbqoa.bench as bench_mod
@@ -435,19 +471,20 @@ class TestBench:
         args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
         assert main(args + ["--out", str(tmp_path / "whole")]) == EXIT_OK
         out = tmp_path / "failed"
-        original = bench_mod.run_pipeline
+        original = bench_mod.run_depths
 
         def fail(*a, **kw):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(bench_mod, "run_pipeline", fail)
+        monkeypatch.setattr(bench_mod, "run_depths", fail)
         assert main(args + ["--out", str(out), "--bins", "61"]) == EXIT_INTERNAL
-        monkeypatch.setattr(bench_mod, "run_pipeline", original)
+        monkeypatch.setattr(bench_mod, "run_depths", original)
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "whole/results.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--bins", "0"), ("--alpha", "0"), ("--depth", "-1")]
+        "flag, value",
+        [("--bins", "0"), ("--alpha", "0"), ("--depth", "-1"), ("--depth", "1 -1")],
     )
     def test_bad_setting_is_refused_before_any_job(self, tmp_path, monkeypatch, flag, value):
         """A pipeline setting out of range exits 2 before a job runs or records/config.json
@@ -455,11 +492,11 @@ class TestBench:
         import cbqoa.bench as bench_mod
 
         calls = []
-        monkeypatch.setattr(bench_mod, "run_pipeline", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(bench_mod, "run_depths", lambda *a, **kw: calls.append(a))
         instances = make_instances(tmp_path, count=2)
         out = tmp_path / "refused"
         args = ["bench", str(instances), "--depth", "0", "--out", str(out)] + PIPELINE_FLAGS
-        assert main(args + [flag, value]) == EXIT_USAGE
+        assert main(args + [flag, *value.split()]) == EXIT_USAGE
         assert calls == []
         assert not out.exists()
 
