@@ -36,7 +36,7 @@ from .problems import (
     cost_summary,
     instance_id,
 )
-from .seeds import SdpConfig, round_batch, rounding_costs, solve_relaxation
+from .seeds import SdpConfig, _check_trials, round_batch, rounding_costs, solve_relaxation
 from .simulate import (
     AnsatzParams,
     CircuitConfig,
@@ -187,6 +187,7 @@ def classical_batch(
     Returns the roundings (one assignment per row), their costs and their
     approximation ratios.
     """
+    _check_trials(trials)
     vectors = solve_relaxation(instance, sdp_cfg)
     assignments = round_batch(instance, vectors, rng, trials)
     costs = rounding_costs(instance, assignments)
@@ -277,7 +278,6 @@ class PipelineConfig:
     num_bins: int = 1000
     rounding_trials: int = 10000
     seed_trials: Optional[int] = None
-    repetitions: Optional[int] = None  # None: problem defaults
     adam: AdamConfig = AdamConfig()
     sdp: SdpConfig = SdpConfig()
     rng_seed: int = 0
@@ -289,8 +289,6 @@ class PipelineConfig:
             raise ValueError("num_bins and rounding_trials must be >= 1")
         if self.seed_trials is not None and not 1 <= self.seed_trials <= self.rounding_trials:
             raise ValueError("seed_trials must be in [1, rounding_trials]")
-        if self.repetitions is not None and self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
 
 
 def _classical_seed(
@@ -393,7 +391,7 @@ def run_depths(
             raise ValueError(f"depths must be one or more values >= 0, got {list(depths)}")
         start = time.perf_counter()
         thresholds = default_thresholds(instance.kind)
-        reps = config.repetitions or default_repetitions(instance.kind)
+        reps = default_repetitions(instance.kind)
         summary = cost_summary(instance)
         beta_table = beta_values(instance)
         circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)

@@ -14,7 +14,6 @@ import argparse
 import concurrent.futures
 import csv
 import json
-import os
 import sys
 import traceback
 from dataclasses import asdict, fields, replace
@@ -204,7 +203,7 @@ def cmd_bench(args) -> int:
     records = [done[p] for p in record_paths.values() if p in done]
     if not records:
         raise failed[0][1]
-    extra = {"pipeline": asdict(config), "base_seed": config.rng_seed}
+    extra = {"pipeline": asdict(config)}
     if failed:
         extra["failures"] = [{"instance": path.stem, "error": str(error)} for path, error in failed]
     paths_out = bench.export_results(records, out, manifest_extra=extra)
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bins", type=int, dest="num_bins")
         p.add_argument("--trials", type=int, dest="rounding_trials")
         p.add_argument("--seed-trials", type=int)
-        p.add_argument("--repetitions", type=int)
         p.add_argument("--seed", type=int, dest="rng_seed")
 
     solve = sub.add_parser("solve", help="run the full pipeline on one instance")
@@ -301,10 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchp.add_argument("instances")
     benchp.add_argument("--out", required=True)
     benchp.add_argument("--depth", type=int, nargs="+", default=[3])
-    # argparse converts a string default with `type`, so a bad CBQOA_WORKERS is a usage error.
-    benchp.add_argument(
-        "--workers", type=_worker_count, default=os.environ.get("CBQOA_WORKERS", "1")
-    )
+    benchp.add_argument("--workers", type=_worker_count, default=1)
     add_pipeline_flags(benchp)
     benchp.set_defaults(func=cmd_bench)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .fast_sim import _evolve_rows, _evolve_rows_adjoint, bin_costs, eta_from_state
 from .fast_sim import evolve_binned  # noqa: F401 -- the traced benchmark run wraps it by this name
 from .mixer import PermutationFamily
-from .problems import ProblemInstance, as_bits, cost_summary, feasible_indices, is_feasible
+from .problems import ProblemInstance, as_bits, cost_summary, is_feasible
 from .simulate import (
     CircuitConfig,
     _hypercube_adjoint,
@@ -91,7 +91,7 @@ def cvar_discrete(pairs: Sequence[tuple[float, float]], alpha: float) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     order = np.argsort(values, kind="stable")
-    return _cvar_sorted(values[order], probs[order], alpha)
+    return _cvar_boundary(values[order], probs[order], alpha)[0]
 
 
 # Sorted probabilities are read this many at a time, up to the alpha boundary.
@@ -124,13 +124,6 @@ def _cvar_boundary(
     head = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     below = float(np.dot(head[:j], values[:j]))
     return (below + (alpha - before) * float(values[j])) / alpha, j
-
-
-def _cvar_sorted(
-    values: np.ndarray, probs: np.ndarray, alpha: float, order: np.ndarray | None = None
-) -> float:
-    """CVaR for values sorted ascending, probs in their order (or probs[order] so)."""
-    return _cvar_boundary(values, probs, alpha, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +255,10 @@ def _xy_objective(family: PermutationFamily, costs: np.ndarray, alpha: float, st
     def objective(points: np.ndarray) -> np.ndarray:
         rows, amps = ctqw_trotter_xy(family, points[:, 0], points[:, 1], steps)
         # One full-length distribution per row, zero off the sector and read in
-        # cost order, so _cvar_sorted sums exactly what a full-space evaluation sums.
+        # cost order, so _cvar_boundary sums exactly what a full-space evaluation sums.
         probs = np.zeros((len(points), order.size))
         probs[:, rows] = (np.abs(amps) ** 2).T
-        return np.array([_cvar_sorted(sorted_costs, row, alpha, order) for row in probs])
+        return np.array([_cvar_boundary(sorted_costs, row, alpha, order)[0] for row in probs])
 
     return _central_differences(objective)
 
@@ -335,7 +328,7 @@ def tune_ansatz_params(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     summary = cost_summary(instance)
-    binning = bin_costs(summary.diagonal, feasible_indices(instance), num_bins)
+    binning = bin_costs(summary.diagonal, summary.feasible, num_bins)
     base = eta_from_state(psi, binning)
     value_and_grad = _layer_objective(base, binning.bin_costs, depth, cvar_cfg.alpha)
     rng = np.random.default_rng(adam_cfg.rng_seed)

@@ -283,14 +283,18 @@ def solve_relaxation(instance: ProblemInstance, cfg: SdpConfig = SdpConfig()) ->
     return solve_fl_sdp(instance, cfg)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def round_batch(
     instance: ProblemInstance,
     vectors: UnitVectorSet,
     rng: np.random.Generator,
     trials: int,
 ) -> np.ndarray:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     if instance.kind == "max3sat":
         return kz_round_batch(vectors, rng, trials)
     return fl_round_batch(instance, vectors, rng, trials)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mixer import PermutationFamily, WalkParams, build_family, permute_indices, sigmoid_weight
-from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary, feasible_indices
+from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary
 
 @dataclass(frozen=True)
 class AnsatzParams:
@@ -52,7 +52,7 @@ class CircuitConfig:
 
 def uniform_feasible_state(instance: ProblemInstance) -> np.ndarray:
     """Uniform superposition over the feasible strings."""
-    feas = feasible_indices(instance)
+    feas = cost_summary(instance).feasible
     state = np.zeros(1 << instance.n, dtype=np.complex128)
     state[feas] = 1.0 / np.sqrt(feas.size)
     return state

@@ -20,7 +20,7 @@ from cbqoa.bench import (
     random_max_bisection,
     run_depths,
 )
-from cbqoa.cvar import _cvar_sorted, cvar_discrete
+from cbqoa.cvar import _cvar_boundary, cvar_discrete
 from cbqoa.fast_sim import bin_costs, eta_from_state, evolve_binned
 from cbqoa.mixer import PermutationFamily, build_family
 from cbqoa.problems import cost_summary, feasible_indices
@@ -216,11 +216,11 @@ def test_criterion_5_fast_sim_equivalence():
         # true-cost regime at the default bin count: CVaR within 1% of the span
         binning2 = bin_costs(summary.diagonal, feas, 1000)
         fast2 = evolve_binned(eta_from_state(psi, binning2), binning2, params)
-        cvar_fast = _cvar_sorted(binning2.bin_costs, np.abs(fast2) ** 2, 0.5)
+        cvar_fast = _cvar_boundary(binning2.bin_costs, np.abs(fast2) ** 2, 0.5)[0]
         dense2 = _apply_layers(psi, summary.diagonal, params)
         values = summary.diagonal[feas]
         order = np.argsort(values)
-        cvar_dense = _cvar_sorted(values[order], (np.abs(dense2[feas]) ** 2)[order], 0.5)
+        cvar_dense = _cvar_boundary(values[order], (np.abs(dense2[feas]) ** 2)[order], 0.5)[0]
         span = binning2.upper - binning2.lower
         worst_cvar_rel = max(worst_cvar_rel, abs(cvar_fast - cvar_dense) / span)
     elapsed = time.perf_counter() - start
@@ -256,7 +256,8 @@ def test_criterion_6_bin_count_bound():
     dense_cvars = []
     for params in points:
         dense = _apply_layers(psi, summary.diagonal, params)
-        dense_cvars.append(_cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha))
+        probs = (np.abs(dense[feas]) ** 2)[order]
+        dense_cvars.append(_cvar_boundary(values[order], probs, alpha)[0])
 
     def binned_errors(M):
         binning = bin_costs(summary.diagonal, feas, M)
@@ -264,7 +265,7 @@ def test_criterion_6_bin_count_bound():
         errors = []
         for params, dense_cvar in zip(points, dense_cvars):
             fast = evolve_binned(base, binning, params)
-            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
+            cvar_fast = _cvar_boundary(binning.bin_costs, np.abs(fast) ** 2, alpha)[0]
             errors.append(abs(cvar_fast - dense_cvar))
         return binning, errors
 

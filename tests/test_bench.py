@@ -25,7 +25,7 @@ from cbqoa import (
     import_results,
     run_pipeline,
 )
-from cbqoa.bench import estimate_seed_pogs, pogs_exact, pogs_repeated
+from cbqoa.bench import default_repetitions, estimate_seed_pogs, pogs_exact, pogs_repeated
 from cbqoa.cvar import tune_ansatz_params, tune_walk_params
 from cbqoa.errors import DegenerateInstanceError
 from cbqoa.mixer import build_family
@@ -242,6 +242,7 @@ class TestRunPipeline:
     def test_boosted_values_consistent(self, rng):
         inst = small_bisection(rng, n=6)
         record = run_pipeline(inst, 0, FAST_PIPELINE)
+        assert record.repetitions == default_repetitions(record.problem)
         for algorithm, per in record.pogs.items():
             for key, value in per.items():
                 boosted = record.pogs_boosted[algorithm][key]

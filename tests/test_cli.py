@@ -235,9 +235,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flags",
         [["--depth", "-1"], ["--bins", "0"], ["--alpha", "0"], ["--trotter-steps", "0"],
-         ["--trials", "0"], ["--repetitions", "0"], []],
-        ids=["depth", "bins", "alpha", "trotter-steps", "trials", "repetitions",
-             "degenerate-instance"],
+         ["--trials", "0"], []],
+        ids=["depth", "bins", "alpha", "trotter-steps", "trials", "degenerate-instance"],
     )
     def test_invalid_input_exits_2(self, tmp_path, flags):
         """A bad setting, or an instance whose feasible costs are all equal."""
@@ -249,6 +248,14 @@ class TestSolve:
         save_instance(inst, path)
         args = ["solve", str(path), "--depth", "1", "--trials", "300", "--bins", "60"]
         assert main(args + flags) == EXIT_USAGE
+
+    def test_repetitions_flag_is_unknown(self, tmp_path):
+        """Boosted POGS uses the problem's k; no flag sets it."""
+        path = tmp_path / "inst.json"
+        save_instance(small_bisection(np.random.default_rng(19), n=6), path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", str(path), "--repetitions", "3"])
+        assert excinfo.value.code == EXIT_USAGE
 
 
 class TestBench:
@@ -501,11 +508,12 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-1"])
-    def test_bad_workers_variable_exits_2(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("CBQOA_WORKERS", value)
+    def test_bad_workers_variable_exits_2(self, tmp_path, value):
+        """A worker count that is not an integer >= 1 is a usage error of --workers."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", str(tmp_path), "--out", str(tmp_path / "o")])
+            main(["bench", str(tmp_path), "--out", str(tmp_path / "o"), f"--workers={value}"])
         assert excinfo.value.code == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
 
     def test_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "none"

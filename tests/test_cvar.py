@@ -14,7 +14,6 @@ from cbqoa.cvar import (
     _adam_lockstep,
     _central_differences,
     _cvar_boundary,
-    _cvar_sorted,
     _hypercube_objective,
     _layer_objective,
     _xy_objective,
@@ -111,7 +110,7 @@ class TestCvarDiscrete:
         probs /= probs.sum()
         for alpha in (0.1, 0.37, 0.5, 1.0):
             slow = cvar_discrete(list(zip(values, probs)), alpha)
-            assert _cvar_sorted(values, probs, alpha) == pytest.approx(slow, abs=1e-12)
+            assert _cvar_boundary(values, probs, alpha)[0] == pytest.approx(slow, abs=1e-12)
 
     def test_strided_row_equals_contiguous_copy(self, rng):
         """A strided view gives exactly the value of its contiguous copy."""
@@ -121,9 +120,9 @@ class TestCvarDiscrete:
         for k in range(20):
             strided = columns[:, k]
             for alpha in (0.3, 0.5, 1.0):
-                assert _cvar_sorted(values, strided, alpha) == _cvar_sorted(
+                assert _cvar_boundary(values, strided, alpha)[0] == _cvar_boundary(
                     values, strided.copy(), alpha
-                )
+                )[0]
 
 
 def tail_distribution(size: int, seed: int, shape: str) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +169,8 @@ class TestPrefixCvar:
         unsorted = np.empty(size)
         unsorted[order] = probs
         want = oracle_cvar_sorted(values, probs, alpha)
-        assert _cvar_sorted(values, probs, alpha) == want
-        assert _cvar_sorted(values, unsorted, alpha, order) == want
+        assert _cvar_boundary(values, probs, alpha)[0] == want
+        assert _cvar_boundary(values, unsorted, alpha, order)[0] == want
 
 
 def row_by_row(objective):
@@ -382,9 +381,9 @@ class TestTuneWalkParams:
         order = np.argsort(summary.diagonal)
         t, sharpness, trace = tune_walk_params(inst, family, CvarConfig(alpha=0.5), FAST_ADAM)
         state = cbqoa_initial_state(family, WalkParams(time=t, sharpness=sharpness))
-        tuned = _cvar_sorted(
+        tuned = _cvar_boundary(
             summary.diagonal[order], (np.abs(state) ** 2)[order], 0.5
-        )
+        )[0]
         at_zero = float(summary.diagonal[np.argmax(np.abs(cbqoa_initial_state(family, WalkParams(0.0, 0.0))))])
         assert tuned <= at_zero + 1e-9
 
@@ -434,7 +433,7 @@ class TestTuneWalkParams:
 
         def objective(t, sharpness):
             state = cbqoa_initial_state(family, WalkParams(time=t, sharpness=sharpness))
-            return _cvar_sorted(sorted_costs, (np.abs(state) ** 2)[order], 0.5)
+            return _cvar_boundary(sorted_costs, (np.abs(state) ** 2)[order], 0.5)[0]
 
         t, sharpness, _ = tune_walk_params(
             inst, family, CvarConfig(alpha=0.5), AdamConfig(iterations=120, restarts=3, rng_seed=1)
@@ -458,12 +457,12 @@ class TestTuneAnsatzParams:
         feas = feasible_indices(inst)
         values = summary.diagonal[feas]
         order = np.argsort(values)
-        base = _cvar_sorted(values[order], (np.abs(psi[feas]) ** 2)[order], 0.5)
+        base = _cvar_boundary(values[order], (np.abs(psi[feas]) ** 2)[order], 0.5)[0]
         betas, gammas, _ = tune_ansatz_params(
             inst, psi, 2, CvarConfig(alpha=0.5), FAST_ADAM, num_bins=200
         )
         final = _apply_layers(psi, summary.diagonal, AnsatzParams(betas=betas, gammas=gammas))
-        tuned = _cvar_sorted(values[order], (np.abs(final[feas]) ** 2)[order], 0.5)
+        tuned = _cvar_boundary(values[order], (np.abs(final[feas]) ** 2)[order], 0.5)[0]
         assert tuned <= base + 1e-6
 
     def test_backends_agree_at_random_points(self, rng):
@@ -490,9 +489,9 @@ class TestTuneAnsatzParams:
                 gammas=tuple(rng.uniform(-np.pi, np.pi, depth)),
             )
             fast = evolve_binned(base, binning, params)
-            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
+            cvar_fast = _cvar_boundary(binning.bin_costs, np.abs(fast) ** 2, alpha)[0]
             dense = _apply_layers(psi, summary.diagonal, params)
-            cvar_dense = _cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)
+            cvar_dense = _cvar_boundary(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)[0]
             assert abs(cvar_fast - cvar_dense) <= bound
 
     def test_depth_validation(self, rng):
@@ -620,15 +619,15 @@ class TestWalkGradient:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 0.37])
     @pytest.mark.parametrize("n", [8, 10])
     def test_values_and_zero_time(self, rng, n, alpha):
-        """One batched call: each value is _cvar_sorted on the squared walk state, and
-        at t = 0 (a point mass, whatever the sharpness) the gradient is exactly zero."""
+        """One batched call: each value is _cvar_boundary's CVaR of the squared walk state,
+        and at t = 0 (a point mass, whatever the sharpness) the gradient is exactly zero."""
         seed, family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
         points = np.column_stack([rng.uniform(0, np.pi, 8), rng.uniform(-2, 2, 8)])
         points[[0, 3], 0] = 0.0
         values, grads = value_and_grad(points, True)
         for (time, sharpness), value in zip(points, values):
             state = hypercube_walk_state(seed, family.weights(sharpness), time)
-            assert value == _cvar_sorted(sorted_costs, np.abs(state) ** 2, alpha, order)
+            assert value == _cvar_boundary(sorted_costs, np.abs(state) ** 2, alpha, order)[0]
         assert grads[[0, 3]].tolist() == [[0.0, 0.0]] * 2
         assert np.all(grads[1:3] != 0.0)
 

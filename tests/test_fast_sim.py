@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbqoa import AnsatzParams, WalkParams
-from cbqoa.cvar import _cvar_sorted
+from cbqoa.cvar import _cvar_boundary
 from cbqoa.fast_sim import (
     _evolve_rows,
     bin_costs,
@@ -343,12 +343,12 @@ class TestChooseNumBins:
             binning = bin_costs(summary.diagonal, feas, M)
             assert binning.width > 0
             fast = evolve_binned(eta_from_state(psi, binning), binning, params)
-            cvar_fast = _cvar_sorted(binning.bin_costs, np.abs(fast) ** 2, alpha)
+            cvar_fast = _cvar_boundary(binning.bin_costs, np.abs(fast) ** 2, alpha)[0]
 
             dense = _apply_layers(psi, summary.diagonal, params)
             values = summary.diagonal[feas]
             order = np.argsort(values)
-            cvar_dense = _cvar_sorted(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)
+            cvar_dense = _cvar_boundary(values[order], (np.abs(dense[feas]) ** 2)[order], alpha)[0]
             assert abs(cvar_fast - cvar_dense) <= epsilon
 
     def test_error_non_increasing_in_bins(self, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbqoa import Max3SatInstance, MaxBisectionInstance, SdpConfig
+from cbqoa import Max3SatInstance, MaxBisectionInstance, SdpConfig, bench
 from cbqoa.bench import (
     classical_batch,
     random_max3sat,
@@ -320,10 +320,14 @@ class TestSeedBestOf:
         b = classical_batch(inst, QUICK, np.random.default_rng(6), 50)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_trials_validation(self):
+    def test_trials_validation(self, monkeypatch):
+        """A rounding count below 1 is refused before the relaxation is solved."""
+        calls = []
+        monkeypatch.setattr(bench, "solve_relaxation", lambda *a: calls.append(a))
         inst = MaxBisectionInstance(num_vertices=2, edges=((1, 2, 1.0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             classical_batch(inst, QUICK, np.random.default_rng(0), 0)
+        assert calls == []
 
     @pytest.mark.parametrize("make", [random_max3sat, random_max_bisection])
     def test_argmin_matches_explicit_rounding(self, make):
