@@ -128,7 +128,7 @@ class BenchmarkSpec:
     """Generation settings: instance shape, hardness screen, and rng seed."""
 
     problem: str
-    count: int = 100
+    count: int = 10
     num_vars: int = 16
     num_clauses: int = 200
     num_vertices: int = 12

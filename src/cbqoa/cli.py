@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     # so that BenchmarkSpec and PipelineConfig hold the defaults.
     gen = sub.add_parser("gen", help="generate hard benchmark instances")
     gen.add_argument("--kind", choices=["max3sat", "max_bisection"], required=True, dest="problem")
-    gen.add_argument("--count", type=int, default=10)
+    gen.add_argument("--count", type=int)
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, dest="rng_seed")
     gen.add_argument("--num-vars", type=int)

@@ -257,7 +257,7 @@ def _xy_objective(family: PermutationFamily, costs: np.ndarray, alpha: float, st
         # One full-length distribution per row, zero off the sector and read in
         # cost order, so _cvar_boundary sums exactly what a full-space evaluation sums.
         probs = np.zeros((len(points), order.size))
-        probs[:, rows] = (np.abs(amps) ** 2).T
+        probs[:, rows] = np.square(amps).T
         return np.array([_cvar_boundary(sorted_costs, row, alpha, order)[0] for row in probs])
 
     return _central_differences(objective)

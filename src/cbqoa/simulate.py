@@ -65,42 +65,47 @@ def apply_phase_separator(state: np.ndarray, cost_diagonal: np.ndarray, gamma: f
     return state * np.exp(-1j * gamma * cost_diagonal)
 
 
-def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, isin2: np.ndarray, steps: int) -> None:
+def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, sin2: np.ndarray, steps: int) -> None:
     """Apply `steps` rounds of XY rotations in place to every column of amps.
 
-    amps is (rows, batch); plan holds (i01, i10, gate) row pairs; cos2 and
-    isin2 are (gates, batch), so column k rotates by its own angles.
+    amps is (rows, batch) of real amplitudes; plan holds (pair, gate) entries, pair
+    stacking a gate's rows u with the support bit cleared over their partners v;
+    cos2 and sin2 are (gates, batch), so column k rotates by its own angles. Each
+    gate maps (u, v) to (c u + s v, c v - s u): one gather, one rotation, one scatter.
     """
+    signed = np.stack((sin2, -sin2), axis=1)[:, :, None]  # (gates, 2, 1, batch): s, then -s
     for _ in range(steps):
-        for i01, i10, idx in plan:
-            x01 = amps[i01]
-            x10 = amps[i10]
-            amps[i01] = cos2[idx] * x01 + isin2[idx] * x10
-            amps[i10] = cos2[idx] * x10 + isin2[idx] * x01
+        for pair, idx in plan:
+            uv = amps.take(pair, axis=0)
+            amps[pair] = cos2[idx] * uv + signed[idx] * uv[::-1]
 
 
 @lru_cache(maxsize=8)
 def _trotter_plan(family: PermutationFamily) -> tuple[np.ndarray, tuple]:
-    """The seed's Hamming-weight sector, which every XY gate preserves, and its
-    (i01, i10, gain index) row pairs per transposition: C(n-2, w-1) per gate."""
+    """The seed's Hamming-weight sector, which every XY gate preserves, and per
+    transposition its (pair, gain index): the sector rows where the seed-support
+    position is cleared and the complement position set, stacked over their partners."""
     n = family.n
     rows = np.arange(1 << n, dtype=np.int64)
     rows = rows[np.bitwise_count(rows) == sum(family.seed)]
     plan = []
     for idx, tau in enumerate(family.permutations):
-        place_a, place_b = (1 << (n - i) for i in sorted(tau))
-        i01 = rows[((rows & place_a) == 0) & ((rows & place_b) != 0)]
-        i10 = permute_indices(tau, i01, n)
-        plan.append((np.searchsorted(rows, i01), np.searchsorted(rows, i10), idx))
+        a, b = tau
+        if family.seed[a - 1] == family.seed[b - 1]:
+            raise ValueError(f"transposition {tau} must swap a support bit with a complement bit")
+        inside, outside = (1 << (n - i) for i in (tau if family.seed[a - 1] else (b, a)))
+        moved = rows[((rows & inside) == 0) & ((rows & outside) != 0)]
+        pair = np.stack((moved, permute_indices(tau, moved, n)))
+        plan.append((np.searchsorted(rows, pair), idx))
     return rows, tuple(plan)
 
 
 def _xy_rotations(family: PermutationFamily, sharpnesses, times, steps: int):
-    """Per-gate cos(2 theta) and i sin(2 theta) of one product-formula step, as (gates,
+    """Per-gate cos(2 theta) and sin(2 theta) of one product-formula step, as (gates,
     batch) tables with one column per (sharpness, time)."""
     gains = np.asarray(family.cost_gains, dtype=np.float64)[:, None]
     angles = sigmoid_weight(gains, sharpnesses) * (np.asarray(times) / (2.0 * steps))
-    return np.cos(2 * angles), 1j * np.sin(2 * angles)
+    return np.cos(2 * angles), np.sin(2 * angles)
 
 
 def ctqw_trotter_xy(
@@ -111,13 +116,14 @@ def ctqw_trotter_xy(
     Applies the XY rotations of every transposition with angle w*t/(2N), in the
     family's round order, repeated N times; the deviation from the exact walk
     scales as t^2/N. Returns the seed's Hamming-weight sector as basis indices,
-    and the walk amplitudes on it as a (sector, batch) array: every amplitude
-    outside the sector is exactly zero.
+    and real amplitudes r on it as a (sector, batch) float64 array: the walk
+    amplitude of x is i^k r, k being the number of swaps from the seed to x,
+    and every amplitude outside the sector is exactly zero.
     """
     if family.kind != "transposition":
         raise ValueError("trotterized XY walk requires a transposition family")
     rows, plan = _trotter_plan(family)
-    amps = np.zeros((rows.size, len(times)), dtype=np.complex128)
+    amps = np.zeros((rows.size, len(times)))
     amps[np.searchsorted(rows, bits_to_index(family.seed))] = 1.0
     _xy_sweep(amps, plan, *_xy_rotations(family, sharpnesses, times, steps), steps)
     return rows, amps
@@ -185,36 +191,28 @@ def _hypercube_adjoint(
     return grad
 
 
-# i^k for k = 0..3: the phase of a hypercube walk amplitude k bit flips from the seed.
+# i^k for k = 0..3: the phase of a walk amplitude k permutations from the seed.
 _I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-def hypercube_walk_state(bits: np.ndarray, weights: np.ndarray, time: float) -> np.ndarray:
-    """Exact hypercube walk e^{iAt}|z>: a product state, built one qubit at a time.
-
-    bits must already be a validated 0/1 vector; qubit j contributes
-    (cos(w_j t), i sin(w_j t)), with the entries swapped where z_j = 1. Each
-    amplitude is the real product of _hypercube_product times one i per
-    flipped bit, the same numbers the complex product of the factors gives.
-    """
-    size = 1 << len(bits)
-    product = _hypercube_product(bits, weights, time, np.empty(2 * size))
-    flips = np.bitwise_count(np.arange(size) ^ bits_to_index(bits))
-    return _I_POWERS[flips & 3] * product
 
 
 def cbqoa_initial_state(
     family: PermutationFamily, walk: WalkParams, config: CircuitConfig = CircuitConfig()
 ) -> np.ndarray:
     """Walk state e^{iAt}|z> from the family's seed z: exact for hypercube families,
-    trotterized for XY."""
+    trotterized for XY. Either walk gives real amplitudes r (zero where it does not
+    reach), and the amplitude of x is i^k r, k = popcount(x xor z) / len(tau) steps
+    from z."""
+    size = 1 << family.n
     if family.kind == "bit_flip":
-        bits = as_bits(family.seed)
-        return hypercube_walk_state(bits, family.weights(walk.sharpness), walk.time)
-    rows, amps = ctqw_trotter_xy(family, [walk.time], [walk.sharpness], config.trotter_steps)
-    state = np.zeros(1 << family.n, dtype=np.complex128)
-    state[rows] = amps[:, 0]
-    return state
+        weights = family.weights(walk.sharpness)
+        real = _hypercube_product(as_bits(family.seed), weights, walk.time, np.empty(2 * size))
+    else:
+        rows, amps = ctqw_trotter_xy(family, [walk.time], [walk.sharpness], config.trotter_steps)
+        real = np.zeros(size)
+        real[rows] = amps[:, 0]
+    flips = np.bitwise_count(np.arange(size) ^ bits_to_index(family.seed))
+    k = flips // len(family.permutations[0])  # a bit flip changes one bit, a swap two
+    return _I_POWERS[k & 3] * real
 
 
 def _apply_layers(psi: np.ndarray, cost_diagonal: np.ndarray, params: AnsatzParams) -> np.ndarray:

@@ -64,13 +64,19 @@ def sector_walk(
     family: PermutationFamily, states: np.ndarray, sharpness: float, time: float, steps: int
 ) -> np.ndarray:
     """The library's product-formula sweep applied to each column of states, (2^n, k)
-    and zero outside the seed's Hamming-weight sector, as one (sector, k) array."""
+    and zero outside the seed's Hamming-weight sector, as one (2^n, k) array.
+
+    The sweep rotates the real parts r of amplitudes i^j r, j swaps from the seed; it is
+    linear with real coefficients, so each start state is divided by i^j on the way in
+    and the result multiplied by i^j on the way out."""
     rows, plan = _trotter_plan(family)
     assert not np.delete(states, rows, axis=0).any(), "a start state leaves the seed's sector"
-    amps = states[rows].astype(np.complex128)
+    swaps = np.bitwise_count(rows ^ bits_to_index(family.seed)) // 2
+    phase = np.array([1, 1j, -1, -1j])[swaps % 4, None]
+    amps = states[rows] / phase
     _xy_sweep(amps, plan, *_xy_rotations(family, [sharpness], [time], steps), steps)
     out = np.zeros_like(amps, shape=states.shape)
-    out[rows] = amps
+    out[rows] = amps * phase
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -150,6 +151,12 @@ class TestBenchmarkSpec:
         """Unset, the threshold is the problem's first POGS threshold; set, it is kept."""
         assert BenchmarkSpec(problem=problem).ratio_threshold == threshold
         assert BenchmarkSpec(problem=problem, ratio_threshold=0.5).ratio_threshold == 0.5
+
+    def test_settings_at_their_bounds_are_accepted(self):
+        """The closed ends of each range: a screening threshold of 1, one bin, one rounding."""
+        assert BenchmarkSpec(problem="max3sat", ratio_threshold=1.0).ratio_threshold == 1.0
+        config = PipelineConfig(num_bins=1, rounding_trials=1)
+        assert (config.num_bins, config.rounding_trials) == (1, 1)
 
     def test_problem_constructors(self):
         shared = dict(
@@ -308,12 +315,14 @@ class TestRunDepths:
     )
     def test_records_equal_single_depth_runs(self, rng, make, n, config):
         inst = make(rng, n=n)
+        start = time.perf_counter()
         records = bench.run_depths(inst, (0, 1, 2), config)
+        elapsed = time.perf_counter() - start
         assert [r.depth for r in records] == [0, 1, 2]
         for record in records:
             alone = run_pipeline(inst, record.depth, config)
             assert replace(record, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
-            assert record.wall_time_s > 0.0
+            assert 0.0 < record.wall_time_s <= elapsed
 
     def _spied_calls(self, monkeypatch, inst, config, depths):
         spies = {name: Spy(getattr(bench, name))

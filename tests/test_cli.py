@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, determinism, resumability, workers."""
 
 import argparse
+import csv
+import io
 import json
 import multiprocessing
 from dataclasses import replace
@@ -17,7 +19,7 @@ from cbqoa import (
     load_instance,
     save_instance,
 )
-from cbqoa.bench import GenerationStats, random_max3sat, random_max_bisection
+from cbqoa.bench import RESULTS_COLUMNS, GenerationStats, random_max3sat, random_max_bisection
 from cbqoa.cli import (
     EXIT_GUARDED,
     EXIT_INTERNAL,
@@ -534,6 +536,32 @@ class TestCompare:
         table = capsys.readouterr().out
         assert "cbqoa_0" in table
         assert "median_pogs" in table
+
+    def test_json_and_csv_match_the_table(self, tmp_path, capsys):
+        """Over two result files, each format lists the same (algorithm, threshold) rows
+        with the same instance count and median; json and csv keep every digit of it."""
+        pogs = [("cbqoa_3", 0.2), ("classical", 0.125), ("cbqoa_3", 0.6), ("classical", 0.375),
+                ("cbqoa_3", 0.5)]
+        files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for k, path in enumerate(files):
+            rows = [[f"i{j}", "max3sat", 3, algorithm, 0.9, p]
+                    for j, (algorithm, p) in enumerate(pogs) if j % 2 == k]
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([RESULTS_COLUMNS, *rows])
+        outputs = {}
+        for fmt in ("table", "json", "csv"):
+            assert main(["compare", *map(str, files), "--format", fmt]) == EXIT_OK
+            outputs[fmt] = capsys.readouterr().out
+        table = [line.split() for line in outputs["table"].splitlines()[1:]]
+        assert table == [["cbqoa_3", "0.9", "0.5", "3"], ["classical", "0.9", "0.25", "2"]]
+        as_json = json.loads(outputs["json"])
+        as_csv = list(csv.DictReader(io.StringIO(outputs["csv"])))
+        for rows in (as_json, as_csv):
+            assert [
+                [r["algorithm"], r["threshold"], f"{float(r['median_pogs']):.6g}", str(r["instances"])]
+                for r in rows
+            ] == table
+        assert [r["median_pogs"] for r in as_json] == [float(r["median_pogs"]) for r in as_csv]
 
     def test_no_rows_exits_2(self, tmp_path):
         missing = tmp_path / "nope.csv"

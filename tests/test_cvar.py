@@ -28,7 +28,6 @@ from cbqoa.simulate import (
     AnsatzParams,
     _apply_layers,
     cbqoa_initial_state,
-    hypercube_walk_state,
     uniform_feasible_state,
 )
 
@@ -93,6 +92,8 @@ class TestCvarDiscrete:
             cvar_discrete([(1.0, 0.5), (3.0, 0.6)], 0.5)  # sums to 1.1
         with pytest.raises(ValueError):
             cvar_discrete([], 0.5)
+        # A probability of exactly -1e-12 is rounding noise, accepted.
+        assert cvar_discrete([(1.0, 1.0 + 1e-12), (3.0, -1e-12)], 1.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "pairs",
@@ -205,6 +206,18 @@ class TestAdamMinimize:
         cfg = AdamConfig(iterations=80, learning_rate=0.9)
         _, value, trace = one_restart(lambda x: float(abs(x[0])), [3.0], cfg)
         assert value == min(v for *_, v in trace)
+
+    def test_nonpositive_learning_rate_refused(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            AdamConfig(learning_rate=0.0)
+
+    def test_ties_keep_the_incumbent(self):
+        """Improvement is strict beyond 1e-9 relative (absolute below 1): a tie, or a
+        candidate exactly at that margin, does not improve."""
+        for x in (0.0, -2.5, 1e6):
+            assert not cvar._improves(x, x)
+        assert not cvar._improves(-1e-9, 0.0)
+        assert cvar._improves(np.nextafter(-1e-9, -1.0), 0.0)
 
     def test_non_finite_abort(self):
         with pytest.raises(RuntimeError):
@@ -602,7 +615,7 @@ class TestWalkGradient:
         checked = 0
         for _ in range(200):
             point = np.array([rng.uniform(0, np.pi), rng.uniform(-2, 2)]) + stencil
-            states = [hypercube_walk_state(seed, family.weights(s), t) for t, s in point]
+            states = [cbqoa_initial_state(family, WalkParams(t, s)) for t, s in point]
             # On one boundary j the CVaR is smooth; a stencil across a kink is rejected.
             js = {_cvar_boundary(sorted_costs, np.abs(x) ** 2, alpha, order)[1] for x in states}
             if len(js) > 1:
@@ -626,7 +639,7 @@ class TestWalkGradient:
         points[[0, 3], 0] = 0.0
         values, grads = value_and_grad(points, True)
         for (time, sharpness), value in zip(points, values):
-            state = hypercube_walk_state(seed, family.weights(sharpness), time)
+            state = cbqoa_initial_state(family, WalkParams(time, sharpness))
             assert value == _cvar_boundary(sorted_costs, np.abs(state) ** 2, alpha, order)[0]
         assert grads[[0, 3]].tolist() == [[0.0, 0.0]] * 2
         assert np.all(grads[1:3] != 0.0)

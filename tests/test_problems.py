@@ -17,7 +17,10 @@ from cbqoa import (
     load_instance,
     save_instance,
 )
+from cbqoa.errors import CapacityError
 from cbqoa.problems import (
+    MAX_DENSE_VARS,
+    _check_capacity,
     _quality_ratio,
     approx_ratio_beta,
     as_bits,
@@ -134,6 +137,14 @@ class TestFeasibility:
         inst = MaxBisectionInstance(num_vertices=6, edges=((1, 2, 1.0),))
         rows = [bits_to_str(index_to_bits(int(i), 6)) for i in feasible_indices(inst)]
         assert rows == sorted(rows)
+
+
+class TestCapacity:
+    def test_largest_dense_size_is_accepted(self):
+        """Checked before any allocation: MAX_DENSE_VARS passes, one more raises."""
+        _check_capacity(MAX_DENSE_VARS)
+        with pytest.raises(CapacityError, match=f"n <= {MAX_DENSE_VARS}"):
+            _check_capacity(MAX_DENSE_VARS + 1)
 
 
 class TestOptimumAndMean:
@@ -326,6 +337,11 @@ class TestInstanceFormat:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             Max3SatInstance(num_vars=3, clauses=((1, 2, 9, 1.0),))  # label out of range
+        for labels in ((-1, 1, 2), (1, 2, 7)):  # one past each end of [0, 2n]
+            with pytest.raises(ValueError, match="out of range"):
+                Max3SatInstance(num_vars=3, clauses=((*labels, 1.0),))
+        inst = Max3SatInstance(num_vars=3, clauses=((0, 1, 6, 1.0),))  # both ends accepted
+        assert inst.clauses == ((0, 1, 6, 1.0),)
         with pytest.raises(ValueError):
             Max3SatInstance(num_vars=3, clauses=((1, 2, 3, -1.0),))  # negative weight
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from cbqoa import AnsatzParams, WalkParams
 from cbqoa.mixer import PermutationFamily, build_family
 from cbqoa.problems import cost_summary, feasible_indices, ising_diagonal
 from cbqoa.simulate import (
+    CircuitConfig,
     _hypercube_product,
     apply_phase_separator,
     apply_rank1_mixer,
@@ -18,7 +19,6 @@ from cbqoa.simulate import (
     cbqoa_initial_state,
     ctqw_trotter_xy,
     gm_qaoa_ansatz,
-    hypercube_walk_state,
 )
 
 from conftest import (
@@ -60,7 +60,7 @@ def hypercube_walk(weights, z: int, t: float) -> np.ndarray:
 
 def xy_gate(n: int, seed: int, a: int, b: int, phi: float) -> np.ndarray:
     """e^{i phi (X_a X_b + Y_a Y_b)}|seed>: one product-formula step of a one-transposition
-    walk, scattered into the 2^n vector.
+    walk, as the 2^n walk state.
 
     At sharpness 0 the edge weight is 0.5, so time 4 phi gives the angle phi exactly.
     """
@@ -68,10 +68,14 @@ def xy_gate(n: int, seed: int, a: int, b: int, phi: float) -> np.ndarray:
     family = PermutationFamily(
         n=n, permutations=((a, b),), cost_gains=(0.0,), seed=bits
     )
-    rows, amps = ctqw_trotter_xy(family, [4 * phi], [0.0], 1)
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[rows] = amps[:, 0]
-    return state
+    return cbqoa_initial_state(family, WalkParams(4 * phi, 0.0), CircuitConfig(1))
+
+
+def splits_pair(n: int, seed: int, a: int, b: int) -> bool:
+    """Whether the seed's bits at positions a and b differ: only then is (a, b) a
+    transposition that a walk from the seed may take."""
+    bits = index_to_bits(seed, n)
+    return bits[a - 1] != bits[b - 1]
 
 
 class TestBasisAndMeasurement:
@@ -143,10 +147,16 @@ class TestHypercubeWalk:
 
 
 class TestXYGate:
-    """A one-transposition walk from every basis seed: column by column, the gate itself."""
+    """A one-transposition walk from every seed whose two positions carry different bits:
+    column by column, the gate on the sector it mixes. A family whose transposition
+    pairs two equal seed bits is refused."""
 
     def test_zero_angle_identity(self):
         for z in range(8):
+            if not splits_pair(3, z, 1, 3):
+                with pytest.raises(ValueError, match=r"transposition \(1, 3\)"):
+                    xy_gate(3, z, 1, 3, 0.0)
+                continue
             want = basis_state(3, index_to_bits(z, 3))
             np.testing.assert_allclose(xy_gate(3, z, 1, 3, 0.0), want)
 
@@ -163,11 +173,19 @@ class TestXYGate:
             phi = float(rng.uniform(-2, 2))
             U = dense_unitary(np.real(np.kron(X, X) + np.kron(Y, Y)), phi)
             for z in range(4):
+                if not splits_pair(2, z, 1, 2):
+                    with pytest.raises(ValueError, match="transposition"):
+                        xy_gate(2, z, 1, 2, phi)
+                    continue
                 np.testing.assert_allclose(xy_gate(2, z, 1, 2, phi), U[:, z], atol=1e-10)
 
     def test_sector_preservation(self):
         counts = np.bitwise_count(np.arange(16))
         for z in range(16):
+            if not splits_pair(4, z, 2, 4):
+                with pytest.raises(ValueError, match="transposition"):
+                    xy_gate(4, z, 2, 4, 0.8)
+                continue
             out = xy_gate(4, z, 2, 4, 0.8)
             assert not out[counts != counts[z]].any()
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
@@ -240,7 +258,8 @@ class TestWalkKernelIdentity:
             walk = WalkParams(time=float(time), sharpness=float(rng.uniform(-4, 4)))
             weights = family.weights(walk.sharpness)
             want = oracle_walk_state(bits, family, walk, 3)
-            assert np.array_equal(hypercube_walk_state(bits, weights, walk.time), want)
+            state = cbqoa_initial_state(replace(family, seed=tuple(bits.tolist())), walk)
+            assert np.array_equal(state, want)
             product = _hypercube_product(bits, weights, walk.time, np.empty(2 * size))
             assert np.array_equal(product**2, np.abs(want) ** 2)
 
