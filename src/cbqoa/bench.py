@@ -308,7 +308,7 @@ def _classical_seed(
 
 
 def _algorithm_order(problem: str, depth: int) -> list[str]:
-    """Record order: the classical seed algorithm, the bare walk, the two depth-p ansatzes."""
+    """Row order of results.csv: the classical seed algorithm, the bare walk, the two ansatzes."""
     return ["kz" if problem == "max3sat" else "fl", "cbqoa_0", f"cbqoa_{depth}", f"gm_qaoa_{depth}"]
 
 
@@ -318,7 +318,6 @@ class RunRecord:
 
     instance_id: str
     problem: str
-    n: int
     depth: int
     seed_bits: str
     seed_cost: float
@@ -330,22 +329,21 @@ class RunRecord:
     gm_betas: tuple[float, ...]
     gm_gammas: tuple[float, ...]
     pogs: dict[str, dict[str, float]]  # algorithm -> {threshold: value}
-    pogs_boosted: dict[str, dict[str, float]]
-    repetitions: int
     wall_time_s: float
+
+    @property
+    def pogs_boosted(self) -> dict[str, dict[str, float]]:
+        """POGS of the best of default_repetitions(problem) runs, per entry of pogs."""
+        k = default_repetitions(self.problem)
+        return {a: {x: pogs_repeated(p, k) for x, p in per.items()} for a, per in self.pogs.items()}
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        """Inverse of to_dict, also after a JSON round trip: lists become tuples, and
-        the algorithms, which JSON files store sorted, return to record order."""
-        values = {f.name: data[f.name] for f in fields(cls)}
-        order = _algorithm_order(values["problem"], values["depth"])
-        for key in ("pogs", "pogs_boosted"):
-            values[key] = dict(sorted(values[key].items(), key=lambda item: order.index(item[0])))
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+        """Inverse of to_dict, also after a JSON round trip, which turns tuples into lists."""
+        return cls(*(tuple(v) if isinstance(v := data[f.name], list) else v for f in fields(cls)))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -391,7 +389,6 @@ def run_depths(
             raise ValueError(f"depths must be one or more values >= 0, got {list(depths)}")
         start = time.perf_counter()
         thresholds = default_thresholds(instance.kind)
-        reps = default_repetitions(instance.kind)
         summary = cost_summary(instance)
         beta_table = beta_values(instance)
         circuit_cfg = CircuitConfig(trotter_steps=config.trotter_steps)
@@ -447,7 +444,6 @@ def run_depths(
             records.append(RunRecord(
                 instance_id=iid,
                 problem=instance.kind,
-                n=instance.n,
                 depth=depth,
                 seed_bits=bits_to_str(seed_bits),
                 seed_cost=float(costs[best_trial]),
@@ -459,11 +455,6 @@ def run_depths(
                 gm_betas=layers["gm_qaoa"].betas,
                 gm_gammas=layers["gm_qaoa"].gammas,
                 pogs=pogs,
-                pogs_boosted={
-                    algorithm: {key: pogs_repeated(value, reps) for key, value in per.items()}
-                    for algorithm, per in pogs.items()
-                },
-                repetitions=reps,
                 wall_time_s=shared_s + time.perf_counter() - depth_start,
             ))
         return records
@@ -482,7 +473,7 @@ RESULTS_COLUMNS = ["instance_id", "problem", "depth", "algorithm", "threshold", 
 def export_results(records: list[RunRecord], out_dir, manifest_extra: dict | None = None) -> dict:
     """Write results.csv (one row per instance/algorithm/threshold) and manifest.json.
 
-    Rows are sorted by (instance_id, depth) with algorithms in recorded order;
+    Rows are sorted by (instance_id, depth) with algorithms in _algorithm_order;
     the manifest carries the full records so an export can be re-imported
     losslessly.
     """
@@ -495,8 +486,8 @@ def export_results(records: list[RunRecord], out_dir, manifest_extra: dict | Non
     writer = csv.writer(rows)
     writer.writerow(RESULTS_COLUMNS)
     for record in ordered:
-        for algorithm, per in record.pogs.items():
-            for key, value in per.items():
+        for algorithm in dict.fromkeys(_algorithm_order(record.problem, record.depth)):
+            for key, value in record.pogs[algorithm].items():
                 writer.writerow(
                     [record.instance_id, record.problem, record.depth, algorithm, key, repr(value)]
                 )

@@ -219,7 +219,10 @@ def cmd_compare(args) -> int:
         path = Path(results)
         csv_path = path / "results.csv" if path.is_dir() else path
         with open(csv_path, encoding="utf-8", newline="") as fh:
-            rows.extend(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            if missing := [c for c in bench.RESULTS_COLUMNS if c not in (reader.fieldnames or ())]:
+                raise ValueError(f"{csv_path} has no {', '.join(missing)} column(s)")
+            rows.extend(reader)
     if not rows:
         raise ValueError("no result rows found")
     grouped: dict[tuple[str, str], list[float]] = {}

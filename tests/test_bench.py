@@ -5,6 +5,7 @@ import math
 import os
 import time
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,13 +248,17 @@ class TestRunPipeline:
         ) == (json.loads(b.to_json()) | {"wall_time_s": 0})
 
     def test_boosted_values_consistent(self, rng):
-        inst = small_bisection(rng, n=6)
-        record = run_pipeline(inst, 0, FAST_PIPELINE)
-        assert record.repetitions == default_repetitions(record.problem)
-        for algorithm, per in record.pogs.items():
-            for key, value in per.items():
-                boosted = record.pogs_boosted[algorithm][key]
-                assert boosted == pytest.approx(pogs_repeated(value, record.repetitions))
+        """Boosted POGS is derived from pogs on read, as the best of the problem's k runs;
+        the record stores neither it, its k nor the instance size."""
+        for make, reps in ((small_bisection, 5), (small_3sat, 10)):
+            record = run_pipeline(make(rng, n=6), 0, FAST_PIPELINE)
+            assert default_repetitions(record.problem) == reps
+            assert record.pogs_boosted.keys() == record.pogs.keys()
+            for algorithm, per in record.pogs.items():
+                assert record.pogs_boosted[algorithm].keys() == per.keys()
+                for key, value in per.items():
+                    assert record.pogs_boosted[algorithm][key] == pogs_repeated(value, reps)
+            assert not {"pogs_boosted", "repetitions", "n"} & record.to_dict().keys()
 
     @pytest.mark.parametrize("make, n", [(small_bisection, 8), (small_3sat, 6)])
     def test_record_matches_sequential_walk_oracle(self, rng, monkeypatch, make, n):
@@ -323,6 +328,24 @@ class TestRunDepths:
             alone = run_pipeline(inst, record.depth, config)
             assert replace(record, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
             assert 0.0 < record.wall_time_s <= elapsed
+
+    def test_wall_time_is_the_shared_stages_plus_its_depth(self, rng, monkeypatch):
+        """On a clock that only the tuners move, walk tuning (100) counts in every
+        record and each depth's two layer tunings (1 each) in its own record only."""
+        clock = SimpleNamespace(now=0.0)
+        clock.perf_counter = lambda: clock.now
+
+        def advancing(func, step):
+            def call(*args, **kwargs):
+                clock.now += step
+                return func(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(bench, "time", clock)
+        monkeypatch.setattr(bench, "tune_walk_params", advancing(bench.tune_walk_params, 100.0))
+        monkeypatch.setattr(bench, "tune_ansatz_params", advancing(bench.tune_ansatz_params, 1.0))
+        records = bench.run_depths(small_bisection(rng, n=8), (0, 1, 2), ONE_ROUNDING)
+        assert [r.wall_time_s for r in records] == [100.0, 102.0, 102.0]
 
     def _spied_calls(self, monkeypatch, inst, config, depths):
         spies = {name: Spy(getattr(bench, name))

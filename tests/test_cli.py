@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import multiprocessing
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,13 @@ from cbqoa import (
     load_instance,
     save_instance,
 )
-from cbqoa.bench import RESULTS_COLUMNS, GenerationStats, random_max3sat, random_max_bisection
+from cbqoa.bench import (
+    RESULTS_COLUMNS,
+    GenerationStats,
+    default_repetitions,
+    random_max3sat,
+    random_max_bisection,
+)
 from cbqoa.cli import (
     EXIT_GUARDED,
     EXIT_INTERNAL,
@@ -300,6 +307,35 @@ class TestBench:
             p.name for p in (out / "records").glob("*.json")
         )
 
+    def test_records_of_the_previous_format_are_reused(self, tmp_path, monkeypatch):
+        """A record that still stores n, pogs_boosted and repetitions, as records did
+        before pogs_boosted was derived on read, is reused without running its job, and
+        the export is in the current format, with the results.csv of a fresh run."""
+        import cbqoa.bench as bench_mod
+
+        instances = make_instances(tmp_path, count=1)
+        args = ["bench", str(instances), "--depth", "0"] + PIPELINE_FLAGS
+        fresh = tmp_path / "fresh"
+        assert main(args + ["--out", str(fresh)]) == EXIT_OK
+        (record_path,) = (fresh / "records").glob("*_p0.json")
+        record = RunRecord.from_json(record_path.read_text())
+        previous = record.to_dict() | {
+            "n": len(record.seed_bits),
+            "pogs_boosted": record.pogs_boosted,
+            "repetitions": default_repetitions(record.problem),
+        }
+        out = tmp_path / "previous"
+        (out / "records").mkdir(parents=True)
+        shutil.copy(fresh / "records/config.json", out / "records/config.json")
+        (out / "records" / record_path.name).write_text(json.dumps(previous, sort_keys=True))
+        calls = []
+        monkeypatch.setattr(bench_mod, "run_depths", lambda *a, **kw: calls.append(a))
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert calls == []
+        assert (out / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == json.loads((fresh / "manifest.json").read_text())
+
     def test_records_written_as_jobs_finish(self, tmp_path, monkeypatch):
         """A job that fails keeps the records finished before it; a rerun completes them."""
         import cbqoa.bench as bench_mod
@@ -562,6 +598,22 @@ class TestCompare:
                 for r in rows
             ] == table
         assert [r["median_pogs"] for r in as_json] == [float(r["median_pogs"]) for r in as_csv]
+
+    @pytest.mark.parametrize("text, missing", [
+        ("a,b\n1,2\n", ", ".join(RESULTS_COLUMNS)),
+        ("", ", ".join(RESULTS_COLUMNS)),
+        ("instance_id,problem,depth,algorithm,threshold\ni,max3sat,3,kz,0.7\n", "pogs"),
+    ], ids=["other-columns", "empty", "no-pogs"])
+    def test_file_without_the_result_columns_exits_2(self, tmp_path, capsys, text, missing):
+        """A file that is not a results.csv is a validation error naming it and the
+        columns it lacks, not a traceback."""
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(",".join(RESULTS_COLUMNS) + "\ni,max3sat,3,kz,0.7,0.5\n", encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
+        assert main(["compare", str(good), str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {bad} has no {missing} column(s)" in err
+        assert "Traceback" not in err
 
     def test_no_rows_exits_2(self, tmp_path):
         missing = tmp_path / "nope.csv"
