@@ -129,8 +129,8 @@ def _cvar_boundary(
 # ---------------------------------------------------------------------------
 # ADAM on (value, gradient) calls, all restarts in lockstep
 
-# Maps (points, with_grad) to their values and, if with_grad, their (rows, dim) gradients.
-ValueAndGrad = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
+# Maps (rows, dim) points to their values and their (rows, dim) gradients.
+ValueAndGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _improves(candidate, incumbent):
@@ -142,9 +142,7 @@ def _central_differences(objective: Callable[[np.ndarray], np.ndarray]) -> Value
     """Values and central differences from one batch objective call on the points,
     then each coordinate's +h and -h probes."""
 
-    def value_and_grad(points: np.ndarray, with_grad: bool):
-        if not with_grad:
-            return objective(points), None
+    def value_and_grad(points: np.ndarray):
         rows, dim = points.shape
         probes = np.repeat(points[None], 2 * dim, axis=0)
         for i in range(dim):
@@ -164,9 +162,9 @@ def _adam_lockstep(
 
     Each step makes one (value, gradient) call on the restarts whose point's float64
     bits changed since their last call (0.0 to -0.0 counts), and none if no point did;
-    the last asks for values alone. A restart that did not move, such as a stationary
-    all-zero start, keeps its value and gradient. The arithmetic per restart is that of
-    a sequential run. Returns the best point over all restarts (an earlier restart wins
+    the last step's gradients go unused. A restart that did not move, such as a
+    stationary all-zero start, keeps its value and gradient. Per restart, the arithmetic
+    is a sequential run's. Returns the best point of all restarts (an earlier one wins
     ties), its value, and the (restart, iteration, value) trace in restart-major order.
     """
     params = np.array(inits, dtype=np.float64)
@@ -177,8 +175,7 @@ def _adam_lockstep(
     best_params = params.copy()
     for t in range(cfg.iterations + 1):
         if moved.any():
-            value[moved], fresh = value_and_grad(params[moved], t < cfg.iterations)
-            grad[moved] = 0.0 if fresh is None else fresh
+            value[moved], grad[moved] = value_and_grad(params[moved])
         if not np.isfinite(value).all():
             raise RuntimeError(f"objective not finite at iteration {t}, params {params}")
         values[t] = value
@@ -222,16 +219,14 @@ def _hypercube_objective(
     gains = np.asarray(family.cost_gains, dtype=np.float64)
     tape, adj = np.empty(2 * order.size), np.empty(2 * order.size)
 
-    def value_and_grad(points: np.ndarray, with_grad: bool):
+    def value_and_grad(points: np.ndarray):
         values = np.empty(len(points))
-        grads = np.empty_like(points) if with_grad else None
+        grads = np.empty_like(points)
         for k, (time, sharpness) in enumerate(points):
             weights = family.weights(sharpness)
             product = _hypercube_product(bits, weights, time, tape)
             lam = np.square(product, out=adj[order.size :])  # the probabilities, until lam
             values[k], j = _cvar_boundary(sorted_costs, lam, alpha, order)
-            if not with_grad:
-                continue
             # dF/dR = 2 g R with g_k = (c_k - c_j) / alpha below the boundary j and 0 from
             # j on. In index order that g is min(c - c_j, 0) / alpha: the costs below j
             # are <= c_j, those from j on >= c_j. The factor 2 / alpha is applied to da.
@@ -296,7 +291,7 @@ def _layer_objective(base: np.ndarray, costs: np.ndarray, depth: int, alpha: flo
     """CVaR of the binned output of (betas, gammas) rows and its exact gradient: one
     forward pass, and one adjoint pass of the CVaR's gradient over the probabilities."""
 
-    def value_and_grad(points: np.ndarray, with_grad: bool):
+    def value_and_grad(points: np.ndarray):
         coeffs, tape = _evolve_rows(base, costs, points[:, :depth], points[:, depth:])
         probs = np.abs(coeffs) ** 2
         values = np.empty(len(points))
@@ -305,8 +300,6 @@ def _layer_objective(base: np.ndarray, costs: np.ndarray, depth: int, alpha: flo
             values[k], j = _cvar_boundary(costs, row, alpha)
             # lam = 2 g x, g_k = (c_k - c_j) / alpha below the boundary bin j, 0 from j on.
             lam[k, :j] = 2 * (costs[:j] - costs[j]) / alpha * x[:j]
-        if not with_grad:
-            return values, None
         return values, np.hstack(_evolve_rows_adjoint(base, costs, tape, lam))
 
     return value_and_grad

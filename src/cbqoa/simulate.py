@@ -136,7 +136,7 @@ def apply_rank1_mixer(state: np.ndarray, psi: np.ndarray, beta: float) -> np.nda
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"psi must be normalized, got norm {norm}")
-    overlap = np.vdot(psi, state)
+    overlap = np.sum(np.conj(psi) * state)  # not np.vdot: BLAS may split its sum by thread count
     return state + (np.exp(-1j * beta) - 1.0) * overlap * psi
 
 

@@ -425,7 +425,7 @@ def oracle_tune_walk_params(
         value_and_grad = _hypercube_objective(bits, family, summary.diagonal, cvar_cfg.alpha)
 
         def gradient(x: np.ndarray) -> np.ndarray:
-            return value_and_grad(x[None], True)[1][0]
+            return value_and_grad(x[None])[1][0]
 
     rng = np.random.default_rng(adam_cfg.rng_seed)
     inits = [np.zeros(2)]

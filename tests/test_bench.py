@@ -3,8 +3,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbqoa
 from cbqoa import (
     AdamConfig,
     BenchmarkSpec,
@@ -367,6 +371,39 @@ class TestRunDepths:
         inst = small_bisection(rng, n=6)
         with pytest.raises(ValueError, match=f"pipeline failed for instance {instance_id(inst)}"):
             bench.run_depths(inst, depths, FAST_PIPELINE)
+
+
+# One n=16 Max 3SAT pipeline at depth 2, printed without its timing. The BLAS thread
+# count is read when numpy loads, so each thread count needs its own interpreter.
+THREADED_RUN = """
+import json
+import numpy as np
+from cbqoa.bench import random_max3sat, run_pipeline
+
+record = run_pipeline(random_max3sat(np.random.default_rng(11), 16, 200), 2).to_dict()
+record.pop("wall_time_s")
+print(json.dumps(record, sort_keys=True))
+"""
+
+
+def test_records_do_not_depend_on_the_blas_thread_count():
+    """BLAS may split a long reduction across its threads and so sum it in another
+    order; at n = 16 the vectors are long enough for that. With 1 and 2 threads the
+    record is the same, byte for byte (on a machine with at least 2 CPUs, where
+    OpenBLAS runs 2 threads)."""
+    src = str(Path(cbqoa.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path}
+        env.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"], threads))
+        result = subprocess.run(
+            [sys.executable, "-c", THREADED_RUN],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestExportResults:

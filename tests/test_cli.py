@@ -51,6 +51,8 @@ def make_instances(tmp_path, count=2, n=6):
 
 
 PIPELINE_FLAGS = ["--trials", "300", "--bins", "60", "--seed", "9"]
+# The seed step's flags, which seed, solve and bench all take.
+SEED_FLAGS = ["--trials", "--seed-trials", "--seed"]
 
 
 class TestFlagDefaults:
@@ -71,9 +73,9 @@ class TestFlagDefaults:
         "command, flags",
         [
             ("gen", ["--cutoff", "--trials", "--seed"]),
-            ("seed", ["--trials", "--seed"]),
-            ("solve", ["--alpha", "--trotter-steps", "--bins", "--trials", "--seed"]),
-            ("bench", ["--alpha", "--trotter-steps", "--bins", "--trials", "--seed"]),
+            ("seed", SEED_FLAGS),
+            ("solve", ["--alpha", "--trotter-steps", "--bins", *SEED_FLAGS]),
+            ("bench", ["--alpha", "--trotter-steps", "--bins", *SEED_FLAGS]),
         ],
     )
     def test_dataclass_flags_default_to_none(self, command, flags):
@@ -179,18 +181,26 @@ class TestSeed:
         assert set(payload) == {"instance_id", "seed", "cost", "beta"}
         assert sum(int(c) for c in payload["seed"]) == 3
 
-    @pytest.mark.parametrize("kind", ["max3sat", "max_bisection"])
-    def test_reports_the_seed_solve_walks_from(self, tmp_path, capsys, kind):
-        """seed and solve with the same --trials and --seed agree on the seed's bits, cost
-        and beta: both take the pipeline's seed step, its rngs and its seed_trials."""
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize(
+        "kind, rng_seed, flags",
+        [
+            ("max3sat", 21, ["--trials", "50", "--seed", "2"]),
+            ("max_bisection", 21, ["--trials", "50", "--seed", "2"]),
+            ("max_bisection", 3, ["--trials", "200", "--seed", "5", "--seed-trials", "1"]),
+        ],
+        ids=["max3sat", "max_bisection", "one-seed-trial"],
+    )
+    def test_reports_the_seed_solve_walks_from(self, tmp_path, capsys, kind, rng_seed, flags):
+        """seed and solve with the same --trials, --seed-trials and --seed agree on the
+        seed's bits, cost and beta: both take the pipeline's seed step, its rngs and its
+        seed_trials. With one seed trial that seed is the first rounding, not the best."""
+        rng = np.random.default_rng(rng_seed)
         if kind == "max3sat":
             inst = random_max3sat(rng, num_vars=10, num_clauses=40)
         else:
             inst = random_max_bisection(rng, num_vertices=10)
         path, record_path = tmp_path / "inst.json", tmp_path / "record.json"
         save_instance(inst, path)
-        flags = ["--trials", "50", "--seed", "2"]
         assert main(["seed", str(path), *flags]) == EXIT_OK
         seed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         args = ["solve", str(path), "--depth", "0", "--out", str(record_path), *flags]
@@ -613,6 +623,23 @@ class TestCompare:
         assert main(["compare", str(good), str(bad)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"error: {bad} has no {missing} column(s)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("i,max3sat,3,kz,0.7", "a row of 6 cells expected"),
+        ("i,max3sat,3,kz,0.7,0.5,9", "a row of 6 cells expected"),
+        ("i,max3sat,3,kz,0.7,abc", "could not convert string to float: 'abc'"),
+    ], ids=["short", "long", "not-a-number"])
+    def test_malformed_row_exits_2(self, tmp_path, capsys, row, message):
+        """A row with too few or too many cells, or a pogs that is not a number, is a
+        validation error naming the file and the line (3, after a good row), not a
+        traceback."""
+        path = tmp_path / "bad.csv"
+        lines = [",".join(RESULTS_COLUMNS), "i,max3sat,3,kz,0.7,0.5", row]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["compare", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {path}:3: {message}" in err
         assert "Traceback" not in err
 
     def test_no_rows_exits_2(self, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cbqoa import AdamConfig, CvarConfig, Max3SatInstance, WalkParams, cvar
 from cbqoa.cvar import (
@@ -236,9 +237,9 @@ def _even(x: np.ndarray) -> float:
 def counting(value_and_grad, rows: list):
     """value_and_grad that appends the number of points of each call to rows."""
 
-    def counted(points, with_grad):
+    def counted(points):
         rows.append(len(points))
-        return value_and_grad(points, with_grad)
+        return value_and_grad(points)
 
     return counted
 
@@ -288,7 +289,7 @@ class TestLockstepAdam:
             return np.array([_bumpy(x) for x in points])
 
         _adam_lockstep(_central_differences(objective), np.zeros((4, 2)), AdamConfig(iterations=7))
-        assert rows == [4 * 5] * 7 + [4]
+        assert rows == [4 * 5] * 8
 
     @pytest.mark.parametrize("cfg", [AdamConfig(iterations=40), AdamConfig(iterations=0)])
     def test_stationary_restart_is_evaluated_once(self, rng, cfg):
@@ -310,8 +311,8 @@ class TestLockstepAdam:
         and the first restart wins the ties."""
         rows = []
 
-        def value_and_grad(points, with_grad):
-            return np.full(len(points), 2.5), np.zeros_like(points) if with_grad else None
+        def value_and_grad(points):
+            return np.full(len(points), 2.5), np.zeros_like(points)
 
         inits = np.array([[0.0, 0.0], [0.3, -1.0], [1.2, 0.4]])
         cfg = AdamConfig(iterations=6)
@@ -334,28 +335,44 @@ class TestLockstepAdam:
             )
 
     def test_nan_value_raises_on_the_analytic_path(self):
-        def value_and_grad(points, with_grad):
-            return np.full(len(points), np.nan), np.zeros_like(points) if with_grad else None
+        def value_and_grad(points):
+            return np.full(len(points), np.nan), np.zeros_like(points)
 
         with pytest.raises(RuntimeError, match="objective not finite"):
             _adam_lockstep(value_and_grad, np.zeros((2, 3)), AdamConfig(iterations=5))
 
     def test_nan_gradient_raises_on_the_analytic_path(self):
-        def value_and_grad(points, with_grad):
-            return np.sum(points**2, axis=1), np.full_like(points, np.nan) if with_grad else None
+        """The message names the iteration that gradient would have made."""
 
-        with pytest.raises(RuntimeError, match="non-finite gradient"):
+        def value_and_grad(points):
+            return np.sum(points**2, axis=1), np.full_like(points, np.nan)
+
+        with pytest.raises(RuntimeError, match="non-finite gradient at iteration 1,"):
             _adam_lockstep(value_and_grad, np.zeros((2, 3)), AdamConfig(iterations=5))
 
-    def test_last_step_asks_for_values_only(self):
-        calls = []
+    def test_last_gradient_is_never_applied(self):
+        """The last call's gradient is computed and dropped: a NaN there raises nothing
+        and leaves the params, value and trace of a run whose last gradient is finite."""
+        cfg = AdamConfig(iterations=4)
+        inits = np.array([[1.0, -0.5], [0.3, 2.0], [-1.2, 0.7]])
 
-        def value_and_grad(points, with_grad):
-            calls.append(with_grad)
-            return np.sum(points**2, axis=1), 2 * points if with_grad else None
+        def run(last_grad):
+            calls = []
 
-        _adam_lockstep(value_and_grad, np.ones((3, 2)), AdamConfig(iterations=4))
-        assert calls == [True] * 4 + [False]
+            def value_and_grad(points):
+                calls.append(len(points))
+                last = len(calls) == cfg.iterations + 1
+                grads = np.full_like(points, last_grad) if last else 2 * points
+                return np.sum(points**2, axis=1), grads
+
+            return _adam_lockstep(value_and_grad, inits, cfg), calls
+
+        (params, value, trace), calls = run(np.nan)
+        (want_params, want_value, want_trace), want_calls = run(1.0)
+        assert calls == want_calls == [3] * (cfg.iterations + 1)
+        assert np.array_equal(params, want_params)
+        assert value == want_value
+        assert trace == want_trace
 
 
 class TestTuneWalkParams:
@@ -434,7 +451,7 @@ class TestTuneWalkParams:
         monkeypatch.setattr(cvar, "ctqw_trotter_xy", counted)
         inst = small_bisection(rng, n=6)
         tune_walk_params(inst, build_family(inst, "010011"), adam_cfg=AdamConfig(iterations=20))
-        assert batches == [4 * 5] + [3 * 5] * 19 + [3]
+        assert batches == [4 * 5] + [3 * 5] * 20
 
     def test_grid_search_finds_nothing_much_better(self, rng):
         """Coarse sweep over the search box as an independent check."""
@@ -581,8 +598,8 @@ class TestLayerGradient:
             # On one boundary bin the CVaR is smooth; a stencil across a kink is rejected.
             if len({_cvar_boundary(costs, np.abs(row) ** 2, alpha)[1] for row in coeffs}) > 1:
                 continue
-            grad = value_and_grad(point[:1], True)[1][0]
-            up, down = value_and_grad(point[1:], False)[0].reshape(2, -1)
+            grad = value_and_grad(point[:1])[1][0]
+            up, down = value_and_grad(point[1:])[0].reshape(2, -1)
             want = (up - down) / (2 * h)
             assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
             checked += 1
@@ -620,8 +637,8 @@ class TestWalkGradient:
             js = {_cvar_boundary(sorted_costs, np.abs(x) ** 2, alpha, order)[1] for x in states}
             if len(js) > 1:
                 continue
-            grad = value_and_grad(point[:1], True)[1][0]
-            up, down = value_and_grad(point[1:], False)[0].reshape(2, -1)
+            grad = value_and_grad(point[:1])[1][0]
+            up, down = value_and_grad(point[1:])[0].reshape(2, -1)
             want = (up - down) / (2 * h)
             assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
             checked += 1
@@ -637,7 +654,7 @@ class TestWalkGradient:
         seed, family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
         points = np.column_stack([rng.uniform(0, np.pi, 8), rng.uniform(-2, 2, 8)])
         points[[0, 3], 0] = 0.0
-        values, grads = value_and_grad(points, True)
+        values, grads = value_and_grad(points)
         for (time, sharpness), value in zip(points, values):
             state = cbqoa_initial_state(family, WalkParams(time, sharpness))
             assert value == _cvar_boundary(sorted_costs, np.abs(state) ** 2, alpha, order)[0]
@@ -647,14 +664,13 @@ class TestWalkGradient:
 
 def assert_batch_independent(value_and_grad, points: np.ndarray):
     """Each row's value and gradient in the batch equal, bit for bit, those of every
-    sub-batch holding it, from a single row up; so do values asked for alone."""
-    values, grads = value_and_grad(points, True)
+    sub-batch holding it, from a single row up."""
+    values, grads = value_and_grad(points)
     for size in range(1, len(points)):
         for rows in map(list, itertools.combinations(range(len(points)), size)):
-            sub_values, sub_grads = value_and_grad(points[rows], True)
+            sub_values, sub_grads = value_and_grad(points[rows])
             assert sub_values.tobytes() == values[rows].tobytes()
             assert sub_grads.tobytes() == grads[rows].tobytes()
-            assert value_and_grad(points[rows], False)[0].tobytes() == values[rows].tobytes()
 
 
 def four_points(rng, low, high, zero_first: bool) -> np.ndarray:
@@ -725,3 +741,48 @@ class TestBatchIndependence:
         )
         box = np.full(2 * depth, np.pi)
         assert_batch_independent(value_and_grad, four_points(rng, -box, box, zero_first))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["hypercube", "xy", "layers"]),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.5, 1.0, 0.37]),
+    )
+    def test_drawn_points(self, data, kind, seed, alpha):
+        """Points that Hypothesis draws, not uniform ones: repeated rows, signed zeros,
+        subnormal and box-edge coordinates, one to four rows, on a drawn instance size
+        (and depth and bin count) of each of the three objectives."""
+        rng = np.random.default_rng(seed)
+        if kind == "xy":
+            n = 2 * data.draw(st.integers(2, 4), label="half")
+            inst = small_bisection(rng, n=n)
+            bits = rng.permutation(np.arange(n) % 2)
+            steps = data.draw(st.integers(1, 3), label="steps")
+            value_and_grad = _xy_objective(
+                build_family(inst, bits), cost_summary(inst).diagonal, alpha, steps
+            )
+            dim = 2
+        elif kind == "hypercube":
+            n = data.draw(st.integers(3, 8), label="n")
+            inst = small_3sat(rng, n=n, num_clauses=4 * n)
+            bits = rng.integers(0, 2, n)
+            value_and_grad = _hypercube_objective(
+                bits, build_family(inst, bits), cost_summary(inst).diagonal, alpha
+            )
+            dim = 2
+        else:
+            n = data.draw(st.integers(3, 8), label="n")
+            summary = cost_summary(small_3sat(rng, n=n, num_clauses=4 * n))
+            depth = data.draw(st.integers(1, 3), label="depth")
+            binning = bin_costs(
+                summary.diagonal, summary.feasible, data.draw(st.integers(1, 300), label="bins")
+            )
+            psi = random_feasible_state(rng, summary.diagonal.size, summary.feasible)
+            value_and_grad = _layer_objective(
+                eta_from_state(psi, binning), binning.bin_costs, depth, alpha
+            )
+            dim = 2 * depth
+        shape = st.tuples(st.integers(1, 4), st.just(dim))
+        points = data.draw(arrays(np.float64, shape, elements=st.floats(-4.0, 4.0)), label="points")
+        assert_batch_independent(value_and_grad, points)

@@ -143,7 +143,7 @@ def test_gate_fails_for_a_tuner_that_returns_its_first_restart(walked, monkeypat
     """A broken tuner that keeps the all-zero first restart fails the margin check."""
 
     def first_restart(value_and_grad, inits, cfg):
-        return inits[0], float(value_and_grad(inits[:1], False)[0][0]), []
+        return inits[0], float(value_and_grad(inits[:1])[0][0]), []
 
     monkeypatch.setattr(cvar, "_adam_lockstep", first_restart)
     assert len(margin_failures(gate_rows(walked))) == len(walked) * len(DEPTHS)

@@ -21,7 +21,7 @@ PERFBENCH = ROOT / "perfbench"
 MAX_PUBLIC_NAMES = 20
 # Lines of src/cbqoa/*.py as `wc -l` counts them. A change that grows src/ past
 # this raises it and states by how much and why.
-MAX_SRC_LINES = 2352
+MAX_SRC_LINES = 2351
 
 
 def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):

@@ -71,7 +71,7 @@ def test_gate_fails_for_a_tuner_that_returns_its_first_restart(
     """A broken tuner that keeps the (0, 0) first restart fails on every instance."""
 
     def first_restart(value_and_grad, inits, cfg):
-        return inits[0], float(value_and_grad(inits[:1], False)[0][0]), []
+        return inits[0], float(value_and_grad(inits[:1])[0][0]), []
 
     monkeypatch.setattr(cvar, "_adam_lockstep", first_restart)
     instances = hard_max3sat_instances[1]
