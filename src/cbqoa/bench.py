@@ -146,8 +146,8 @@ class BenchmarkSpec:
             object.__setattr__(self, "ratio_threshold", default_thresholds(self.problem)[0])
         if not 0 < self.pogs_cutoff < 1:
             raise ValueError("pogs_cutoff must be in (0, 1)")
-        if self.ratio_threshold > 1:
-            raise ValueError("ratio_threshold must be <= 1")
+        if not -np.inf < self.ratio_threshold <= 1:  # NaN fails both comparisons
+            raise ValueError("ratio_threshold must be finite and <= 1")
         if self.count < 1 or self.rounding_trials < 1:
             raise ValueError("count and rounding_trials must be >= 1")
         if self.num_vars < 3 or self.num_clauses < 1:

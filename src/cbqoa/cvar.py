@@ -209,11 +209,12 @@ def _adam_lockstep(
 
 
 def _hypercube_objective(
-    bits: np.ndarray, family: PermutationFamily, costs: np.ndarray, alpha: float
+    family: PermutationFamily, costs: np.ndarray, alpha: float
 ) -> ValueAndGrad:
     """CVaR of the squared hypercube walk product at (time, sharpness) rows, and its exact
     gradient: per row, one forward product on the tape and one adjoint pass back through
     it. The two 2^(n+1) buffers are reused by every row."""
+    bits = as_bits(family.seed)
     order = np.argsort(costs, kind="stable")
     sorted_costs = costs[order]
     gains = np.asarray(family.cost_gains, dtype=np.float64)
@@ -273,14 +274,13 @@ def tune_walk_params(
     exact (_hypercube_objective); a transposition walk's is central differences
     (_xy_objective).
     """
-    bits = as_bits(family.seed, instance.n)
-    if not is_feasible(instance, bits):
+    if not is_feasible(instance, family.seed):
         raise ValueError("walk seed must be feasible")
     diagonal, alpha = cost_summary(instance).diagonal, cvar_cfg.alpha
     if family.kind == "transposition":
         value_and_grad = _xy_objective(family, diagonal, alpha, circuit_cfg.trotter_steps)
     else:
-        value_and_grad = _hypercube_objective(bits, family, diagonal, alpha)
+        value_and_grad = _hypercube_objective(family, diagonal, alpha)
     rng = np.random.default_rng(adam_cfg.rng_seed)
     draws = [(rng.uniform(0, np.pi), rng.uniform(-2, 2)) for _ in range(adam_cfg.restarts - 1)]
     best, _, trace = _adam_lockstep(value_and_grad, np.array([(0.0, 0.0), *draws]), adam_cfg)

@@ -10,26 +10,10 @@ drift toward better neighbors for positive sharpness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary, is_feasible
-
-
-def permute_indices(tau: tuple[int, ...], indices: np.ndarray, n: int) -> np.ndarray:
-    """Image of basis indices under a local permutation (vectorized): a flip of bit i
-    for tau = (i,), a swap of bits a and b for tau = (a, b), 1-based positions."""
-    if not all(1 <= i <= n for i in tau):
-        raise ValueError(f"permutation positions {tau} out of range 1..{n}")
-    if len(tau) == 1:
-        (i,) = tau
-        return indices ^ (1 << (n - i))
-    a, b = tau
-    place_a = 1 << (n - a)
-    place_b = 1 << (n - b)
-    bit_a = (indices & place_a) != 0
-    bit_b = (indices & place_b) != 0
-    return np.where(bit_a == bit_b, indices, indices ^ (place_a | place_b))
 
 
 @dataclass(frozen=True)
@@ -59,11 +43,18 @@ class PermutationFamily:
             raise ValueError("one cost gain per permutation required")
         if len(self.seed) != self.n or not set(self.seed) <= {0, 1}:
             raise ValueError(f"seed must be {self.n} bits, each 0 or 1")
+        if not all(1 <= i <= self.n for tau in self.permutations for i in tau):
+            raise ValueError(f"permutation positions out of range 1..{self.n}")
 
     @property
     def kind(self) -> str:
         pairs = self.permutations and len(self.permutations[0]) == 2
         return "transposition" if pairs else "bit_flip"
+
+    @property
+    def masks(self) -> np.ndarray:
+        """Per permutation, the bits it flips: the OR of 1 << (n - i) over its positions i."""
+        return np.array([sum(1 << (self.n - i) for i in tau) for tau in self.permutations])
 
     def weights(self, sharpness: float) -> np.ndarray:
         return sigmoid_weight(np.asarray(self.cost_gains, dtype=np.float64), sharpness)
@@ -104,11 +95,7 @@ def build_family(instance: ProblemInstance, z) -> PermutationFamily:
             for k in range(half)
             for i in range(half)
         ]
-    seed = np.array([bits_to_index(bits)], dtype=np.int64)
-    images = np.concatenate([permute_indices(tau, seed, n) for tau in perms])
-    diagonal = cost_summary(instance).diagonal
-    gains = tuple((diagonal[seed[0]] - diagonal[images]).tolist())
-    return PermutationFamily(
-        n=n, permutations=tuple(perms), cost_gains=gains, seed=tuple(int(b) for b in bits)
-    )
-
+    family = PermutationFamily(n, tuple(perms), (0.0,) * len(perms), tuple(bits.tolist()))
+    seed, diagonal = bits_to_index(bits), cost_summary(instance).diagonal
+    gains = diagonal[seed] - diagonal[seed ^ family.masks]  # a swap of two unequal bits flips both
+    return replace(family, cost_gains=tuple(gains.tolist()))

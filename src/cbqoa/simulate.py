@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mixer import PermutationFamily, WalkParams, build_family, permute_indices, sigmoid_weight
+from .mixer import PermutationFamily, WalkParams, build_family, sigmoid_weight
 from .problems import ProblemInstance, as_bits, bits_to_index, cost_summary
 
 @dataclass(frozen=True)
@@ -83,20 +83,17 @@ def _xy_sweep(amps: np.ndarray, plan, cos2: np.ndarray, sin2: np.ndarray, steps:
 @lru_cache(maxsize=8)
 def _trotter_plan(family: PermutationFamily) -> tuple[np.ndarray, tuple]:
     """The seed's Hamming-weight sector, which every XY gate preserves, and per
-    transposition its (pair, gain index): the sector rows where the seed-support
-    position is cleared and the complement position set, stacked over their partners."""
-    n = family.n
+    transposition its (pair, gain index): the sector rows whose bits differ from the
+    seed's at both of its positions, stacked over their partners, those rows xor its mask."""
+    n, seed = family.n, bits_to_index(family.seed)
     rows = np.arange(1 << n, dtype=np.int64)
     rows = rows[np.bitwise_count(rows) == sum(family.seed)]
     plan = []
-    for idx, tau in enumerate(family.permutations):
-        a, b = tau
-        if family.seed[a - 1] == family.seed[b - 1]:
+    for idx, (tau, mask) in enumerate(zip(family.permutations, family.masks.tolist())):
+        if seed & mask in (0, mask):
             raise ValueError(f"transposition {tau} must swap a support bit with a complement bit")
-        inside, outside = (1 << (n - i) for i in (tau if family.seed[a - 1] else (b, a)))
-        moved = rows[((rows & inside) == 0) & ((rows & outside) != 0)]
-        pair = np.stack((moved, permute_indices(tau, moved, n)))
-        plan.append((np.searchsorted(rows, pair), idx))
+        moved = rows[((rows ^ seed) & mask) == mask]
+        plan.append((np.searchsorted(rows, np.stack((moved, moved ^ mask))), idx))
     return rows, tuple(plan)
 
 

@@ -23,7 +23,7 @@ from cbqoa import (
 from cbqoa.cvar import BETA1, BETA2, EPS_STABILITY, FD_STEP, _hypercube_objective
 from cbqoa.errors import CapacityError
 from cbqoa.fast_sim import CostBinning
-from cbqoa.mixer import PermutationFamily, permute_indices
+from cbqoa.mixer import PermutationFamily
 from cbqoa.problems import (
     ProblemInstance,
     _clause_arrays,
@@ -132,6 +132,21 @@ def oracle_bin_costs(
         bin_index=index,
         bin_costs=midpoints,
     )
+
+
+def permute_indices(tau: tuple[int, ...], indices: np.ndarray, n: int) -> np.ndarray:
+    """Image of basis indices under a local permutation, the general action: a flip of
+    bit i for tau = (i,), a swap of bits a and b for tau = (a, b), 1-based positions. A
+    swap of two equal bits is the identity, which the library's XOR masks never apply."""
+    if len(tau) == 1:
+        (i,) = tau
+        return indices ^ (1 << (n - i))
+    a, b = tau
+    place_a = 1 << (n - a)
+    place_b = 1 << (n - b)
+    bit_a = (indices & place_a) != 0
+    bit_b = (indices & place_b) != 0
+    return np.where(bit_a == bit_b, indices, indices ^ (place_a | place_b))
 
 
 def dense_unitary(hermitian: np.ndarray, t: float) -> np.ndarray:
@@ -422,7 +437,7 @@ def oracle_tune_walk_params(
 
     gradient = None
     if family.kind == "bit_flip":
-        value_and_grad = _hypercube_objective(bits, family, summary.diagonal, cvar_cfg.alpha)
+        value_and_grad = _hypercube_objective(family, summary.diagonal, cvar_cfg.alpha)
 
         def gradient(x: np.ndarray) -> np.ndarray:
             return value_and_grad(x[None])[1][0]

@@ -158,10 +158,29 @@ class TestBenchmarkSpec:
         assert BenchmarkSpec(problem=problem, ratio_threshold=0.5).ratio_threshold == 0.5
 
     def test_settings_at_their_bounds_are_accepted(self):
-        """The closed ends of each range: a screening threshold of 1, one bin, one rounding."""
-        assert BenchmarkSpec(problem="max3sat", ratio_threshold=1.0).ratio_threshold == 1.0
+        """The closed ends of each range: a screening threshold of 1, one instance, one
+        rounding, three variables, one clause, edge probability 1, and one bin."""
+        bounds = dict(
+            ratio_threshold=1.0, count=1, rounding_trials=1, num_vars=3, num_clauses=1,
+            edge_prob=1.0,
+        )
+        spec = BenchmarkSpec(problem="max3sat", **bounds)
+        assert {key: getattr(spec, key) for key in bounds} == bounds
         config = PipelineConfig(num_bins=1, rounding_trials=1)
         assert (config.num_bins, config.rounding_trials) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ratio_threshold", float("nan")), ("ratio_threshold", float("inf")),
+         ("ratio_threshold", float("-inf")), ("ratio_threshold", 1.5),
+         ("pogs_cutoff", 0.0), ("pogs_cutoff", 1.0), ("edge_prob", 0.0)],
+    )
+    def test_settings_out_of_range_are_refused(self, field, value):
+        """The open ends of each range, and a threshold that is not finite: a NaN one
+        would take every attempt as hard and write NaN, which is not JSON, into
+        gen_manifest.json."""
+        with pytest.raises(ValueError, match=field):
+            BenchmarkSpec(problem="max_bisection", **{field: value})
 
     def test_problem_constructors(self):
         shared = dict(
@@ -373,24 +392,32 @@ class TestRunDepths:
             bench.run_depths(inst, depths, FAST_PIPELINE)
 
 
-# One n=16 Max 3SAT pipeline at depth 2, printed without its timing. The BLAS thread
+# One n=16 Max 3SAT pipeline at depth 2, whose walk is the hypercube walk, and one
+# n=12 Max Bisection pipeline at depth 3 from a single rounding, whose seed is not
+# optimal, so it tunes an XY walk; printed without their timing. The BLAS thread
 # count is read when numpy loads, so each thread count needs its own interpreter.
 THREADED_RUN = """
 import json
 import numpy as np
-from cbqoa.bench import random_max3sat, run_pipeline
+from cbqoa.bench import PipelineConfig, random_max3sat, random_max_bisection, run_pipeline
 
-record = run_pipeline(random_max3sat(np.random.default_rng(11), 16, 200), 2).to_dict()
-record.pop("wall_time_s")
-print(json.dumps(record, sort_keys=True))
+runs = [
+    (random_max3sat(np.random.default_rng(11), 16, 200), 2, PipelineConfig()),
+    (random_max_bisection(np.random.default_rng(40), 12), 3,
+     PipelineConfig(rng_seed=40, seed_trials=1)),
+]
+for instance, depth, config in runs:
+    record = run_pipeline(instance, depth, config).to_dict()
+    record.pop("wall_time_s")
+    print(json.dumps(record, sort_keys=True))
 """
 
 
 def test_records_do_not_depend_on_the_blas_thread_count():
     """BLAS may split a long reduction across its threads and so sum it in another
-    order; at n = 16 the vectors are long enough for that. With 1 and 2 threads the
-    record is the same, byte for byte (on a machine with at least 2 CPUs, where
-    OpenBLAS runs 2 threads)."""
+    order; at n = 16 the vectors are long enough for that. With 1 and 2 threads each
+    record, of both walks, is the same, byte for byte (on a machine with at least 2
+    CPUs, where OpenBLAS runs 2 threads)."""
     src = str(Path(cbqoa.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -404,6 +431,8 @@ def test_records_do_not_depend_on_the_blas_thread_count():
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+    walks = [json.loads(line)["walk_time"] for line in outputs[0].splitlines()]
+    assert len(walks) == 2 and all(walks), walks  # both runs tuned a walk
 
 
 class TestExportResults:

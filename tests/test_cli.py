@@ -124,9 +124,12 @@ class TestGen:
             (["--kind", "max_bisection", "--edge-prob", "-0.5"], "edge_prob"),
             (["--kind", "max3sat", "--num-clauses", "0"], "num_clauses"),
             (["--kind", "max3sat", "--num-vars", "2"], "num_vars"),
+            (["--kind", "max_bisection", "--threshold", "nan"], "ratio_threshold"),
+            (["--kind", "max3sat", "--threshold=-inf"], "ratio_threshold"),
         ],
         ids=["max3sat", "max3sat-threshold", "max_bisection", "max_bisection-shape",
-             "edge-prob-above-1", "edge-prob-negative", "no-clauses", "two-vars"],
+             "edge-prob-above-1", "edge-prob-negative", "no-clauses", "two-vars",
+             "threshold-nan", "threshold-minus-inf"],
     )
     def test_manifest_spec(self, tmp_path, monkeypatch, capsys, flags, expected):
         """The spec takes the kind's shape flags, BenchmarkSpec's defaults for the rest,

@@ -609,14 +609,14 @@ class TestLayerGradient:
 
 
 def walk_setup(rng, n, alpha):
-    """A 3SAT instance, a seed with both 0 and 1 bits (so both factor orders occur),
-    its cost order, and the walk tuner's (value, gradient) function."""
+    """The family of a 3SAT instance at a seed with both 0 and 1 bits (so both factor
+    orders occur), its cost order, and the walk tuner's (value, gradient) function."""
     inst = small_3sat(rng, n=n, num_clauses=4 * n)
     seed = rng.permutation(np.arange(n) % 2)
     family = build_family(inst, seed)
     costs = cost_summary(inst).diagonal
     order = np.argsort(costs, kind="stable")
-    return seed, family, costs[order], order, _hypercube_objective(seed, family, costs, alpha)
+    return family, costs[order], order, _hypercube_objective(family, costs, alpha)
 
 
 class TestWalkGradient:
@@ -626,7 +626,7 @@ class TestWalkGradient:
     @pytest.mark.parametrize("n", [8, 10])
     def test_matches_central_differences_away_from_kinks(self, n, alpha):
         rng = np.random.default_rng(10 * n + int(100 * alpha))
-        seed, family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
+        family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
         h = FD_STEP / 100
         stencil = np.concatenate([np.zeros((1, 2)), h * np.eye(2), -h * np.eye(2)])
         checked = 0
@@ -651,7 +651,7 @@ class TestWalkGradient:
     def test_values_and_zero_time(self, rng, n, alpha):
         """One batched call: each value is _cvar_boundary's CVaR of the squared walk state,
         and at t = 0 (a point mass, whatever the sharpness) the gradient is exactly zero."""
-        seed, family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
+        family, sorted_costs, order, value_and_grad = walk_setup(rng, n, alpha)
         points = np.column_stack([rng.uniform(0, np.pi, 8), rng.uniform(-2, 2, 8)])
         points[[0, 3], 0] = 0.0
         values, grads = value_and_grad(points)
@@ -697,7 +697,7 @@ class TestBatchIndependence:
         inst = small_3sat(rng, n=n, num_clauses=4 * n)
         bits = rng.integers(0, 2, n)
         costs = cost_summary(inst).diagonal
-        value_and_grad = _hypercube_objective(bits, build_family(inst, bits), costs, alpha)
+        value_and_grad = _hypercube_objective(build_family(inst, bits), costs, alpha)
         assert_batch_independent(value_and_grad, four_points(rng, [0, -2], [np.pi, 2], zero_first))
 
     @settings(max_examples=25, deadline=None)
@@ -768,7 +768,7 @@ class TestBatchIndependence:
             inst = small_3sat(rng, n=n, num_clauses=4 * n)
             bits = rng.integers(0, 2, n)
             value_and_grad = _hypercube_objective(
-                bits, build_family(inst, bits), cost_summary(inst).diagonal, alpha
+                build_family(inst, bits), cost_summary(inst).diagonal, alpha
             )
             dim = 2
         else:

@@ -2,12 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbqoa import MaxBisectionInstance
-from cbqoa.mixer import PermutationFamily, build_family, permute_indices, sigmoid_weight
-from cbqoa.problems import feasible_indices
+from cbqoa import Max3SatInstance, MaxBisectionInstance
+from cbqoa.mixer import PermutationFamily, build_family, sigmoid_weight
+from cbqoa.problems import bits_to_index, feasible_indices
+from cbqoa.simulate import _trotter_plan, ctqw_trotter_xy
 
-from conftest import adjacency_dense, index_to_bits, small_3sat, small_bisection, verify_assumption
+from conftest import (
+    adjacency_dense,
+    index_to_bits,
+    permute_indices,
+    small_3sat,
+    small_bisection,
+    verify_assumption,
+)
 
 
 def permute_bits(tau, bits):
@@ -19,7 +29,7 @@ def permute_bits(tau, bits):
 
 
 class TestApplyPermutation:
-    """permute_indices, the one permutation action, on basis indices."""
+    """The tests' general permutation action (conftest.permute_indices) on basis indices."""
 
     def test_bit_flip(self):
         assert permute_indices((2,), np.array([0b000]), 3).tolist() == [0b010]
@@ -48,11 +58,50 @@ class TestApplyPermutation:
                 expected = permute_bits(tau, index_to_bits(i, n))
                 assert np.array_equal(index_to_bits(int(mapped[i]), n), expected)
 
-    def test_out_of_range(self):
-        """Positions are 1-based: 0 and n + 1 are both refused."""
-        for tau in ((4,), (0,), (0, 2), (1, 4)):
-            with pytest.raises(ValueError, match="out of range"):
-                permute_indices(tau, np.array([0]), 3)
+
+class TestMaskAction:
+    """The library's one action: a family permutation maps a string x to x ^ mask."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_masks_and_trotter_pairs_match_the_general_action(self, data):
+        """On a random feasible seed, seed ^ mask is the seed's image under each
+        permutation; for a transposition family, each XY gate pairs exactly the sector
+        rows whose bits at its positions differ from the seed's with their images, and
+        every one of those images lies in the sector."""
+        if data.draw(st.booleans(), label="bisection"):
+            n = data.draw(st.sampled_from([4, 6, 8, 10, 12]), label="n")
+            bits = data.draw(st.permutations([0, 1] * (n // 2)), label="seed")
+            instance = MaxBisectionInstance(num_vertices=n, edges=())
+        else:
+            n = data.draw(st.integers(3, 10), label="n")
+            bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="seed")
+            instance = Max3SatInstance(num_vars=n, clauses=((1, 2, 3, 1.0),))
+        family = build_family(instance, bits)
+        seed = bits_to_index(bits)
+        images = [int(permute_indices(tau, np.array([seed]), n)[0]) for tau in family.permutations]
+        assert (seed ^ family.masks).tolist() == images
+        if family.kind == "bit_flip":
+            return
+        rows, plan = _trotter_plan(family)
+        sector = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n // 2)
+        assert np.array_equal(rows, sector)
+        grid = (sector[:, None] >> (n - np.arange(1, n + 1))) & 1  # each sector row's bits
+        assert [idx for _, idx in plan] == list(range(len(family.permutations)))
+        for (pair, _), tau in zip(plan, family.permutations):
+            positions = [i - 1 for i in tau]
+            differ = (grid[:, positions] != np.array(bits)[positions]).all(axis=1)
+            moved, partners = rows[pair]
+            assert np.array_equal(moved, sector[differ])
+            assert np.array_equal(partners, permute_indices(tau, moved, n))
+            assert np.isin(partners, sector).all()
+
+    def test_equal_bits_transposition_refused(self):
+        """A transposition of two equal seed bits is the identity on the seed, so the XY
+        walk refuses a hand-built family that holds one."""
+        family = PermutationFamily(4, ((1, 3), (1, 2)), (0.0, 0.0), (0, 1, 0, 1))
+        with pytest.raises(ValueError, match=r"\(1, 3\) must swap a support bit"):
+            ctqw_trotter_xy(family, [0.5], [1.0], 1)
 
 
 class TestBuildFamily:
@@ -81,6 +130,12 @@ class TestBuildFamily:
         family = build_family(MaxBisectionInstance(num_vertices=4, edges=()), "0011")
         with pytest.raises(ValueError, match="seed"):
             PermutationFamily(family.n, family.permutations, family.cost_gains, seed)
+
+    def test_positions_out_of_range(self):
+        """Positions are 1-based: a family holding 0 or n + 1 is refused."""
+        for tau in ((4,), (0,), (0, 2), (1, 4)):
+            with pytest.raises(ValueError, match="out of range"):
+                PermutationFamily(3, (tau,), (0.0,), (0, 0, 1))
 
     def test_transpositions_preserve_hamming_weight(self, rng):
         for n in (6, 8, 10):
