@@ -167,13 +167,11 @@ class BenchmarkSpec:
 @dataclass
 class GenerationStats:
     attempts: int = 0
-    accepted: int = 0
-    guard_tripped: bool = False
     pogs_estimates: list[float] = field(default_factory=list)
 
     @property
-    def rejection_rate(self) -> float:
-        return 1.0 - self.accepted / self.attempts if self.attempts else 0.0
+    def accepted(self) -> int:
+        return len(self.pogs_estimates)
 
 
 def classical_batch(
@@ -212,8 +210,7 @@ def gen_hard_instances(spec: BenchmarkSpec) -> tuple[list[ProblemInstance], Gene
     Repeatedly draws a random instance, estimates the rounding's POGS from
     `rounding_trials` roundings of one solved relaxation, and keeps the
     instance when the estimate falls below the cutoff. Gives up (returning a
-    partial set with the guard flag raised) after max_attempts_factor * count
-    attempts.
+    partial set) after max_attempts_factor * count attempts.
     """
     root = np.random.SeedSequence(spec.rng_seed)
     stats = GenerationStats()
@@ -238,9 +235,7 @@ def gen_hard_instances(spec: BenchmarkSpec) -> tuple[list[ProblemInstance], Gene
         )
         if estimate < spec.pogs_cutoff:
             accepted.append(instance)
-            stats.accepted += 1
             stats.pogs_estimates.append(estimate)
-    stats.guard_tripped = len(accepted) < spec.count
     return accepted, stats
 
 
@@ -273,8 +268,8 @@ class PipelineConfig:
     `adam.rng_seed` and `sdp.rng_seed` are replaced by seeds derived from `rng_seed`.
     """
 
-    alpha: float = 0.5
-    trotter_steps: int = 3
+    alpha: float = CvarConfig.alpha
+    trotter_steps: int = CircuitConfig.trotter_steps
     num_bins: int = 1000
     rounding_trials: int = 10000
     seed_trials: Optional[int] = None

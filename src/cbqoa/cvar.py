@@ -45,7 +45,8 @@ class CvarConfig:
             raise ValueError("alpha must be in (0, 1]")
 
 
-# ADAM moment decay rates, denominator guard, and central-difference step.
+# ADAM step size, moment decay rates, denominator guard, and central-difference step.
+LEARNING_RATE = 0.05
 BETA1 = 0.9
 BETA2 = 0.999
 EPS_STABILITY = 1e-8
@@ -54,14 +55,11 @@ FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class AdamConfig:
-    learning_rate: float = 0.05
     iterations: int = 200
     restarts: int = 4
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.restarts < 1:
@@ -193,7 +191,7 @@ def _adam_lockstep(
         v = BETA2 * v + (1 - BETA2) * grad * grad
         m_hat = m / (1 - BETA1 ** (t + 1))
         v_hat = v / (1 - BETA2 ** (t + 1))
-        step = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILITY)
+        step = params - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS_STABILITY)
         moved = (step.view(np.int64) != params.view(np.int64)).any(axis=1)
         params = step
     winner = 0
@@ -311,7 +309,8 @@ def tune_ansatz_params(
     depth: int,
     cvar_cfg: CvarConfig = CvarConfig(),
     adam_cfg: AdamConfig = AdamConfig(),
-    num_bins: int = 1000,
+    *,
+    num_bins: int,
 ) -> tuple[tuple[float, ...], tuple[float, ...], list[tuple[int, int, float]]]:
     """Tune p layers of (beta, gamma) on top of a fixed initial state psi.
 

@@ -38,9 +38,9 @@ class CostBinning:
 def bin_costs(cost_diagonal: np.ndarray, support: np.ndarray, num_bins: int) -> CostBinning:
     """Bin the support's costs: one level bin per distinct cost if at most num_bins
     occur, else num_bins uniform bins. Level bins are exact up to float rounding,
-    so criterion 6's error bound p * width * span / alpha reads 0. Uniform bins get
-    a tiny margin above the maximum cost, which then falls strictly below the upper
-    edge; every cost sits within half a bin width of its bin midpoint.
+    so criterion 6's error bound p * width * span / alpha reads 0. Uniform bins get a
+    margin above the top cost (and a clamp on the bin index, for costs so far from zero
+    that it rounds away); every cost sits within half a bin width of its bin midpoint.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")

@@ -139,6 +139,9 @@ class TestPogsRepeated:
     def test_certain_success(self):
         assert pogs_repeated(1.0, 4) == 1.0
 
+    def test_certain_failure(self):
+        assert pogs_repeated(0.0, 4) == 0.0
+
     def test_monotone(self):
         values = [pogs_repeated(0.15, k) for k in range(1, 10)]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -159,15 +162,16 @@ class TestBenchmarkSpec:
 
     def test_settings_at_their_bounds_are_accepted(self):
         """The closed ends of each range: a screening threshold of 1, one instance, one
-        rounding, three variables, one clause, edge probability 1, and one bin."""
+        rounding, three variables, one clause, edge probability 1, one bin, and one seed trial
+        of one rounding."""
         bounds = dict(
             ratio_threshold=1.0, count=1, rounding_trials=1, num_vars=3, num_clauses=1,
             edge_prob=1.0,
         )
         spec = BenchmarkSpec(problem="max3sat", **bounds)
         assert {key: getattr(spec, key) for key in bounds} == bounds
-        config = PipelineConfig(num_bins=1, rounding_trials=1)
-        assert (config.num_bins, config.rounding_trials) == (1, 1)
+        config = PipelineConfig(num_bins=1, rounding_trials=1, seed_trials=1)
+        assert (config.num_bins, config.rounding_trials, config.seed_trials) == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -213,9 +217,20 @@ class TestGenHardInstances:
             rng_seed=14,
         )
         instances, stats = gen_hard_instances(spec)
-        assert stats.guard_tripped
-        assert len(instances) < 3
+        assert len(instances) == stats.accepted < 3
         assert stats.attempts == 6
+
+    @pytest.mark.parametrize("below, accepted", [(True, 1), (False, 0)])
+    def test_an_estimate_at_the_cutoff_is_rejected(self, monkeypatch, below, accepted):
+        """Screening keeps an instance only when its estimate falls strictly below the
+        cutoff."""
+        spec = BenchmarkSpec.for_max_bisection(
+            num_vertices=6, count=1, max_attempts_factor=1, rng_seed=16
+        )
+        estimate = np.nextafter(spec.pogs_cutoff, 0.0) if below else spec.pogs_cutoff
+        monkeypatch.setattr(bench, "estimate_seed_pogs", lambda *args: estimate)
+        instances, stats = gen_hard_instances(spec)
+        assert (len(instances), stats.pogs_estimates) == (accepted, [estimate] * accepted)
 
     def test_cost_table_cache_holds_one_instance(self):
         """Screening works on one instance at a time, so the cost table cache pins only

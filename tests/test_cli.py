@@ -137,9 +137,11 @@ class TestGen:
         no instance can take, exits 2 and is named."""
         import cbqoa.bench as bench_mod
 
-        monkeypatch.setattr(
-            bench_mod, "gen_hard_instances", lambda spec: ([], GenerationStats(attempts=1))
-        )
+        def fake_gen(spec):  # a full set, so the guard stays down
+            instance = Max3SatInstance(num_vars=3, clauses=((1, 2, 3, 1.0),))
+            return [instance] * spec.count, GenerationStats(spec.count, [0.0] * spec.count)
+
+        monkeypatch.setattr(bench_mod, "gen_hard_instances", fake_gen)
         out = tmp_path / "gen"
         code = main(["gen", "--out", str(out), "--count", "2", "--seed", "5"] + flags)
         if isinstance(expected, str):
@@ -163,9 +165,7 @@ class TestGen:
         import cbqoa.bench as bench_mod
 
         def fake_gen(spec):
-            stats = GenerationStats(attempts=spec.count * spec.max_attempts_factor, accepted=0)
-            stats.guard_tripped = True
-            return [], stats
+            return [], GenerationStats(attempts=spec.count * spec.max_attempts_factor)
 
         monkeypatch.setattr(bench_mod, "gen_hard_instances", fake_gen)
         code = main(["gen", "--kind", "max3sat", "--count", "1", "--out", str(tmp_path / "g")])

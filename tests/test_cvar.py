@@ -202,15 +202,11 @@ class TestAdamMinimize:
         runs = [one_restart(lambda x: float(np.sin(x[0]) + x[0] ** 2), [0.7], cfg) for _ in range(2)]
         assert runs[0][2] == runs[1][2]
 
-    def test_returns_best_seen_not_last(self):
+    def test_returns_best_seen_not_last(self, monkeypatch):
         # oscillation-prone step keeps the minimum seen along the way
-        cfg = AdamConfig(iterations=80, learning_rate=0.9)
-        _, value, trace = one_restart(lambda x: float(abs(x[0])), [3.0], cfg)
+        monkeypatch.setattr(cvar, "LEARNING_RATE", 0.9)
+        _, value, trace = one_restart(lambda x: float(abs(x[0])), [3.0], AdamConfig(iterations=80))
         assert value == min(v for *_, v in trace)
-
-    def test_nonpositive_learning_rate_refused(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            AdamConfig(learning_rate=0.0)
 
     def test_ties_keep_the_incumbent(self):
         """Improvement is strict beyond 1e-9 relative (absolute below 1): a tie, or a
@@ -255,14 +251,16 @@ class TestLockstepAdam:
     """Lockstep restarts reproduce sequential ADAM runs exactly."""
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg",  # (settings, step size)
         [
-            AdamConfig(iterations=40),
-            AdamConfig(iterations=0),
-            AdamConfig(iterations=30, learning_rate=0.3),
+            (AdamConfig(iterations=40), cvar.LEARNING_RATE),
+            (AdamConfig(iterations=0), cvar.LEARNING_RATE),
+            (AdamConfig(iterations=30), 0.3),
         ],
     )
-    def test_matches_sequential_restarts(self, rng, cfg):
+    def test_matches_sequential_restarts(self, rng, monkeypatch, cfg):
+        cfg, rate = cfg
+        monkeypatch.setattr(cvar, "LEARNING_RATE", rate)
         inits = [np.zeros(3)] + [rng.uniform(-2, 2, size=3) for _ in range(3)]
         params, value, trace = _adam_lockstep(
             _central_differences(row_by_row(_bumpy)), np.array(inits), cfg
@@ -321,18 +319,15 @@ class TestLockstepAdam:
         assert params.tolist() == [0.0, 0.0] and value == 2.5
         assert trace == [(r, it, 2.5) for r in range(3) for it in range(7)]
 
-    def test_non_finite_row_raises(self):
+    def test_non_finite_row_raises(self, monkeypatch):
         """One restart walking into a NaN region aborts the whole batch."""
 
         def objective(points):
             return np.where(points[:, 0] > 1.0, np.nan, -points[:, 0])
 
+        monkeypatch.setattr(cvar, "LEARNING_RATE", 0.2)
         with pytest.raises(RuntimeError):
-            _adam_lockstep(
-                _central_differences(objective),
-                np.array([[0.0], [0.9]]),
-                AdamConfig(learning_rate=0.2),
-            )
+            _adam_lockstep(_central_differences(objective), np.array([[0.0], [0.9]]), AdamConfig())
 
     def test_nan_value_raises_on_the_analytic_path(self):
         def value_and_grad(points):
@@ -527,7 +522,7 @@ class TestTuneAnsatzParams:
     def test_depth_validation(self, rng):
         inst = small_bisection(rng, n=6)
         with pytest.raises(ValueError):
-            tune_ansatz_params(inst, uniform_feasible_state(inst), 0)
+            tune_ansatz_params(inst, uniform_feasible_state(inst), 0, num_bins=1000)
 
     @pytest.mark.parametrize("walked", [False, True])
     def test_default_tuning_skips_the_stationary_start(self, rng, monkeypatch, walked):
@@ -539,7 +534,7 @@ class TestTuneAnsatzParams:
             psi = cbqoa_initial_state(build_family(inst, "010011"), WalkParams(0.7, 0.3))
         else:
             psi = uniform_feasible_state(inst)
-        tune_ansatz_params(inst, psi, 3)
+        tune_ansatz_params(inst, psi, 3, num_bins=1000)
         assert rows == [4] + [3] * 200
 
 
@@ -569,7 +564,9 @@ class TestOptimalSeed:
         assert (walk_time, sharpness) == (0.0, 0.0)
         psi = cbqoa_initial_state(family, WalkParams(0.0, 0.0))
         for depth in (1, 2, 3):
-            betas, gammas, _ = tune_ansatz_params(inst, psi, depth, cvar_cfg, adam_cfg)
+            betas, gammas, _ = tune_ansatz_params(
+                inst, psi, depth, cvar_cfg, adam_cfg, num_bins=1000
+            )
             assert betas == gammas == (0.0,) * depth
 
 

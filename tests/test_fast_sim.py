@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbqoa import AnsatzParams, WalkParams
@@ -64,6 +64,34 @@ class TestBinCosts:
             binning = bin_costs(diag, support, int(rng.integers(3, 40)))
             approx = binning.bin_costs[binning.bin_index]
             assert np.max(np.abs(diag[support] - approx)) <= binning.width / 2 + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_span=st.floats(-9, 9),
+        offset=st.floats(-1e6, 1e6),
+        size=st.integers(2, 2000),
+        share=st.floats(0, 1),
+    )
+    @example(seed=0, log_span=math.log10(30), offset=1e6 / 30, size=3000, share=1.0)
+    def test_top_cost_lands_in_the_top_bin(self, seed, log_span, offset, size, share):
+        """The top support cost lands in bin num_bins - 1, across spans from 1e-9 to 1e9,
+        costs from near zero to 1e6 spans away from it, and up to one bin fewer than the
+        distinct costs. Near zero the margin above the top cost keeps it below the upper
+        edge. Far from zero the margin rounds away, and the clamp holds it: the example
+        is a 3000-string cost table 1e6 above zero with a span of 30, as a Max 3SAT
+        instance with a tautological clause of weight 1e6 gives."""
+        span = 10.0**log_span
+        fractions = np.random.default_rng(seed).random(size)
+        fractions[:2] = 0.0, 1.0
+        diag = offset * max(span, 1.0) + span * fractions
+        distinct = np.unique(diag).size
+        assume(distinct > 1)
+        num_bins = 1 + round(share * (distinct - 2))
+        binning = bin_costs(diag, np.arange(size), num_bins)
+        assert binning.upper >= diag.max()
+        assert set(binning.bin_index[diag == diag.max()]) == {num_bins - 1}
+        assert binning.bin_index.min() == 0
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):

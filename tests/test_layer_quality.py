@@ -86,7 +86,9 @@ def gate_rows(walked):
         span = binning.upper - binning.lower
         for depth in DEPTHS:
             adam = AdamConfig(rng_seed=4000 + 10 * i + depth)
-            betas, gammas, _ = cvar.tune_ansatz_params(inst, psi, depth, CvarConfig(ALPHA), adam)
+            betas, gammas, _ = cvar.tune_ansatz_params(
+                inst, psi, depth, CvarConfig(ALPHA), adam, num_bins=NUM_BINS
+            )
             params = AnsatzParams(betas=betas, gammas=gammas)
             dense = dense_cvar(summary, _apply_layers(psi, summary.diagonal, params))
             binned = cvar_discrete(

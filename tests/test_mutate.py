@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -63,3 +64,36 @@ def test_list_mode_prints_the_same_mutants_and_runs_nothing():
     assert lines and all(
         re.fullmatch(r"mixer\.py:\d+ [\w.]+: '[^']+' -> '[^']+'", line) for line in lines
     ), lines
+
+
+def test_every_stated_equivalent_names_one_mutant(mutate):
+    """Each entry of tools/equivalent_mutants.json matches exactly one mutant of the
+    current source, and gives a reason, so an entry gone stale fails here."""
+    equivalents = mutate.stated_equivalents()
+    assert equivalents
+    for (module, function, *swap), reason in equivalents.items():
+        source = (mutate.PACKAGE / f"{module}.py").read_bytes()
+        keys = [m.key(module, source) for m in mutate.find_mutants(source, [function])]
+        assert keys.count((module, function, *swap)) == 1, (module, function, *swap)
+        assert reason.strip(), (module, function, *swap)
+
+
+def test_listed_survivors_are_stated_equivalents(mutate, monkeypatch, tmp_path, capsys):
+    """A survivor the list names is reported as a stated equivalent and passes the run;
+    any other survivor fails it. Every mutant is made to survive, and none is run."""
+    monkeypatch.setattr(mutate, "run_mutant", lambda mutant, *args: "survived")
+    monkeypatch.setattr(mutate, "EQUIVALENTS", tmp_path / "listed.json")
+    source = (mutate.PACKAGE / "mixer.py").read_bytes()
+    names = ("module", "function", "old", "new", "line")
+    entries = [
+        {**dict(zip(names, m.key("mixer", source))), "reason": "made to survive"}
+        for m in mutate.find_mutants(source, ["sigmoid_weight"])
+    ]
+    argv = ["--module", "mixer", "--function", "sigmoid_weight"]
+    for listed, status, summary in (
+        (entries, 0, "6 mutants, 0 killed, 6 stated equivalent, 0 survived"),
+        (entries[1:], 1, "6 mutants, 0 killed, 5 stated equivalent, 1 survived"),
+    ):
+        mutate.EQUIVALENTS.write_text(json.dumps(listed), encoding="utf-8")
+        assert mutate.main(argv) == status
+        assert capsys.readouterr().out.splitlines()[-1] == summary

@@ -338,16 +338,19 @@ class TestInstanceFormat:
         with pytest.raises(ValueError):
             Max3SatInstance(num_vars=3, clauses=((1, 2, 9, 1.0),))  # label out of range
         for labels in ((-1, 1, 2), (1, 2, 7)):  # one past each end of [0, 2n]
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=r"out of range \[0, 6\]"):
                 Max3SatInstance(num_vars=3, clauses=((*labels, 1.0),))
         inst = Max3SatInstance(num_vars=3, clauses=((0, 1, 6, 1.0),))  # both ends accepted
         assert inst.clauses == ((0, 1, 6, 1.0),)
+        assert Max3SatInstance(num_vars=1, clauses=((0, 1, 2, 1.0),)).n == 1  # the least n
         with pytest.raises(ValueError):
             Max3SatInstance(num_vars=3, clauses=((1, 2, 3, -1.0),))  # negative weight
         with pytest.raises(ValueError):
             MaxBisectionInstance(num_vertices=3, edges=())  # odd vertex count
         with pytest.raises(ValueError):
             MaxBisectionInstance(num_vertices=4, edges=((1, 2, 1.0), (2, 1, 0.5)))  # dup
+        with pytest.raises(ValueError, match="out of range"):
+            MaxBisectionInstance(num_vertices=4, edges=((2, 2, 0.5),))  # self-loop
 
     @pytest.mark.parametrize(
         "data",

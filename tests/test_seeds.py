@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbqoa import Max3SatInstance, MaxBisectionInstance, SdpConfig, bench
+from cbqoa import Max3SatInstance, MaxBisectionInstance, SdpConfig, bench, seeds
 from cbqoa.bench import (
     classical_batch,
     random_max3sat,
@@ -184,10 +184,14 @@ class TestScatterMatchesOracle:
     def test_kz(self, inst, cfg):
         assert_same_solve(solve_kz_sdp(inst, cfg), oracle_solve_kz_sdp(inst, cfg))
 
-    def test_kz_early_stop(self):
-        """A satisfiable instance whose relaxation reaches its total weight stops early."""
+    def test_kz_early_stop(self, monkeypatch):
+        """A satisfiable instance whose relaxation reaches its total weight stops early:
+        it takes fewer ascent steps than its iteration budget."""
         inst = random_satisfiable_max3sat(np.random.default_rng(0), num_vars=6, num_clauses=8)
+        steps, step = [], seeds._AdamAscent.step
+        monkeypatch.setattr(seeds._AdamAscent, "step", lambda *a: steps.append(1) or step(*a))
         result = solve_kz_sdp(inst)
+        assert len(steps) < SdpConfig().iterations
         assert result.objective >= sum(c[3] for c in inst.clauses) * (1 - 1e-9)
         assert_same_solve(result, oracle_solve_kz_sdp(inst))
 

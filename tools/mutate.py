@@ -7,8 +7,10 @@ filter, in source order, so two runs over the same code make the same mutants.
 
 For each mutant a copy of src/ with that one change is put first on PYTHONPATH
 and the tests run with -x; a mutant that makes them fail (or run past
-TIMEOUT_S) is killed, one that passes survives. The exit status is 1 when any
-mutant survives.
+TIMEOUT_S) is killed, one that passes survives. A survivor listed in
+equivalent_mutants.json beside this script, keyed by module, function, swap and
+stripped source line and given with its reason, is reported as a stated
+equivalent. The exit status is 1 when any other mutant survives.
 
     python tools/mutate.py --module simulate --function _trotter_plan --list
     python tools/mutate.py --module mixer --function PermutationFamily.masks build_family
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cbqoa"
 TIMEOUT_S = 900  # per mutant; the whole tier-1 suite takes about 100 s
+EQUIVALENTS = Path(__file__).resolve().with_name("equivalent_mutants.json")
 
 # Operator node type -> (its source text, the text it is swapped for).
 SWAPS = {
@@ -61,6 +65,19 @@ class Mutant:
 
     def describe(self, module: str) -> str:
         return f"{module}:{self.line} {self.function}: {self.old!r} -> {self.new!r}"
+
+    def key(self, module: str, source: bytes) -> tuple[str, str, str, str, str]:
+        """(module, function, old, new, stripped source line): a key that survives edits
+        elsewhere in the module."""
+        text = source.splitlines()[self.line - 1].decode().strip()
+        return module, self.function, self.old, self.new, text
+
+
+def stated_equivalents() -> dict[tuple[str, str, str, str, str], str]:
+    """Mutant key -> the reason its mutant computes what the code does."""
+    entries = json.loads(EQUIVALENTS.read_text(encoding="utf-8"))
+    fields = ("module", "function", "old", "new", "line")
+    return {tuple(entry[f] for f in fields): entry["reason"] for entry in entries}
 
 
 def _functions(tree: ast.Module):
@@ -164,16 +181,21 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     tests = args.tests or [f"tests/test_{args.module}.py", "tests/test_golden.py"]
-    survivors = 0
+    equivalents = stated_equivalents()
+    outcomes = []
     with tempfile.TemporaryDirectory(prefix="cbqoa-mutate-") as scratch:
         copy = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
         target = copy / "cbqoa" / path.name
         for mutant in mutants:
             outcome = run_mutant(mutant, source, target, tests)
-            survivors += outcome == "survived"
-            print(f"{outcome:8} {mutant.describe(label)}", flush=True)
-    print(f"{len(mutants)} mutants, {len(mutants) - survivors} killed, {survivors} survived")
+            if outcome == "survived" and mutant.key(args.module, source) in equivalents:
+                outcome = "stated equivalent"
+            outcomes.append(outcome)
+            print(f"{outcome:17} {mutant.describe(label)}", flush=True)
+    survivors, stated = outcomes.count("survived"), outcomes.count("stated equivalent")
+    killed = len(mutants) - survivors - stated
+    print(f"{len(mutants)} mutants, {killed} killed, {stated} stated equivalent, {survivors} survived")
     return 1 if survivors else 0
 
 
