@@ -8,16 +8,15 @@ the clause-relaxation / random-hyperplane scheme; the Max Bisection path is
 the balanced relaxation with the random-projection, randomized-rounding
 procedure and its greedy rebalancing step.
 
-Each ascent step sums its gradient with one ``np.bincount`` (``_scatter``), which
-adds every entry's terms one by one in the order they are listed. The order is
-part of the result: the relaxations are invariant under a common rotation, so
-summing in another order sends the iterates elsewhere.
+Each ascent step sums its gradient with one ``np.bincount`` (``_scatter``) in the
+listed order, which is part of the result: the relaxations are invariant under a
+common rotation, so another order sends the iterates elsewhere. Max Bisection makes
+its positions once and gathers each iterate's edge-end rows once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -54,11 +53,11 @@ class UnitVectorSet:
     vectors: np.ndarray
     objective: float
     converged: bool
-    balance_residual: Optional[float] = None
+    balance_residual: float | None = None
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +68,14 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 _SLOTS = np.array(((0, 1, 2), (1, 0, 2), (2, 0, 1))).T
 
 
-def _scatter(positions: list, terms: list, shape) -> np.ndarray:
-    """Sum terms (a list of arrays, read flat in order) into np.zeros(shape) at the
-    flat positions listed alike.
+def _scatter(positions: np.ndarray, terms: np.ndarray, shape) -> np.ndarray:
+    """Sum terms (read flat in order) into np.zeros(shape) at the flat positions.
 
     bincount adds each position's terms one after another from +0.0, as
     ``np.add.at`` does. That running sum is never -0.0, so a row summed
     beforehand and listed as one term adds as it would onto the array.
     """
-    flat = [np.concatenate(parts, axis=None) for parts in (positions, terms)]
-    return np.bincount(*flat, minlength=shape[0] * shape[1]).reshape(shape)
+    return np.bincount(positions, terms.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
 
 
 class _AdamAscent:
@@ -154,7 +151,8 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
         for lo, hi in zip(bounds, bounds[1:]):
             listed += [terms[0, lo:hi].sum(axis=0), terms[1:, lo:hi]]
             where += [cols, positions[:, lo:hi]]
-        V = optimizer.step(V, _scatter(where, listed, V.shape))
+        flat = (np.concatenate(parts, axis=None) for parts in (where, listed))
+        V = optimizer.step(V, _scatter(*flat, V.shape))
 
     quarter = max(1, len(history) // 4)
     stalled = best_obj - history[-quarter] <= 1e-6 * max(1.0, abs(best_obj))
@@ -166,8 +164,7 @@ def solve_kz_sdp(instance: Max3SatInstance, cfg: SdpConfig = SdpConfig()) -> Uni
 def kz_round_batch(vectors: UnitVectorSet, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Vectorized hyperplane roundings, one assignment per row."""
     V = vectors.vectors
-    directions = rng.standard_normal((trials, V.shape[1]))
-    proj = directions @ V.T  # column 0 is v . v_0
+    proj = rng.standard_normal((trials, V.shape[1])) @ V.T  # a hyperplane per row; column 0: v_0
     return ((proj[:, 1:] * proj[:, :1]) >= 0).astype(np.uint8)
 
 
@@ -178,12 +175,13 @@ def kz_round_batch(vectors: UnitVectorSet, rng: np.random.Generator, trials: int
 def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -> UnitVectorSet:
     """Maximize the relaxed cut subject to the balance constraint sum v_i = 0.
 
-    The balance constraint is enforced as a quadratic penalty on |sum v_i|^2
-    whose coefficient doubles whenever a round of iterations ends with the
-    residual |sum v_i| above half the target; the solve takes 5 rounds of
-    max(1, iterations // 5) steps. The best balanced-enough iterate is
-    returned, along with the residual. The gradient lists every row's penalty
-    term, then each edge's term at its a end, then at its b end.
+    The balance constraint is enforced as a quadratic penalty on |sum v_i|^2 whose
+    coefficient doubles whenever a round of iterations ends with the residual
+    |sum v_i| above half the target; the solve takes 5 rounds of max(1, iterations // 5)
+    steps. The best balanced-enough iterate is returned, along with the residual. The
+    gradient lists every row's penalty term, then each edge's term at its a end, then at
+    its b end, at positions made once. The cut and the next step share one gather of
+    each iterate's edge-end rows.
     """
     n = instance.num_vertices
     dim = n + 1
@@ -195,31 +193,35 @@ def solve_fl_sdp(instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()) -
     per_round = max(1, cfg.iterations // rounds)
     optimizer = _AdamAscent(V.shape, cfg.iterations)
 
-    def cut_objective(M: np.ndarray) -> float:
-        dots = np.einsum("ed,ed->e", M[a_idx], M[b_idx])
-        return float(0.5 * np.dot(weights, 1.0 - dots))
+    ends = np.concatenate([b_idx, a_idx])  # the row each edge term reads, V[b] at a first
+    positions = (np.r_[:n, a_idx, b_idx][:, None] * dim + np.arange(dim)).ravel()
+    half_weights, terms = np.tile(-0.5 * weights, 2)[:, None], np.empty((n + len(ends), dim))
+    penalty_rows, edge_rows = terms[:n], terms[n:]  # edge_rows is V[ends] between steps
+    at_b, at_a = np.split(edge_rows, 2)
 
-    positions = [np.arange(V.size)] + [e[:, None] * dim + np.arange(dim) for e in (a_idx, b_idx)]
-    half_weights, every_row = -0.5 * weights[:, None], np.ones((n, 1))
+    def cut_objective() -> float:
+        return float(0.5 * np.dot(weights, 1.0 - np.einsum("ed,ed->e", at_a, at_b)))
 
     best_obj, best_V, best_residual = -np.inf, None, np.inf
     residual_vec = V.sum(axis=0)
+    np.take(V, ends, axis=0, out=edge_rows, mode="clip")  # ends are in range; clip is unbuffered
     for _ in range(rounds):
         for _ in range(per_round):
-            terms = [every_row * (-2.0 * penalty * residual_vec)]
-            terms += [half_weights * V[b_idx], half_weights * V[a_idx]]
+            penalty_rows[:] = -2.0 * penalty * residual_vec
+            edge_rows *= half_weights
             V = optimizer.step(V, _scatter(positions, terms, V.shape))
+            np.take(V, ends, axis=0, out=edge_rows, mode="clip")
             residual_vec = V.sum(axis=0)
-            residual = float(np.linalg.norm(residual_vec))
+            residual = float(np.sqrt(residual_vec.dot(residual_vec)))
             if residual <= target:
-                obj = cut_objective(V)
+                obj = cut_objective()
                 if obj > best_obj:
                     best_obj, best_V, best_residual = obj, V.copy(), residual
         if residual > 0.5 * target:
             penalty *= 2.0
 
     if best_V is None:  # never balanced enough: the last iterate, not converged
-        return UnitVectorSet(V, cut_objective(V), False, residual)
+        return UnitVectorSet(V, cut_objective(), False, residual)
     return UnitVectorSet(best_V, best_obj, True, best_residual)
 
 
@@ -278,9 +280,7 @@ def fl_round_batch(
 
 
 def solve_relaxation(instance: ProblemInstance, cfg: SdpConfig = SdpConfig()) -> UnitVectorSet:
-    if instance.kind == "max3sat":
-        return solve_kz_sdp(instance, cfg)
-    return solve_fl_sdp(instance, cfg)
+    return (solve_kz_sdp if instance.kind == "max3sat" else solve_fl_sdp)(instance, cfg)
 
 
 def _check_trials(trials: int) -> None:

@@ -39,7 +39,6 @@ from cbqoa.seeds import (
     BALANCE_TOLERANCE,
     STEP_SIZE,
     UnitVectorSet,
-    _normalize_rows,
 )
 from cbqoa.simulate import _trotter_plan, _xy_rotations, _xy_sweep
 
@@ -475,6 +474,11 @@ def _oracle_kz_relaxed_values(V: np.ndarray, rows, signs):
     return candidates.min(axis=0), candidates, sums
 
 
+def _oracle_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows over their np.linalg.norm, independent of the library's row norm."""
+    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+
 class _OracleAdamAscent:
     """Adam-style ascent step with a late small-step polish phase."""
 
@@ -492,7 +496,7 @@ class _OracleAdamAscent:
         m_hat = self.m / (1 - 0.9**self.t)
         v_hat = self.v / (1 - 0.999**self.t)
         lr = self.lr if self.t < 0.7 * self.total else 0.05 * self.lr
-        return _normalize_rows(V + lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+        return _oracle_normalize_rows(V + lr * m_hat / (np.sqrt(v_hat) + 1e-8))
 
 
 def oracle_solve_kz_sdp(
@@ -502,7 +506,7 @@ def oracle_solve_kz_sdp(
     n = instance.num_vars
     dim = n + 1
     rng = np.random.default_rng(cfg.rng_seed)
-    V = _normalize_rows(rng.standard_normal((n + 1, dim)))
+    V = _oracle_normalize_rows(rng.standard_normal((n + 1, dim)))
     rows, signs, weights = _clause_arrays(instance)  # negated literals are -v_i
     total_weight = float(weights.sum())
     optimizer = _OracleAdamAscent(V.shape, STEP_SIZE, cfg.iterations)
@@ -545,13 +549,14 @@ def oracle_solve_kz_sdp(
 
 
 def oracle_solve_fl_sdp(
-    instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig()
+    instance: MaxBisectionInstance, cfg: SdpConfig = SdpConfig(), doublings: list | None = None
 ) -> UnitVectorSet:
-    """``seeds.solve_fl_sdp`` with the penalty row copied and two ``np.add.at``."""
+    """``seeds.solve_fl_sdp`` with the penalty row copied and two ``np.add.at``. Each
+    doubling of the balance penalty appends its round to ``doublings`` when given."""
     n = instance.num_vertices
     dim = n + 1
     rng = np.random.default_rng(cfg.rng_seed)
-    V = _normalize_rows(rng.standard_normal((n, dim)))
+    V = _oracle_normalize_rows(rng.standard_normal((n, dim)))
     a_idx = np.array([a - 1 for a, _, _ in instance.edges], dtype=np.int64)
     b_idx = np.array([b - 1 for _, b, _ in instance.edges], dtype=np.int64)
     weights = np.array([w for _, _, w in instance.edges], dtype=np.float64)
@@ -569,7 +574,7 @@ def oracle_solve_fl_sdp(
     best_obj = -np.inf
     best_V = None
     best_residual = np.inf
-    for _ in range(rounds):
+    for round_index in range(rounds):
         for _ in range(per_round):
             residual_vec = V.sum(axis=0)
             grad = np.broadcast_to(-2.0 * penalty * residual_vec, V.shape).copy()
@@ -585,6 +590,8 @@ def oracle_solve_fl_sdp(
                     best_residual = residual
         if residual > 0.5 * target:
             penalty *= 2.0
+            if doublings is not None:
+                doublings.append(round_index)
 
     converged = best_V is not None
     if best_V is None:

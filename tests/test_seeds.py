@@ -1,5 +1,7 @@
 """Relaxation solvers and randomized roundings against brute-force oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,18 @@ class TestScatterMatchesOracle:
         result = solve_fl_sdp(inst, cfg)
         assert result.converged == converged
         assert_same_solve(result, oracle_solve_fl_sdp(inst, cfg))
+
+    def test_fl_penalty_doubles_at_full_length(self):
+        """K_12 with every weight -1 doubles its balance penalty within the default
+        2,000 iterations and still balances, so each step's penalty rows must be
+        written from the current penalty."""
+        edges = tuple((a, b, -1.0) for a, b in combinations(range(1, 13), 2))
+        inst, cfg, doublings = MaxBisectionInstance(num_vertices=12, edges=edges), SdpConfig(), []
+        expected = oracle_solve_fl_sdp(inst, cfg, doublings)
+        assert doublings, "the oracle never doubled its penalty"
+        result = solve_fl_sdp(inst, cfg)
+        assert result.converged
+        assert_same_solve(result, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(
