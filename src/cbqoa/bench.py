@@ -154,6 +154,8 @@ class BenchmarkSpec:
             raise ValueError("num_vars must be >= 3 and num_clauses >= 1")
         if not 0 < self.edge_prob <= 1:
             raise ValueError("edge_prob must be in (0, 1]")
+        if self.max_attempts_factor < 1:
+            raise ValueError("max_attempts_factor must be >= 1")
 
     @classmethod
     def for_max3sat(cls, **overrides) -> "BenchmarkSpec":

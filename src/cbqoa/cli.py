@@ -77,7 +77,7 @@ def cmd_gen(args) -> int:
         "instances": ids,
         "pogs_estimates": stats.pogs_estimates,
         "attempts": stats.attempts,
-        "rejection_rate": 1.0 - len(ids) / stats.attempts if stats.attempts else 0.0,
+        "rejection_rate": 1.0 - len(ids) / stats.attempts,
         "guard_tripped": guard_tripped,
     }
     _write_atomic(out / "gen_manifest.json", json.dumps(manifest, sort_keys=True, indent=1))

@@ -1,10 +1,10 @@
 """Statevector simulation of the seeded-walk ansatz and its uniform baseline.
 
-States are dense complex vectors over the computational basis with bit 1 as
-the most significant index bit. All operations return new arrays and preserve
-the L2 norm. Mixing operators are applied through the exact rank-1 update
-e^{-ib|psi><psi|} |phi> = |phi> + (e^{-ib} - 1) <psi|phi> |psi>, which is the
-unitary the three-factor walk/phase/unwalk circuit implements.
+States are dense vectors over the computational basis with bit 1 as the most
+significant index bit; walk and start states are real, layer states complex.
+All operations return new arrays and preserve the L2 norm. Mixing operators are
+applied through the exact rank-1 update e^{-ib|psi><psi|} |phi> = |phi> +
+(e^{-ib} - 1) <psi|phi> |psi>, the unitary the walk/phase/unwalk circuit implements.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class CircuitConfig:
 def uniform_feasible_state(instance: ProblemInstance) -> np.ndarray:
     """Uniform superposition over the feasible strings."""
     feas = cost_summary(instance).feasible
-    state = np.zeros(1 << instance.n, dtype=np.complex128)
+    state = np.zeros(1 << instance.n)
     state[feas] = 1.0 / np.sqrt(feas.size)
     return state
 
@@ -188,28 +188,20 @@ def _hypercube_adjoint(
     return grad
 
 
-# i^k for k = 0..3: the phase of a walk amplitude k permutations from the seed.
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
 def cbqoa_initial_state(
     family: PermutationFamily, walk: WalkParams, config: CircuitConfig = CircuitConfig()
 ) -> np.ndarray:
-    """Walk state e^{iAt}|z> from the family's seed z: exact for hypercube families,
-    trotterized for XY. Either walk gives real amplitudes r (zero where it does not
-    reach), and the amplitude of x is i^k r, k = popcount(x xor z) / len(tau) steps
-    from z."""
-    size = 1 << family.n
+    """Walk state e^{iAt}|z> from the family's seed z (exact for hypercube families,
+    trotterized for XY) as its real amplitudes r over all 2^n strings, zero where it does
+    not reach. The amplitude of x is i^k r, k = popcount(x xor z) / len(tau) steps from z;
+    no layer's probability moves under that diagonal phase, so it is never formed."""
     if family.kind == "bit_flip":
         weights = family.weights(walk.sharpness)
-        real = _hypercube_product(as_bits(family.seed), weights, walk.time, np.empty(2 * size))
-    else:
-        rows, amps = ctqw_trotter_xy(family, [walk.time], [walk.sharpness], config.trotter_steps)
-        real = np.zeros(size)
-        real[rows] = amps[:, 0]
-    flips = np.bitwise_count(np.arange(size) ^ bits_to_index(family.seed))
-    k = flips // len(family.permutations[0])  # a bit flip changes one bit, a swap two
-    return _I_POWERS[k & 3] * real
+        return _hypercube_product(as_bits(family.seed), weights, walk.time, np.empty(2 << family.n))
+    rows, amps = ctqw_trotter_xy(family, [walk.time], [walk.sharpness], config.trotter_steps)
+    state = np.zeros(1 << family.n)
+    state[rows] = amps[:, 0]
+    return state
 
 
 def _apply_layers(psi: np.ndarray, cost_diagonal: np.ndarray, params: AnsatzParams) -> np.ndarray:

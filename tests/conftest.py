@@ -60,19 +60,28 @@ def basis_state(n: int, z) -> np.ndarray:
     return state
 
 
+def walk_phase(family: PermutationFamily, rows=None) -> np.ndarray:
+    """i^k at each basis index x of rows (default: all 2^n), k = popcount(x xor z) /
+    len(tau) family steps from the seed z. The library returns a walk as its real
+    amplitudes r; the walk state itself is walk_phase(family) * r, the i^k r rule."""
+    if rows is None:
+        rows = np.arange(1 << family.n)
+    k = np.bitwise_count(rows ^ bits_to_index(family.seed)) // len(family.permutations[0])
+    return np.array([1, 1j, -1, -1j])[k & 3]
+
+
 def sector_walk(
     family: PermutationFamily, states: np.ndarray, sharpness: float, time: float, steps: int
 ) -> np.ndarray:
     """The library's product-formula sweep applied to each column of states, (2^n, k)
     and zero outside the seed's Hamming-weight sector, as one (2^n, k) array.
 
-    The sweep rotates the real parts r of amplitudes i^j r, j swaps from the seed; it is
-    linear with real coefficients, so each start state is divided by i^j on the way in
-    and the result multiplied by i^j on the way out."""
+    The sweep rotates the real parts r of amplitudes i^k r, k swaps from the seed; it is
+    linear with real coefficients, so each start state is divided by i^k on the way in
+    and the result multiplied by i^k on the way out."""
     rows, plan = _trotter_plan(family)
     assert not np.delete(states, rows, axis=0).any(), "a start state leaves the seed's sector"
-    swaps = np.bitwise_count(rows ^ bits_to_index(family.seed)) // 2
-    phase = np.array([1, 1j, -1, -1j])[swaps % 4, None]
+    phase = walk_phase(family, rows)[:, None]
     amps = states[rows] / phase
     _xy_sweep(amps, plan, *_xy_rotations(family, [sharpness], [time], steps), steps)
     out = np.zeros_like(amps, shape=states.shape)

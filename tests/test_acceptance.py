@@ -41,6 +41,7 @@ from conftest import (
     random_satisfiable_max3sat,
     random_state,
     sector_walk,
+    walk_phase,
 )
 
 
@@ -96,8 +97,8 @@ def test_criterion_1_exact_hypercube_walk():
         # The walk from every basis seed z is column z of U.
         walk = WalkParams(time=t, sharpness=1.0)
         for z in range(1 << n):
-            seed = tuple(int(b) for b in index_to_bits(z, n))
-            state = cbqoa_initial_state(replace(family, seed=seed), walk)
+            seeded = replace(family, seed=tuple(int(b) for b in index_to_bits(z, n)))
+            state = walk_phase(seeded) * cbqoa_initial_state(seeded, walk)
             worst = max(worst, np.abs(state - U[:, z]).max())
     elapsed = time.perf_counter() - start
     report(

@@ -162,11 +162,11 @@ class TestBenchmarkSpec:
 
     def test_settings_at_their_bounds_are_accepted(self):
         """The closed ends of each range: a screening threshold of 1, one instance, one
-        rounding, three variables, one clause, edge probability 1, one bin, and one seed trial
-        of one rounding."""
+        rounding, three variables, one clause, edge probability 1, one attempt per instance,
+        one bin, and one seed trial of one rounding."""
         bounds = dict(
             ratio_threshold=1.0, count=1, rounding_trials=1, num_vars=3, num_clauses=1,
-            edge_prob=1.0,
+            edge_prob=1.0, max_attempts_factor=1,
         )
         spec = BenchmarkSpec(problem="max3sat", **bounds)
         assert {key: getattr(spec, key) for key in bounds} == bounds
@@ -177,14 +177,22 @@ class TestBenchmarkSpec:
         "field, value",
         [("ratio_threshold", float("nan")), ("ratio_threshold", float("inf")),
          ("ratio_threshold", float("-inf")), ("ratio_threshold", 1.5),
-         ("pogs_cutoff", 0.0), ("pogs_cutoff", 1.0), ("edge_prob", 0.0)],
+         ("pogs_cutoff", 0.0), ("pogs_cutoff", 1.0), ("edge_prob", 0.0),
+         ("count", 0), ("rounding_trials", 0), ("num_vars", 2), ("num_clauses", 0),
+         ("max_attempts_factor", 0)],
     )
     def test_settings_out_of_range_are_refused(self, field, value):
         """The open ends of each range, and a threshold that is not finite: a NaN one
         would take every attempt as hard and write NaN, which is not JSON, into
-        gen_manifest.json."""
+        gen_manifest.json. A spec with no attempts would screen nothing."""
         with pytest.raises(ValueError, match=field):
             BenchmarkSpec(problem="max_bisection", **{field: value})
+
+    @pytest.mark.parametrize("field", ["num_bins", "rounding_trials"])
+    def test_pipeline_counts_below_one_are_refused(self, field):
+        """Either count alone at 0 is refused, by name."""
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: 0})
 
     def test_problem_constructors(self):
         shared = dict(

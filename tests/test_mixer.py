@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbqoa import Max3SatInstance, MaxBisectionInstance
-from cbqoa.mixer import PermutationFamily, build_family, sigmoid_weight
+from cbqoa.mixer import PermutationFamily, WalkParams, build_family, sigmoid_weight
 from cbqoa.problems import bits_to_index, feasible_indices
 from cbqoa.simulate import _trotter_plan, ctqw_trotter_xy
 
@@ -157,6 +157,16 @@ class TestBuildFamily:
         fz = diagonal[bits_to_index(seed)]
         for tau, gain in zip(family.permutations, family.cost_gains):
             assert gain == fz - diagonal[bits_to_index(permute_bits(tau, seed))]
+
+
+class TestWalkParams:
+    @pytest.mark.parametrize(
+        "time, sharpness", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5), (0.5, np.nan)]
+    )
+    def test_a_parameter_that_is_not_finite_is_refused(self, time, sharpness):
+        """Either parameter alone, not finite, is refused."""
+        with pytest.raises(ValueError, match="finite"):
+            WalkParams(time=time, sharpness=sharpness)
 
 
 class TestSigmoidWeight:

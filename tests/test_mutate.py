@@ -16,6 +16,7 @@ SCRIPT = ROOT / "tools" / "mutate.py"
 SOURCE = b"""
 def f(a, b):
     total = (a + b) * 2
+    kept = a and (b or total)
     return total if a not in (b,) else -1
 
 
@@ -41,8 +42,8 @@ def mutate(monkeypatch):
 def test_mutants_are_one_operator_swap_each_in_source_order(mutate):
     mutants = mutate.find_mutants(SOURCE, ["f", "C.g"])
     assert [(m.function, m.line, m.old, m.new) for m in mutants] == [
-        ("f", 3, "+", "-"), ("f", 3, "*", "/"), ("f", 4, "not in", "in"),
-        ("C.g", 9, "<", "<="), ("C.g", 9, "<=", "<"),
+        ("f", 3, "+", "-"), ("f", 3, "*", "/"), ("f", 4, "and", "or"), ("f", 4, "or", "and"),
+        ("f", 5, "not in", "in"), ("C.g", 10, "<", "<="), ("C.g", 10, "<=", "<"),
     ]
     for m in mutants:
         mutated = SOURCE[: m.start] + m.new.encode() + SOURCE[m.end :]

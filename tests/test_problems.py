@@ -368,6 +368,15 @@ class TestInstanceFormat:
         with pytest.raises(ValueError, match="integer|malformed"):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "kind", ["max_cut", None, ["max3sat"]], ids=["unknown", "null", "not-a-string"]
+    )
+    def test_unknown_type_rejected(self, kind):
+        """A type that names no instance class raises ValueError, whatever its form."""
+        data = {"type": kind, "num_vars": 3, "clauses": []}
+        with pytest.raises(ValueError, match="unknown instance type"):
+            instance_from_dict(data)
+
     def test_integral_floats_load_as_ints(self):
         sat = {"type": "max3sat", "num_vars": 3.0, "clauses": [[1.0, 2.0, 6.0, 0.5]]}
         cut = {"type": "max_bisection", "num_vertices": 4.0, "edges": [[2.0, 1.0, 1.0]]}

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbqoa import AnsatzParams, WalkParams
+from cbqoa.fast_sim import bin_costs, eta_from_state
 from cbqoa.mixer import PermutationFamily, build_family
 from cbqoa.problems import cost_summary, feasible_indices, ising_diagonal
 from cbqoa.simulate import (
     CircuitConfig,
+    _apply_layers,
     _hypercube_product,
     apply_phase_separator,
     apply_rank1_mixer,
@@ -33,6 +35,7 @@ from conftest import (
     sector_walk,
     small_3sat,
     small_bisection,
+    walk_phase,
 )
 
 
@@ -54,8 +57,8 @@ def hypercube_family(weights):
 def hypercube_walk(weights, z: int, t: float) -> np.ndarray:
     """e^{iAt}|z> on the weighted hypercube, through cbqoa_initial_state."""
     seed = tuple(int(b) for b in index_to_bits(z, len(weights)))
-    walk = WalkParams(time=t, sharpness=1.0)
-    return cbqoa_initial_state(replace(hypercube_family(weights), seed=seed), walk)
+    family = replace(hypercube_family(weights), seed=seed)
+    return walk_phase(family) * cbqoa_initial_state(family, WalkParams(time=t, sharpness=1.0))
 
 
 def xy_gate(n: int, seed: int, a: int, b: int, phi: float) -> np.ndarray:
@@ -68,7 +71,8 @@ def xy_gate(n: int, seed: int, a: int, b: int, phi: float) -> np.ndarray:
     family = PermutationFamily(
         n=n, permutations=((a, b),), cost_gains=(0.0,), seed=bits
     )
-    return cbqoa_initial_state(family, WalkParams(4 * phi, 0.0), CircuitConfig(1))
+    state = cbqoa_initial_state(family, WalkParams(4 * phi, 0.0), CircuitConfig(1))
+    return walk_phase(family) * state
 
 
 def splits_pair(n: int, seed: int, a: int, b: int) -> bool:
@@ -244,12 +248,12 @@ class TestWalkKernelIdentity:
         family = build_family(inst, seed)
         for _ in range(10):
             walk = WalkParams(time=rng.uniform(-3, 3), sharpness=rng.uniform(-4, 4))
-            state = cbqoa_initial_state(family, walk)
+            state = walk_phase(family) * cbqoa_initial_state(family, walk)
             assert np.array_equal(state, oracle_walk_state(seed, family, walk, 3))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
     def test_hypercube_state_matches_oracle(self, rng, n):
-        """i^popcount(x xor z) times the real product is the Kronecker product, and
+        """i^popcount(x xor z) times the real walk state is the Kronecker product, and
         the product squared is its |amplitude|^2, bit for bit (t = 0 included)."""
         family = hypercube_family(rng.uniform(0.05, 0.95, size=n))
         size = 1 << n
@@ -258,7 +262,8 @@ class TestWalkKernelIdentity:
             walk = WalkParams(time=float(time), sharpness=float(rng.uniform(-4, 4)))
             weights = family.weights(walk.sharpness)
             want = oracle_walk_state(bits, family, walk, 3)
-            state = cbqoa_initial_state(replace(family, seed=tuple(bits.tolist())), walk)
+            seeded = replace(family, seed=tuple(bits.tolist()))
+            state = walk_phase(seeded) * cbqoa_initial_state(seeded, walk)
             assert np.array_equal(state, want)
             product = _hypercube_product(bits, weights, walk.time, np.empty(2 * size))
             assert np.array_equal(product**2, np.abs(want) ** 2)
@@ -336,7 +341,7 @@ class TestAnsatz:
         inst = small_3sat(rng, n=5, num_clauses=10)
         family = build_family(inst, "01010")
         walk = WalkParams(time=0.9, sharpness=-0.7)
-        fast = cbqoa_initial_state(family, walk)
+        fast = walk_phase(family) * cbqoa_initial_state(family, walk)
         slow = dense_unitary(adjacency_dense(family, -0.7), 0.9)[:, 0b01010]
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -423,3 +428,38 @@ class TestAnsatzProperties:
             probs = np.abs(state) ** 2
             assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
             assert (probs[infeasible] == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 10),
+        draw_seed=st.integers(0, 2**32 - 1),
+        num_bins=st.integers(1, 16),
+        angles=st.integers(0, 3).flatmap(
+            lambda depth: st.lists(st.floats(-np.pi, np.pi), min_size=2 * depth, max_size=2 * depth)
+        ),
+    )
+    def test_a_diagonal_phase_on_the_start_moves_no_probability(
+        self, n, draw_seed, num_bins, angles
+    ):
+        """Each layer is a diagonal phase or a reflection about the start state, so a
+        start state phi * psi, phi of unit modulus on every string, gives every layer
+        the probabilities psi gives it: why a real walk state can stand for i^k r."""
+        rng = np.random.default_rng(draw_seed)
+        size = 1 << n
+        support = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+        psi = np.zeros(size)
+        psi[support] = rng.standard_normal(support.size)
+        psi /= np.linalg.norm(psi)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+        diag = rng.integers(-8, 9, size).astype(np.float64)
+        depth = len(angles) // 2
+        params = AnsatzParams(betas=tuple(angles[:depth]), gammas=tuple(angles[depth:]))
+        np.testing.assert_allclose(
+            np.abs(_apply_layers(phases * psi, diag, params)) ** 2,
+            np.abs(_apply_layers(psi, diag, params)) ** 2,
+            rtol=0, atol=1e-13,
+        )
+        binning = bin_costs(diag, support, num_bins)
+        np.testing.assert_allclose(
+            eta_from_state(phases * psi, binning), eta_from_state(psi, binning), rtol=0, atol=1e-15
+        )

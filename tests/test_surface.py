@@ -21,7 +21,7 @@ PERFBENCH = ROOT / "perfbench"
 MAX_PUBLIC_NAMES = 20
 # Lines of src/cbqoa/*.py as `wc -l` counts them. A change that grows src/ past
 # this raises it and states by how much and why.
-MAX_SRC_LINES = 2330
+MAX_SRC_LINES = 2324
 
 
 def test_benchmark_names_resolve_and_surface_is_small(monkeypatch):
@@ -265,22 +265,31 @@ def test_each_fact_has_one_source():
     assert not kind_fields, f"kind stored beside the data it names: {kind_fields}"
 
 
-def test_walks_share_one_phase_rule():
-    """Both walks are real amplitudes r on the rows they reach; the i^k phase is applied
-    in cbqoa_initial_state alone, and no second walk-state builder exists."""
-    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
-    users = sorted(
-        f"{name}:{node.name}"
-        for name, tree in modules.items()
-        for node in _definitions(tree)
-        if any(getattr(n, "id", None) == "_I_POWERS" for n in ast.walk(node))
-    )
-    assert users == ["simulate.py:cbqoa_initial_state"]
-    assert not hasattr(cbqoa.simulate, "hypercube_walk_state")
-    instance = cbqoa.MaxBisectionInstance(num_vertices=4, edges=((1, 2, 1.0), (2, 3, 0.5)))
-    family = cbqoa.mixer.build_family(instance, "0110")
+def test_walk_and_start_states_are_real():
+    """Both walks and the uniform start are real amplitudes r, and no second walk-state
+    builder exists. The walk rule's i^k phase is diagonal, so it moves no layer's
+    probability, and no src/ module forms it: none holds the table 1, i, -1, -i."""
+    tables = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.List, ast.Tuple)) and len(node.elts) == 4:
+                try:
+                    if list(ast.literal_eval(node)) == [1, 1j, -1, -1j]:
+                        tables.append(f"{path.name}:{node.lineno}")
+                except ValueError:
+                    pass
+    assert not tables, f"i^k tables in src/: {tables}"
+    bisection = cbqoa.MaxBisectionInstance(num_vertices=4, edges=((1, 2, 1.0), (2, 3, 0.5)))
+    sat = cbqoa.Max3SatInstance(num_vars=3, clauses=((1, 2, 3, 1.0), (0, 4, 5, 2.0)))
+    for instance, seed in ((bisection, "0110"), (sat, "010")):
+        family = cbqoa.mixer.build_family(instance, seed)
+        walk = cbqoa.WalkParams(time=0.7, sharpness=0.5)
+        assert cbqoa.simulate.cbqoa_initial_state(family, walk).dtype == np.float64
+        assert cbqoa.simulate.uniform_feasible_state(instance).dtype == np.float64
+    family = cbqoa.mixer.build_family(bisection, "0110")
     _, amps = cbqoa.simulate.ctqw_trotter_xy(family, [0.7, 1.3], [0.5, -1.0], 2)
     assert amps.dtype == np.float64
+    assert not hasattr(cbqoa.simulate, "hypercube_walk_state")
 
 
 def test_each_default_has_one_home():

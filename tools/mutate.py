@@ -1,9 +1,10 @@
 """Operator-swap mutation testing for one module of src/cbqoa.
 
 Each mutant swaps one operator inside the chosen functions of the module:
-+ and -, * and /, < and <=, > and >=, == and !=, in and not in, and & or ^ to
-|. The mutant list depends only on the module's source and the function
-filter, in source order, so two runs over the same code make the same mutants.
++ and -, * and /, < and <=, > and >=, == and !=, in and not in, and and or,
+and & or ^ to |. The mutant list depends only on the module's source and the
+function filter, in source order, so two runs over the same code make the same
+mutants.
 
 For each mutant a copy of src/ with that one change is put first on PYTHONPATH
 and the tests run with -x; a mutant that makes them fail (or run past
@@ -51,6 +52,8 @@ SWAPS = {
     ast.NotEq: ("!=", "=="),
     ast.In: ("in", "not in"),
     ast.NotIn: ("not in", "in"),
+    ast.And: ("and", "or"),
+    ast.Or: ("or", "and"),
 }
 
 
@@ -100,6 +103,8 @@ def _operator_gaps(node: ast.AST):
     elif isinstance(node, ast.Compare):
         operands = [node.left, *node.comparators]
         yield from zip(node.ops, operands, operands[1:])
+    elif isinstance(node, ast.BoolOp):
+        yield from ((node.op, left, right) for left, right in zip(node.values, node.values[1:]))
 
 
 def find_mutants(source: bytes, functions: list[str]) -> list[Mutant]:
